@@ -4,7 +4,7 @@ local sets, and matching-based doubling certificates."""
 
 from .groups import (BudgetExceededError, FreeGroup, GroupSpec, IntegerGroup,
                      Window, ball, bfs_distances)
-from .labels import (GreedyColoring, ProperLabelRule, color_graph_power,
+from .labels import (GreedyColoring, ProperLabelRule,
                      interleave, project_even, project_odd, separation_index)
 from .landscapes import (AnchorSet, AxiomReport, ComponentReport,
                          FractalLandscape, LandscapeRule, RiverLandscape,

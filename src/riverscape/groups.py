@@ -13,6 +13,7 @@ lexicographically by letter, with letter order ``+1 < -1 < +2 < -2 < ...``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -26,6 +27,14 @@ class BudgetExceededError(RuntimeError):
 def letter_key(letter: int) -> tuple[int, int]:
     """Sort key realizing the letter order +1 < -1 < +2 < -2 < ..."""
     return (abs(letter), 0 if letter > 0 else 1)
+
+
+def letter_index(letter: int) -> int:
+    """Position of a letter in the order +1, -1, +2, -2, ...
+
+    A letter's inverse sits at ``letter_index(letter) ^ 1``.
+    """
+    return 2 * abs(letter) - 2 + (letter < 0)
 
 
 class GroupSpec:
@@ -72,6 +81,26 @@ class GroupSpec:
         return self.length(self.mul(self.inverse(u), v))
 
     def sort_key(self, u):
+        raise NotImplementedError
+
+    # -- enumeration indices ---------------------------------------------
+
+    def ball_size(self, radius: int) -> int:
+        """|B_radius(e)|, i.e. the index of the first word of length
+        radius + 1."""
+        raise NotImplementedError
+
+    def index_of(self, u) -> int:
+        """The position of ``u`` in the enumeration order, computed
+        arithmetically (no ball is built)."""
+        raise NotImplementedError
+
+    def step_table(self, radius: int) -> array:
+        """Flat int32 transition table of B_radius(e) in index space.
+
+        ``step[i * degree + a]`` is the index of word i times the letter
+        with ``letter_index`` a, or -1 when that word leaves the ball.
+        """
         raise NotImplementedError
 
     def word_to_json(self, u):
@@ -161,6 +190,47 @@ class FreeGroup(GroupSpec):
     def sort_key(self, u: tuple[int, ...]):
         return (len(u), tuple(letter_key(letter) for letter in u))
 
+    def ball_size(self, radius: int) -> int:
+        d = self.degree
+        if d == 2:
+            return 2 * radius + 1
+        return 1 + d * ((d - 1) ** radius - 1) // (d - 2)
+
+    def index_of(self, u: tuple[int, ...]) -> int:
+        # a sphere is ordered lexicographically: the first letter is a
+        # base-d digit, each later one a base-(d-1) digit that skips the
+        # inverse of its predecessor
+        if not u:
+            return 0
+        d1 = self.degree - 1
+        prev = letter_index(u[0])
+        r = prev
+        for letter in u[1:]:
+            a = letter_index(letter)
+            r = r * d1 + a - (a > (prev ^ 1))
+            prev = a
+        return self.ball_size(len(u) - 1) + r
+
+    def step_table(self, radius: int) -> array:
+        d = self.degree
+        n = self.ball_size(radius)
+        inner = self.ball_size(radius - 1) if radius > 0 else 0
+        step = array("i", [-1]) * (n * d)
+        # letter index of each word's last letter (the identity's is
+        # never read); children are numbered in enumeration order
+        last = bytearray(n)
+        child = 1
+        for i in range(inner):
+            back = last[i] ^ 1 if i else -1
+            row = i * d
+            for a in range(d):
+                if a != back:
+                    step[row + a] = child
+                    step[child * d + (a ^ 1)] = i
+                    last[child] = a
+                    child += 1
+        return step
+
     def word_to_json(self, u: tuple[int, ...]) -> list[int]:
         return list(u)
 
@@ -202,6 +272,28 @@ class IntegerGroup(GroupSpec):
 
     def sort_key(self, u: int):
         return (abs(u), 0 if u >= 0 else 1)
+
+    def ball_size(self, radius: int) -> int:
+        return 2 * radius + 1
+
+    def index_of(self, u: int) -> int:
+        return 2 * u - 1 if u > 0 else -2 * u
+
+    def step_table(self, radius: int) -> array:
+        # u > 0 sits at index 2u - 1 and -u at 2u, so each step moves two
+        # indices away from or towards 0; filled by strided slices
+        step = array("i", [-1]) * (2 * self.ball_size(radius))
+        if radius == 0:
+            return step
+        top = 2 * radius
+        step[0:2] = array("i", (1, 2))
+        step[2::4] = array("i", range(3, top + 2, 2))   # u > 0, +1
+        step[3::4] = array("i", range(-1, top - 2, 2))  # u > 0, -1
+        step[4::4] = array("i", range(0, top, 2))       # -u, +1
+        step[5::4] = array("i", range(4, top + 3, 2))   # -u, -1
+        step[3] = 0
+        step[2 * top - 2] = step[2 * top + 1] = -1
+        return step
 
     def word_to_json(self, u: int) -> list[int]:
         # a^n is serialized as its signed count, not n unit letters

@@ -7,14 +7,25 @@ of the vertex in a greedy proper coloring of the distance-<=k graph.
 Two vertices at distance at most r are therefore separated within the
 first ``separation_index(spec, r)`` bits.
 
-The greedy colorings are computed in the global enumeration order, so a
-vertex's color never depends on any window; labels are intrinsic to the
-word and byte-reproducible.
+The greedy colorings follow the global enumeration order, so a vertex's
+color never depends on any window; labels are intrinsic to the word and
+byte-reproducible.  They are computed in enumeration-index space: a
+word is ranked arithmetically (``GroupSpec.index_of``), indices are
+colored in increasing order, and a vertex's competitors are the earlier
+indices reached by composing the steps of ``GroupSpec.step_table``
+along the offsets of B_k.  This is the intrinsic greedy coloring
+exactly: earlier words have length <= |w|, and balls in trees and on the
+line are convex, so the geodesic w, w a_1, ..., w g of an offset g only
+leaves the grown ball B_R (R >= |w|) when w g itself lies outside it,
+i.e. is a later word.  No words are stored.
 """
 
 from __future__ import annotations
 
-from .groups import GroupSpec, ball
+from array import array
+from typing import Optional
+
+from .groups import GroupSpec
 
 
 def interleave(u: str, v: str) -> str:
@@ -42,6 +53,37 @@ def separation_index(spec: GroupSpec, r: int) -> int:
     return sum(d**k + 1 for k in range(1, r + 1))
 
 
+class _IndexSpace:
+    """B_R(e) as enumeration indices with a flat step table; no words.
+
+    One space serves every power k of a labeling.  It grows on demand:
+    with degree > 2 the spheres grow geometrically, so the ball is
+    rebuilt at exactly the longest word asked for; on the line (degree
+    2) the radius at least doubles, because words arrive in the order
+    0, 1, -1, 2, ... and a rebuild per radius would be quadratic.
+    """
+
+    def __init__(self, spec: GroupSpec):
+        self.spec = spec
+        self.degree = spec.degree
+        self.radius = -1
+        self.step = array("i")
+
+    def grow(self, radius: int) -> None:
+        if radius > self.radius:
+            if self.degree == 2:
+                radius = max(radius, 2 * self.radius)
+            self.step = self.spec.step_table(radius)
+            self.radius = radius
+
+    def index(self, word) -> int:
+        """The enumeration index of ``word``, with the ball grown to it."""
+        length = self.spec.length(word)
+        if length > self.radius:
+            self.grow(length)
+        return self.spec.index_of(word)
+
+
 class GreedyColoring:
     """Greedy proper coloring of the distance-<=k graph, in enumeration order.
 
@@ -50,55 +92,57 @@ class GreedyColoring:
     are fewer than the ball size.
     """
 
-    def __init__(self, spec: GroupSpec, k: int):
+    def __init__(self, spec: GroupSpec, k: int,
+                 space: Optional[_IndexSpace] = None):
         if k < 0:
             raise ValueError("k must be non-negative")
         self.spec = spec
         self.k = k
         self.palette = spec.degree**k + 1
-        self._colors: dict = {}
-        if k == 0:
-            self._offsets = ()
-        else:
-            self._offsets = tuple(
-                w for w in ball(spec, k).vertices if spec.length(w) > 0
-            )
+        self._space = space or _IndexSpace(spec)
+        self._colors = array("i")
+        # B_k minus the identity as steps (p, a) in enumeration order:
+        # offset j is offset p times the letter with index a
+        self._ops: list[tuple[int, int]] = []
+        if k > 0:
+            self._space.grow(k)
+            step = self._space.step
+            d = self._space.degree
+            for j in range(1, spec.ball_size(k)):
+                for a in range(d):
+                    p = step[j * d + a]
+                    if 0 <= p < j:
+                        self._ops.append((p, a ^ 1))
+                        break
 
     def color(self, word) -> int:
+        return self.color_at(self._space.index(word))
+
+    def color_at(self, i: int) -> int:
+        """The color of the word with enumeration index ``i``; the index
+        space must already reach that word."""
         if self.k == 0:
             return 1
         colors = self._colors
-        got = colors.get(word)
-        if got is not None:
-            return got
-        spec = self.spec
-        # iterative DFS: a word waits on its earlier neighbors' colors
-        stack = [word]
-        while stack:
-            w = stack[-1]
-            if w in colors:
-                stack.pop()
-                continue
-            key = spec.sort_key(w)
-            pending = False
-            used = set()
-            for off in self._offsets:
-                nb = spec.mul(w, off)
-                if spec.sort_key(nb) < key:
-                    c = colors.get(nb)
-                    if c is None:
-                        stack.append(nb)
-                        pending = True
-                    else:
-                        used.add(c)
-            if pending:
-                continue
-            stack.pop()
-            c = 1
-            while c in used:
-                c += 1
-            colors[w] = c
-        return colors[word]
+        if i < len(colors):
+            return colors[i]
+        step = self._space.step
+        d = self._space.degree
+        ops = self._ops
+        # every earlier index is colored first, so all competitors of v
+        # are known when v is reached; bit c of ``used`` marks color c
+        # (bit 0 is set so the lowest clear bit is a color >= 1)
+        for v in range(len(colors), i + 1):
+            nb = [v]
+            used = 1
+            for p, a in ops:
+                x = nb[p]
+                x = step[x * d + a] if x >= 0 else -1
+                nb.append(x)
+                if -1 < x < v:
+                    used |= 1 << colors[x]
+            colors.append((~used & (used + 1)).bit_length() - 1)
+        return colors[i]
 
 
 class ProperLabelRule:
@@ -106,13 +150,14 @@ class ProperLabelRule:
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
+        self._space = _IndexSpace(spec)
         self._colorings: dict[int, GreedyColoring] = {}
         self._cache: dict = {}
 
     def _coloring(self, k: int) -> GreedyColoring:
         coloring = self._colorings.get(k)
         if coloring is None:
-            coloring = GreedyColoring(self.spec, k)
+            coloring = GreedyColoring(self.spec, k, self._space)
             self._colorings[k] = coloring
         return coloring
 
@@ -124,31 +169,16 @@ class ProperLabelRule:
         if len(cached) >= s:
             return cached[:s]
         d = self.spec.degree
+        i = self._space.index(word)
         parts: list[str] = []
         have = 0
         k = 1
         while have < s:
             block_len = d**k + 1
-            c = self._coloring(k).color(word)
+            c = self._coloring(k).color_at(i)
             parts.append("0" * (c - 1) + "1" + "0" * (block_len - c))
             have += block_len
             k += 1
         full = "".join(parts)
         self._cache[word] = full
         return full[:s]
-
-
-def color_graph_power(window, k: int) -> dict:
-    """Colors of the distance-<=k graph on the window core (radius R - k).
-
-    Returns a map word -> color in {1, ..., d^k + 1}.  The colors are the
-    intrinsic greedy ones, so they agree across windows.
-    """
-    if window.radius < k:
-        raise ValueError(
-            f"window radius {window.radius} too small for power {k}"
-        )
-    coloring = GreedyColoring(window.spec, k)
-    spec = window.spec
-    core = window.core_indices(window.radius - k)
-    return {window.vertices[i]: coloring.color(window.vertices[i]) for i in core}

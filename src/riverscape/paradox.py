@@ -269,14 +269,34 @@ class _HopcroftKarp:
                     queue.append(w)
         return found
 
-    def _dfs(self, u: int) -> bool:
-        for v in self.adj[u]:
+    def _dfs(self, root: int) -> bool:
+        """One augmenting path from ``root`` along the BFS layers.
+
+        Iterative, so path length is not bounded by the recursion limit;
+        each frame is [vertex, next edge position] and edges are tried in
+        adjacency order, as a recursive search would.
+        """
+        adj, dist = self.adj, self.dist
+        stack = [[root, 0]]
+        while stack:
+            frame = stack[-1]
+            u, k = frame
+            if k == len(adj[u]):
+                dist[u] = self.INF
+                stack.pop()
+                continue
+            v = adj[u][k]
+            frame[1] = k + 1
             w = self.match_right[v]
-            if w == -1 or (self.dist[w] == self.dist[u] + 1 and self._dfs(w)):
-                self.match_left[u] = v
-                self.match_right[v] = u
+            if w == -1:
+                # augment: every frame takes the edge it is standing on
+                for x, e in stack:
+                    y = adj[x][e - 1]
+                    self.match_left[x] = y
+                    self.match_right[y] = x
                 return True
-        self.dist[u] = self.INF
+            if dist[w] == dist[u] + 1:
+                stack.append([w, 0])
         return False
 
 
@@ -578,7 +598,12 @@ class CertificateReport:
 
 
 class PatternScanCache:
-    """Per-(rule, radius, prefix) cache of window-wide pattern scans."""
+    """Per-(rule, window, radius, prefix) cache of window-wide pattern scans.
+
+    Keys use object ids so the large window is never hashed; each entry
+    holds the rule and window themselves, so neither id can be reused by
+    another object while its scan is cached.
+    """
 
     def __init__(self):
         self._scans: dict = {}
@@ -586,16 +611,16 @@ class PatternScanCache:
     def patterns(self, z: LandscapeRule, window: Window, l: int,
                  prefix_len: int) -> dict:
         key = (id(z), id(window), l, prefix_len)
-        got = self._scans.get(key)
-        if got is None:
+        entry = self._scans.get(key)
+        if entry is None:
             spec = window.spec
             core = window.radius - l
-            got = {
+            scan = {
                 w: theta(z, w, l, prefix_len)
                 for w in window.vertices if spec.length(w) <= core
             }
-            self._scans[key] = got
-        return got
+            entry = self._scans[key] = (z, window, scan)
+        return entry[2]
 
 
 def verify_certificate(z: LandscapeRule, cert: DoublingCertificate,

@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 
 from riverscape import (BudgetExceededError, FreeGroup, GroupSpec,
                         IntegerGroup, Window, ball, bfs_distances)
-from riverscape.groups import letter_key
+from riverscape.groups import letter_index, letter_key
 
 F2 = FreeGroup(2)
+F3 = FreeGroup(3)
 Z = IntegerGroup()
 
 letters2 = st.sampled_from([1, -1, 2, -2])
@@ -101,6 +102,38 @@ class TestEnumerationOrder:
         assert win.vertices[:5] == ((), (1,), (-1,), (2,), (-2,))
         zwin = ball(Z, 2)
         assert zwin.vertices == (0, 1, -1, 2, -2)
+
+
+class TestIndexSpace:
+    WINDOWS = [(F2, 6), (F3, 4), (Z, 30)]
+
+    def test_letter_index_matches_letter_order(self):
+        for spec in (F2, F3, Z):
+            assert [letter_index(a) for a in spec.letters()] \
+                == list(range(spec.degree))
+
+    @pytest.mark.parametrize("spec,radius", WINDOWS)
+    def test_index_of_is_ball_position(self, spec, radius):
+        win = ball(spec, radius)
+        assert [spec.index_of(w) for w in win.vertices] \
+            == list(range(len(win)))
+        for r in range(radius + 1):
+            assert spec.ball_size(r) == len(ball(spec, r))
+
+    @pytest.mark.parametrize("spec,radius", WINDOWS)
+    def test_step_table_is_apply_letter(self, spec, radius):
+        win = ball(spec, radius)
+        d = spec.degree
+        step = spec.step_table(radius)
+        assert len(step) == len(win) * d
+        for i, w in enumerate(win.vertices):
+            for a, letter in enumerate(spec.letters()):
+                want = win.index.get(spec.apply_letter(w, letter), -1)
+                assert step[i * d + a] == want, (w, letter)
+
+    def test_step_table_of_a_point(self):
+        assert list(F2.step_table(0)) == [-1] * 4
+        assert list(Z.step_table(0)) == [-1, -1]
 
 
 class TestBall:

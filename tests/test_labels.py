@@ -1,15 +1,88 @@
+import random
+from functools import lru_cache
+
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from riverscape import (FreeGroup, GreedyColoring, IntegerGroup,
-                        ProperLabelRule, ball, color_graph_power, interleave,
-                        project_even, project_odd, separation_index)
+                        ProperLabelRule, ball, interleave, project_even,
+                        project_odd, separation_index)
 
 F2 = FreeGroup(2)
+F3 = FreeGroup(3)
 Z = IntegerGroup()
 
 bits = st.text(alphabet="01", max_size=40)
+
+
+class WordGreedyColoring:
+    """Reference coloring on words: a word's competitors are found by
+    multiplying it with every nontrivial offset of B_k and comparing
+    ``sort_key``s; uncolored earlier competitors are colored first by an
+    explicit depth-first search."""
+
+    def __init__(self, spec, k):
+        self.spec = spec
+        self._colors = {}
+        self._offsets = tuple(
+            w for w in ball(spec, k).vertices if spec.length(w) > 0
+        )
+
+    def color(self, word):
+        colors = self._colors
+        spec = self.spec
+        stack = [word]
+        while stack:
+            w = stack[-1]
+            if w in colors:
+                stack.pop()
+                continue
+            key = spec.sort_key(w)
+            pending = False
+            used = set()
+            for off in self._offsets:
+                nb = spec.mul(w, off)
+                if spec.sort_key(nb) < key:
+                    c = colors.get(nb)
+                    if c is None:
+                        stack.append(nb)
+                        pending = True
+                    else:
+                        used.add(c)
+            if pending:
+                continue
+            stack.pop()
+            c = 1
+            while c in used:
+                c += 1
+            colors[w] = c
+        return colors[word]
+
+
+# the windows the oracle is compared on; it is built once per group on
+# the largest one and reused, since colors are intrinsic to the word
+ORACLE_WINDOWS = [
+    pytest.param(spec, radius, id=f"{name}-B{radius}")
+    for name, spec, radii in (("F2", F2, (5, 6, 7, 8)), ("F3", F3, (4, 5)),
+                              ("Z", Z, (200,)))
+    for radius in radii
+]
+ORACLE_TOP = {F2: 8, F3: 5, Z: 200}
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+@lru_cache(maxsize=None)
+def oracle_colors(spec, k):
+    reference = WordGreedyColoring(spec, k)
+    return {w: reference.color(w)
+            for w in ball(spec, ORACLE_TOP[spec]).vertices}
+
+
+def shuffled_window(spec, radius, seed):
+    words = list(ball(spec, radius).vertices)
+    random.Random(seed).shuffle(words)
+    return words
 
 
 class TestBitPlumbing:
@@ -84,6 +157,36 @@ class TestGreedyColoring:
             assert a.color(w) == b.color(w)
 
 
+class TestAgainstWordOracle:
+    # the index-space coloring fills every index up to the one asked
+    # for, so the oracle is queried in a random order; a failing seed is
+    # reported as drawn, since shrinking a seed gains nothing
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spec,radius", ORACLE_WINDOWS)
+    @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_colors_in_random_order(self, spec, radius, k, seed):
+        expected = oracle_colors(spec, k)
+        coloring = GreedyColoring(spec, k)
+        for w in shuffled_window(spec, radius, seed):
+            assert coloring.color(w) == expected[w], w
+
+    @pytest.mark.parametrize("spec,radius", ORACLE_WINDOWS)
+    @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_labels_at_s3_in_random_order(self, spec, radius, seed):
+        d = spec.degree
+        s3 = separation_index(spec, 3)
+        rule = ProperLabelRule(spec)
+        for w in shuffled_window(spec, radius, seed):
+            expected = "".join(
+                "0" * (c - 1) + "1" + "0" * (d**k + 1 - c)
+                for k in (1, 2, 3) for c in [oracle_colors(spec, k)[w]]
+            )
+            assert rule.label(w, s3) == expected, w
+
+
 class TestProperLabel:
     def test_prefix_monotone(self):
         rule = ProperLabelRule(F2)
@@ -116,21 +219,3 @@ class TestProperLabel:
         for a in range(-20, 19):
             for b in range(a + 1, min(a + 3, 21)):
                 assert labels[a] != labels[b]
-
-
-class TestColorGraphPower:
-    def test_core_and_palette(self):
-        win = ball(F2, 4)
-        colors = color_graph_power(win, 2)
-        assert set(colors) == {w for w in win.vertices if len(w) <= 2}
-        assert all(1 <= c <= F2.degree**2 + 1 for c in colors.values())
-
-    def test_window_too_small(self):
-        with pytest.raises(ValueError):
-            color_graph_power(ball(F2, 1), 2)
-
-    def test_agrees_across_windows(self):
-        small = color_graph_power(ball(F2, 3), 1)
-        large = color_graph_power(ball(F2, 5), 1)
-        for w, c in small.items():
-            assert large[w] == c

@@ -4,12 +4,13 @@ import pytest
 
 from riverscape import (ChannelAllocator, FreeGroup, IntegerGroup,
                         LocalSetSpec, PaddedLandscape, PatternBall,
-                        RelabeledLandscape, ball, build_GT,
+                        PatternScanCache, RelabeledLandscape, ball, build_GT,
                         canonical_target_order, certificate_from_dict,
                         cheeger_estimate, covering_radius, extract_pieces,
                         find_doubling, paradoxicalize_sequence, project_even,
                         project_odd, realize, relabel, river_landscape,
                         theta, trivial_certificate, verify_certificate)
+from riverscape.landscapes import LandscapeRule
 from riverscape.paradox import _HopcroftKarp
 from riverscape.patterns import center_height_local_set, observed_patterns
 from riverscape.snapshots import bundle_pipeline
@@ -22,6 +23,37 @@ def height_target(heights):
     return lambda rule, win: center_height_local_set(
         rule, win, 1, heights, prefix_len=1
     )
+
+
+class _RecursiveHopcroftKarp(_HopcroftKarp):
+    """Reference: the same matcher with a recursive augmenting search."""
+
+    def _dfs(self, u):
+        for v in self.adj[u]:
+            w = self.match_right[v]
+            if w == -1 or (self.dist[w] == self.dist[u] + 1
+                           and self._dfs(w)):
+                self.match_left[u] = v
+                self.match_right[v] = u
+                return True
+        self.dist[u] = self.INF
+        return False
+
+
+class _Stamped(LandscapeRule):
+    """A throwaway rule whose heights depend on its stamp."""
+
+    provenance = "stamped"
+
+    def __init__(self, spec, stamp):
+        self.spec = spec
+        self.stamp = stamp
+
+    def height(self, word):
+        return 1 + (self.stamp + self.spec.length(word)) % 5
+
+    def label(self, word, s):
+        return "0" * s
 
 
 def full_core_target(rule, win):
@@ -110,6 +142,33 @@ class TestMatcher:
                 csr_matrix(matrix), perm_type="column"
             )
             assert ours == int((sp >= 0).sum())
+
+    def test_same_matching_as_recursive_search(self):
+        import numpy as np
+
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            n_left = int(rng.integers(1, 40))
+            n_right = int(rng.integers(1, 40))
+            density = rng.random() * 0.3
+            adjacency = [
+                [int(j) for j in rng.permutation(n_right)
+                 if rng.random() < density]
+                for _ in range(n_left)
+            ]
+            ours = _HopcroftKarp(adjacency, n_right)
+            ref = _RecursiveHopcroftKarp(adjacency, n_right)
+            assert ours.solve() == ref.solve()
+            assert ours.match_left == ref.match_left
+
+    def test_long_augmenting_path(self):
+        # the last phase augments along a path through all 3000 vertices,
+        # deeper than the default recursion limit
+        n = 3000
+        adjacency = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+        matcher = _HopcroftKarp(adjacency, n)
+        assert matcher.solve() == n
+        assert sorted(matcher.match_left) == list(range(n))
 
     def test_matching_is_injective(self, river, win8):
         T = river.river_points(win8)
@@ -215,6 +274,19 @@ class TestCertificates:
         assert result.halted is None
         assert result.reports[0].passed
         assert result.certificates[0].K <= 6
+
+
+class TestPatternScanCache:
+    def test_dropped_rules_never_serve_stale_scans(self):
+        # a freed rule's id is reused by the next allocation of the same
+        # size, so an id-keyed entry must keep its rule alive
+        cache = PatternScanCache()
+        window = ball(F2, 3)
+        for stamp in range(40):
+            rule = _Stamped(F2, stamp)
+            scan = cache.patterns(rule, window, 1, 2)
+            assert scan == PatternScanCache().patterns(rule, window, 1, 2)
+            del rule, scan
 
 
 class TestTrivialCertificate:
