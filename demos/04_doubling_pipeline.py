@@ -2,14 +2,14 @@
 
 Doubles the river (height-1 local set) and then the height-2 set on
 B_8(F2), prints the resulting certificates and re-verification matrix,
-and replays the final certificate against a materialized snapshot
+and replays every certificate against the final snapshot, loaded once,
 through the construction-free checker.
 """
 
 from riverscape import (FreeGroup, ball, build_GT, cheeger_estimate,
                         covering_radius, paradoxicalize_sequence,
                         river_landscape)
-from riverscape.checking import check_certificate_dict
+from riverscape.checking import check_certificate_dict, load_snapshot
 from riverscape.patterns import center_height_local_set
 from riverscape.snapshots import bundle_pipeline
 
@@ -49,11 +49,11 @@ def main():
         print(f"  cert {a}: {cells}")
 
     bundle = bundle_pipeline(result, win)
-    report = check_certificate_dict(
-        bundle["finalSnapshot"], bundle["certificates"][-1]
-    )
-    print(f"\nindependent snapshot check of final certificate: "
-          f"{report.passed}")
+    snapshot = load_snapshot(bundle["finalSnapshot"])
+    for i, cert_obj in enumerate(bundle["certificates"]):
+        report = check_certificate_dict(snapshot, cert_obj)
+        print(f"independent snapshot check of certificate {i}: "
+              f"{report.passed}")
 
 
 if __name__ == "__main__":

@@ -12,16 +12,16 @@ from .landscapes import (AnchorSet, AxiomReport, ComponentReport,
                          double_word, fractal_landscape, is_ternary,
                          river_landscape, ternary_height, undouble_word,
                          verify_axioms)
-from .paradox import (ChannelAllocator, DoublingCertificate, DoublingSearch,
-                      GTGraph, PaddedLandscape, PatternScanCache,
-                      PipelineResult, RelabeledLandscape, build_GT,
+from .paradox import (ChannelAllocator, ChannelLandscape, DoublingCertificate,
+                      DoublingSearch, GTGraph, PipelineResult, build_GT,
                       canonical_target_order, certificate_from_dict,
                       cheeger_estimate, covering_radius, extract_pieces,
                       find_doubling, paradoxicalize_sequence, relabel,
                       trivial_certificate, verify_certificate)
 from .patterns import (LocalSetSpec, PatternBall, PatternReport,
                        center_height_local_set, classify_patterns,
-                       observed_patterns, offset_ball, realize, theta)
+                       observed_patterns, offset_ball, pattern_scan, realize,
+                       theta)
 from .snapshots import (bundle_pipeline, dump_json, load_json,
                         snapshot_landscape)
 from .witness import (CodeBlock, CodeBudgetError, CodeFormatError,

@@ -3,18 +3,22 @@
 The checker never touches construction code: it replays a landscape
 purely from the arrays stored in a snapshot and re-runs the clause
 verification.  Shared surface is limited to type definitions (words,
-windows, pattern balls, certificates).
+windows, pattern balls, certificates).  The snapshot rule serves its
+stored rows, index-aligned with the window, straight to the pattern
+scan; a bundle's snapshot is loaded once and checked against every
+certificate.
 """
 
 from __future__ import annotations
 
 from .groups import GroupSpec, Window, ball
-from .paradox import (CertificateReport, DoublingCertificate,
-                      certificate_from_dict, verify_certificate)
+from .landscapes import LandscapeRule
+from .paradox import (CertificateReport, certificate_from_dict,
+                      verify_certificate)
 from .snapshots import SNAPSHOT_SCHEMA
 
 
-class SnapshotLandscape:
+class SnapshotLandscape(LandscapeRule):
     """A landscape replayed from stored per-vertex heights and labels.
 
     Only window vertices can be queried, and only up to the stored
@@ -28,29 +32,38 @@ class SnapshotLandscape:
         self.spec = window.spec
         self.window = window
         self.prefix_len = prefix_len
-        self._heights = {
-            w: h for w, h in zip(window.vertices, heights)
-        }
-        self._labels = {
-            w: bits for w, bits in zip(window.vertices, labels)
-        }
+        self.heights = heights
+        self.labels = labels
 
-    def height(self, word) -> int:
-        try:
-            return self._heights[word]
-        except KeyError:
+    def _index(self, word) -> int:
+        i = self.window.index.get(word)
+        if i is None:
             raise ValueError(f"word {word!r} outside the snapshot window")
+        return i
 
-    def label(self, word, s: int) -> str:
+    def _check_prefix(self, s: int) -> None:
         if s > self.prefix_len:
             raise ValueError(
                 f"prefix {s} exceeds snapshot prefix length "
                 f"{self.prefix_len}"
             )
-        try:
-            return self._labels[word][:s]
-        except KeyError:
-            raise ValueError(f"word {word!r} outside the snapshot window")
+
+    def height(self, word) -> int:
+        return self.heights[self._index(word)]
+
+    def label(self, word, s: int) -> str:
+        self._check_prefix(s)
+        return self.labels[self._index(word)][:s]
+
+    def window_rows(self, window: Window, s: int
+                    ) -> tuple[list[str], list[int]]:
+        if (window.spec, window.radius) != \
+                (self.spec, self.window.radius):
+            return super().window_rows(window, s)
+        self._check_prefix(s)
+        labels = self.labels if s == self.prefix_len \
+            else [bits[:s] for bits in self.labels]
+        return labels, self.heights
 
 
 def load_snapshot(obj: dict) -> SnapshotLandscape:
@@ -63,14 +76,14 @@ def load_snapshot(obj: dict) -> SnapshotLandscape:
     )
 
 
-def check_certificate_dict(snapshot_obj: dict, cert_obj: dict
+def check_certificate_dict(z: SnapshotLandscape, cert_obj: dict
                            ) -> CertificateReport:
-    """Re-verify one serialized certificate against a snapshot.
+    """Re-verify one serialized certificate against a loaded snapshot
+    (:func:`load_snapshot`).
 
     Raises ``ValueError`` on schema or window mismatch; verification
     failures come back as a failing report, not an exception.
     """
-    z = load_snapshot(snapshot_obj)
     cert = certificate_from_dict(cert_obj, z.spec)
     if cert.window_radius != z.window.radius:
         raise ValueError(

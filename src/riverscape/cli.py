@@ -181,9 +181,9 @@ def cmd_paradoxicalize(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .checking import check_certificate_dict
+    from .checking import check_certificate_dict, load_snapshot
 
-    snapshot = load_json(args.snapshot)
+    snapshot = load_snapshot(load_json(args.snapshot))
     payload = load_json(args.certificate)
     certs = payload.get("certificates", [payload]) \
         if isinstance(payload, dict) else payload

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 DEFAULT_VERTEX_BUDGET = 500_000
@@ -101,6 +102,11 @@ class GroupSpec:
         ``step[i * degree + a]`` is the index of word i times the letter
         with ``letter_index`` a, or -1 when that word leaves the ball.
         """
+        raise NotImplementedError
+
+    def ball_words(self, radius: int, step: array) -> list:
+        """The words of B_radius(e) in index order, read off its step
+        table."""
         raise NotImplementedError
 
     def word_to_json(self, u):
@@ -231,6 +237,21 @@ class FreeGroup(GroupSpec):
                     child += 1
         return step
 
+    def ball_words(self, radius: int, step: array) -> list:
+        # a parent's children are the table entries past it, each the
+        # parent word plus that letter
+        d = self.degree
+        letters = self.letters()
+        words: list = [()] * self.ball_size(radius)
+        for i in range(self.ball_size(radius - 1) if radius > 0 else 0):
+            w = words[i]
+            row = i * d
+            for a in range(d):
+                c = step[row + a]
+                if c > i:
+                    words[c] = w + (letters[a],)
+        return words
+
     def word_to_json(self, u: tuple[int, ...]) -> list[int]:
         return list(u)
 
@@ -295,6 +316,9 @@ class IntegerGroup(GroupSpec):
         step[2 * top - 2] = step[2 * top + 1] = -1
         return step
 
+    def ball_words(self, radius: int, step: array) -> list:
+        return [0] + [u for n in range(1, radius + 1) for u in (n, -n)]
+
     def word_to_json(self, u: int) -> list[int]:
         # a^n is serialized as its signed count, not n unit letters
         return [u] if u != 0 else []
@@ -307,12 +331,33 @@ class IntegerGroup(GroupSpec):
         return self.reduce(int(x) for x in obj)
 
 
+def offset_steps(step: array, degree: int, count: int
+                 ) -> list[tuple[int, int]]:
+    """The first ``count`` offsets of B(e) as steps (p, a): offset j is
+    offset p < j times the letter with index a.
+
+    ``step`` is a step table (:meth:`GroupSpec.step_table`) reaching
+    every such offset; the parent of a non-identity word is its
+    neighbour of smaller index.
+    """
+    ops: list[tuple[int, int]] = []
+    for j in range(1, count):
+        for a in range(degree):
+            p = step[j * degree + a]
+            if 0 <= p < j:
+                ops.append((p, a ^ 1))
+                break
+    return ops
+
+
 @dataclass(frozen=True)
 class Window:
     """The ball B_R(G, e) with its induced adjacency.
 
     ``vertices`` is in enumeration order with vertex 0 the identity;
-    ``adjacency[i]`` lists neighbor indices in letter order.
+    ``adjacency[i]`` lists neighbor indices in letter order.  A window is
+    determined by its group and radius, so code that must know whether
+    two windows agree compares ``(spec, radius)``.
     """
 
     spec: GroupSpec
@@ -320,6 +365,8 @@ class Window:
     vertices: tuple
     adjacency: tuple[tuple[int, ...], ...]
     index: dict = field(repr=False, compare=False, hash=False, default=None)
+    _offset_tables: dict = field(init=False, repr=False, compare=False,
+                                 hash=False, default_factory=dict)
 
     def __post_init__(self):
         if self.index is None:
@@ -330,16 +377,58 @@ class Window:
     def __len__(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def step(self) -> array:
+        """The window's step table (:meth:`GroupSpec.step_table`)."""
+        return self.spec.step_table(self.radius)
+
     def contains(self, word) -> bool:
         return word in self.index
 
+    def indices(self, words) -> list[int]:
+        """The window indices of ``words``; a word outside the window is
+        a ``ValueError``."""
+        index = self.index
+        try:
+            return [index[w] for w in words]
+        except KeyError as exc:
+            raise ValueError(
+                f"word {exc.args[0]!r} outside the window"
+            ) from None
+
+    def core_size(self, core_radius: int) -> int:
+        """The number of vertices with word length <= core_radius: they
+        are the first indices, because enumeration sorts by length."""
+        if core_radius < 0:
+            return 0
+        return self.spec.ball_size(min(core_radius, self.radius))
+
     def core_indices(self, core_radius: int) -> list[int]:
         """Vertex indices with word length <= core_radius."""
-        spec = self.spec
-        return [
-            i for i, w in enumerate(self.vertices)
-            if spec.length(w) <= core_radius
-        ]
+        return list(range(self.core_size(core_radius)))
+
+    def offset_tables(self, m: int) -> list[list[int]]:
+        """Where the offsets of B_m(e) take the core of radius R - m.
+
+        ``tables[j][v]`` is the index of vertex v times offset j (offsets
+        in enumeration order), for every v < ``core_size(R - m)``; each
+        table composes one step onto an earlier one, and no product
+        leaves the window.
+        """
+        tables = self._offset_tables.get(m)
+        if tables is None:
+            if not 0 <= m <= self.radius:
+                raise ValueError(
+                    f"offset radius {m} does not fit the window radius "
+                    f"{self.radius}"
+                )
+            step = self.step
+            d = self.spec.degree
+            tables = [list(range(self.core_size(self.radius - m)))]
+            for p, a in offset_steps(step, d, self.spec.ball_size(m)):
+                tables.append([step[x * d + a] for x in tables[p]])
+            self._offset_tables[m] = tables
+        return tables
 
     def to_dict(self) -> dict:
         spec = self.spec
@@ -365,40 +454,32 @@ def ball(spec: GroupSpec, radius: int,
          budget: int = DEFAULT_VERTEX_BUDGET) -> Window:
     """Enumerate B_radius(G, e) in the deterministic order.
 
-    Raises :class:`BudgetExceededError` before materializing a sphere
-    that would push the vertex count past ``budget``.
+    The words and the adjacency are read off the step table.  Raises
+    :class:`BudgetExceededError` before materializing anything when the
+    ball holds more than ``budget`` vertices.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    letters = spec.letters()
-    vertices = [spec.identity()]
-    index = {spec.identity(): 0}
-    sphere = [spec.identity()]
-    for _ in range(radius):
-        nxt = []
-        for w in sphere:
-            for letter in letters:
-                v = spec.apply_letter(w, letter)
-                if v not in index:
-                    if len(vertices) + len(nxt) + 1 > budget:
-                        raise BudgetExceededError(
-                            f"ball of radius {radius} exceeds vertex "
-                            f"budget {budget}"
-                        )
-                    index[v] = len(vertices) + len(nxt)
-                    nxt.append(v)
-        sphere = nxt
-        vertices.extend(nxt)
-    adjacency = []
-    for w in vertices:
-        row = []
-        for letter in letters:
-            v = spec.apply_letter(w, letter)
-            j = index.get(v)
-            if j is not None:
-                row.append(j)
-        adjacency.append(tuple(row))
-    return Window(spec, radius, tuple(vertices), tuple(adjacency), index)
+    n = spec.ball_size(radius)
+    if n > budget:
+        raise BudgetExceededError(
+            f"ball of radius {radius} exceeds vertex budget {budget}"
+        )
+    step = spec.step_table(radius)
+    d = spec.degree
+    vertices = tuple(spec.ball_words(radius, step))
+    # one int object per index, shared by the index and every adjacency
+    # row (reading the table makes a new object per entry)
+    ids = list(range(n))
+    at = ids.__getitem__
+    adjacency = tuple(
+        tuple([at(j) for j in step[i * d:i * d + d] if j >= 0])
+        for i in range(n)
+    )
+    window = Window(spec, radius, vertices, adjacency,
+                    dict(zip(vertices, ids)))
+    window.__dict__["step"] = step  # seeds the cached property
+    return window
 
 
 def bfs_distances(window: Window, sources: Sequence[int]) -> list[int]:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from array import array
 from typing import Optional
 
-from .groups import GroupSpec
+from .groups import GroupSpec, Window, offset_steps
 
 
 def interleave(u: str, v: str) -> str:
@@ -106,17 +106,18 @@ class GreedyColoring:
         self._ops: list[tuple[int, int]] = []
         if k > 0:
             self._space.grow(k)
-            step = self._space.step
-            d = self._space.degree
-            for j in range(1, spec.ball_size(k)):
-                for a in range(d):
-                    p = step[j * d + a]
-                    if 0 <= p < j:
-                        self._ops.append((p, a ^ 1))
-                        break
+            self._ops = offset_steps(self._space.step, spec.degree,
+                                     spec.ball_size(k))
 
     def color(self, word) -> int:
         return self.color_at(self._space.index(word))
+
+    def colors(self, n: int) -> array:
+        """The colors of enumeration indices 0 .. n-1 (k >= 1); the
+        index space must already reach them."""
+        if n:
+            self.color_at(n - 1)
+        return self._colors[:n]
 
     def color_at(self, i: int) -> int:
         """The color of the word with enumeration index ``i``; the index
@@ -160,6 +161,32 @@ class ProperLabelRule:
             coloring = GreedyColoring(self.spec, k, self._space)
             self._colorings[k] = coloring
         return coloring
+
+    def padded_rows(self, window: Window, s: int) -> list[str]:
+        """The first s bits of every window vertex's label spread to the
+        odd positions, with zeros at the even ones, in window order.
+
+        Read block by block from the colour arrays (a window index is an
+        enumeration index); each block of colour c is the precomputed
+        zero-interleaved indicator of c.
+        """
+        n = len(window)
+        self._space.grow(window.radius)
+        d = self.spec.degree
+        rows: list[str] = [""] * n
+        have = 0
+        k = 1
+        while have < s:
+            block_len = d**k + 1
+            blocks = [""] + [
+                "00" * (c - 1) + "10" + "00" * (block_len - c)
+                for c in range(1, block_len + 1)
+            ]
+            part = map(blocks.__getitem__, self._coloring(k).colors(n))
+            rows = list(map(str.__add__, rows, part))
+            have += 2 * block_len
+            k += 1
+        return [row[:s] for row in rows]
 
     def label(self, word, s: int) -> str:
         """The first s bits of the label of ``word``."""

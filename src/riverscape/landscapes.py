@@ -30,13 +30,21 @@ class LandscapeRule:
 
     def __init__(self, spec: GroupSpec, label_rule=None):
         self.spec = spec
-        self._label_rule = label_rule or ProperLabelRule(spec)
+        self.label_rule = label_rule or ProperLabelRule(spec)
 
     def height(self, word) -> int:
         raise NotImplementedError
 
     def label(self, word, s: int) -> str:
-        return self._label_rule.label(word, s)
+        return self.label_rule.label(word, s)
+
+    def window_rows(self, window: Window, s: int
+                    ) -> tuple[list[str], list[int]]:
+        """Index-aligned label prefixes of length s and heights of every
+        window vertex; here one ``label`` and one ``height`` call each."""
+        words = window.vertices
+        return ([self.label(w, s) for w in words],
+                [self.height(w) for w in words])
 
 
 # ---------------------------------------------------------------------------

@@ -8,93 +8,117 @@ the two covering identities exactly on a stated core.  Certificates
 survive later steps because every later relabeling only touches even
 positions above the earlier prefix ceiling.
 
+One :class:`ChannelLandscape` per pipeline carries the labels: the base
+labels spread to odd positions, read from the colour arrays as one row
+per window vertex, and a channel write sets bits in the rows of a new
+rule that shares the heights.  Relabeling and verification scan patterns
+with :func:`~riverscape.patterns.pattern_scan` over those rows.
+
 All tie-breaking is enumeration-order; there is no randomness anywhere,
 so reruns produce byte-identical certificates.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Optional, Sequence
 
 from .groups import GroupSpec, Window
 from .labels import interleave
 from .landscapes import LandscapeRule
-from .patterns import LocalSetSpec, PatternBall, offset_ball, realize, theta
+from .patterns import LocalSetSpec, PatternBall, pattern_scan, realize
 
 
 # ---------------------------------------------------------------------------
 # label-channel machinery
 
-class PaddedLandscape(LandscapeRule):
-    """Base rule with its label spread to odd positions, evens left zero.
+class ChannelLandscape(LandscapeRule):
+    """A base rule with its labels spread to odd positions and membership
+    bits written at even ones, compiled against one window.
 
-    The odd subsequence of the new labels is exactly the base label, so
-    the base channel survives any number of even-position relabelings.
+    The odd subsequence of every label is exactly the base label, so the
+    base channel survives any number of even-position writes.  The rule
+    holds the base, the window, one heights list shared by every rule
+    derived from it, and the channels it writes (position -> member
+    window indices).  Label rows are materialized once per prefix length:
+    the first rule reads them from the base's colour arrays
+    (``label_rule.padded_rows``), a derived rule copies its parent's rows
+    and sets its own member bits, or shares them when none of its
+    channels lies inside the prefix.  The base's labels are those of its
+    ``label_rule``.
     """
 
     provenance = "relabeled"
 
-    def __init__(self, base: LandscapeRule):
+    def __init__(self, base: LandscapeRule, window: Window,
+                 parent: Optional["ChannelLandscape"] = None,
+                 channels: Optional[dict] = None):
         self.spec = base.spec
         self.base = base
-        self._cache: dict = {}
+        self.label_rule = base.label_rule
+        self.window = window
+        self.parent = parent
+        self.channels = channels or {}
+        if parent is None:
+            self.heights = [base.height(w) for w in window.vertices]
+            self.positions = frozenset(self.channels)
+        else:
+            self.heights = parent.heights
+            self.positions = parent.positions | frozenset(self.channels)
+        self._rows: dict[int, list[str]] = {}
 
-    def height(self, word) -> int:
-        return self.base.height(word)
-
-    def label(self, word, s: int) -> str:
-        cached = self._cache.get(word, "")
-        if len(cached) >= s:
-            return cached[:s]
-        u = self.base.label(word, (s + 1) // 2)
-        full = interleave(u, "0" * len(u))
-        self._cache[word] = full
-        return full[:s]
-
-
-class RelabeledLandscape(LandscapeRule):
-    """A rule plus membership bits written at chosen even positions."""
-
-    provenance = "relabeled"
-
-    def __init__(self, base: LandscapeRule, overrides: dict):
-        for pos, members in overrides.items():
+    def with_channels(self, channels: dict) -> "ChannelLandscape":
+        """A new rule with ``members`` flagged at each even position
+        ``pos`` of ``{pos: members}`` (members are window indices)."""
+        for pos in channels:
             if pos % 2 != 0 or pos < 2:
                 raise ValueError(f"channel position {pos} is not even")
-        taken = occupied_channels(base)
-        clash = taken.intersection(overrides)
+        clash = self.positions.intersection(channels)
         if clash:
             raise ValueError(f"channel collision at positions {sorted(clash)}")
-        self.spec = base.spec
-        self.base = base
-        self.overrides = dict(overrides)
-        self._cache: dict = {}
+        return ChannelLandscape(
+            self.base, self.window, self,
+            {pos: sorted(members) for pos, members in channels.items()},
+        )
+
+    def label_rows(self, s: int) -> list[str]:
+        """The first s bits of every window vertex's label, in window
+        order."""
+        rows = self._rows.get(s)
+        if rows is None:
+            own = [pos for pos in self.channels if pos <= s]
+            if self.parent is None:
+                rows = self.label_rule.padded_rows(self.window, s)
+            elif not own:
+                rows = self.parent.label_rows(s)
+            else:
+                rows = list(self.parent.label_rows(s))
+            for pos in own:
+                for i in self.channels[pos]:
+                    row = rows[i]
+                    rows[i] = row[:pos - 1] + "1" + row[pos:]
+            self._rows[s] = rows
+        return rows
+
+    def window_rows(self, window: Window, s: int
+                    ) -> tuple[list[str], list[int]]:
+        if (window.spec, window.radius) != (self.spec, self.window.radius):
+            return super().window_rows(window, s)
+        return self.label_rows(s), self.heights
 
     def height(self, word) -> int:
-        return self.base.height(word)
+        i = self.window.index.get(word)
+        return self.base.height(word) if i is None else self.heights[i]
 
     def label(self, word, s: int) -> str:
-        cached = self._cache.get(word, "")
-        if len(cached) >= s:
-            return cached[:s]
-        bits = list(self.base.label(word, s))
-        for pos, members in self.overrides.items():
-            if pos <= s:
-                bits[pos - 1] = "1" if word in members else "0"
-        full = "".join(bits)
-        if len(full) > len(cached):
-            self._cache[word] = full
-        return full
-
-
-def occupied_channels(rule: LandscapeRule) -> set[int]:
-    """Even positions already claimed along the relabeling chain."""
-    taken: set[int] = set()
-    while isinstance(rule, RelabeledLandscape):
-        taken |= set(rule.overrides)
-        rule = rule.base
-    return taken
+        i = self.window.index.get(word)
+        if i is not None:
+            return self.label_rows(s)[i]
+        # outside the window no channel has members: the padded base
+        half = (s + 1) // 2
+        return interleave(self.label_rule.label(word, half), "0" * half)[:s]
 
 
 class ChannelAllocator:
@@ -123,8 +147,7 @@ def covering_radius(T: Sequence, window: Window) -> int:
                          "empty targets take the trivial-certificate path")
     from .groups import bfs_distances
 
-    sources = [window.index[w] for w in T]
-    dist = bfs_distances(window, sources)
+    dist = bfs_distances(window, window.indices(T))
     return max(dist)
 
 
@@ -319,34 +342,31 @@ def find_doubling(T: Sequence, window: Window, K_start: int = 2,
     """Sweep displacement bounds until a saturating doubling is matched.
 
     Never claims non-existence: an exhausted sweep reports the largest
-    matched fraction and leaves the question open.
+    matched fraction and leaves the question open.  The candidates of a
+    vertex are read off the window's offset tables of B_(K-1), in
+    enumeration order of the offsets.
     """
-    spec = window.spec
     R = window.radius
-    T_sorted = sorted(T, key=spec.sort_key)
-    if not T_sorted:
+    if not T:
         return DoublingSearch(
             saturated=True, trivial=True, K=0, core_radius=R,
             phi={}, psi={}, matched_fraction=1.0,
         )
-    T_set = set(T_sorted)
+    right = sorted(window.indices(T))
+    right_pos = {t: j for j, t in enumerate(right)}
+    words = window.vertices
     best_fraction = 0.0
     attempts: list[tuple[int, float]] = []
     for K in range(K_start, k_ceiling + 1):
-        core = [t for t in T_sorted if spec.length(t) <= R - K]
+        core = right[:bisect_left(right, window.core_size(R - K))]
         if not core:
             continue
-        offsets = offset_ball(spec, K - 1)
-        right = T_sorted
-        right_pos = {w: i for i, w in enumerate(right)}
-        per_vertex: list[list[int]] = []
-        for x in core:
-            row = []
-            for off in offsets:
-                j = right_pos.get(spec.mul(x, off))
-                if j is not None:
-                    row.append(j)
-            per_vertex.append(row)
+        columns = [map(table.__getitem__, core)
+                   for table in window.offset_tables(K - 1)]
+        per_vertex = [
+            [right_pos[y] for y in reach if y in right_pos]
+            for reach in zip(*columns)
+        ]
         adjacency = per_vertex + [list(r) for r in per_vertex]
         matcher = _HopcroftKarp(adjacency, len(right))
         size = matcher.solve()
@@ -354,12 +374,13 @@ def find_doubling(T: Sequence, window: Window, K_start: int = 2,
         attempts.append((K, fraction))
         best_fraction = max(best_fraction, fraction)
         if size == 2 * len(core):
+            match = matcher.match_left
             phi = {
-                x: right[matcher.match_left[i]]
+                words[x]: words[right[match[i]]]
                 for i, x in enumerate(core)
             }
             psi = {
-                x: right[matcher.match_left[len(core) + i]]
+                words[x]: words[right[match[len(core) + i]]]
                 for i, x in enumerate(core)
             }
             return DoublingSearch(
@@ -527,10 +548,10 @@ def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
     )
 
 
-def relabel(z: LandscapeRule, cert: DoublingCertificate, m_prime: int,
+def relabel(z: ChannelLandscape, cert: DoublingCertificate, m_prime: int,
             allocator: Optional[ChannelAllocator] = None,
             window: Optional[Window] = None
-            ) -> tuple[LandscapeRule, DoublingCertificate]:
+            ) -> tuple[ChannelLandscape, DoublingCertificate]:
     """Write piece membership bits into fresh even channels.
 
     Returns the new rule and the certificate completed with its pattern
@@ -547,22 +568,16 @@ def relabel(z: LandscapeRule, cert: DoublingCertificate, m_prime: int,
     count = cert.p + cert.q
     m_prime = max(m_prime, cert.m)
     positions = allocator.allocate(count, above=m_prime)
-    overrides = {
-        positions[i]: cert.pieces_vertices[i] for i in range(count)
-    }
-    z_prime = RelabeledLandscape(z, overrides)
+    pieces = [window.indices(members) for members in cert.pieces_vertices]
+    z_prime = z.with_channels(dict(zip(positions, pieces)))
     prefix_len = positions[-1]
     allocator.floor = max(allocator.floor, prefix_len)
-    spec = window.spec
-    pattern_core = window.radius - cert.l
-    piece_patterns = []
-    for members in cert.pieces_vertices:
-        pats = frozenset(
-            theta(z_prime, y, cert.l, prefix_len)
-            for y in members
-            if spec.length(y) <= pattern_core
-        )
-        piece_patterns.append(pats)
+    ids, patterns = pattern_scan(z_prime, window, cert.l, prefix_len)
+    n_core = len(ids)
+    piece_patterns = [
+        frozenset(patterns[ids[i]] for i in members if i < n_core)
+        for members in pieces
+    ]
     cert_prime = replace(
         cert,
         prefix_len=prefix_len,
@@ -597,39 +612,9 @@ class CertificateReport:
         }
 
 
-class PatternScanCache:
-    """Per-(rule, window, radius, prefix) cache of window-wide pattern scans.
-
-    Keys use object ids so the large window is never hashed; each entry
-    holds the rule and window themselves, so neither id can be reused by
-    another object while its scan is cached.
-    """
-
-    def __init__(self):
-        self._scans: dict = {}
-
-    def patterns(self, z: LandscapeRule, window: Window, l: int,
-                 prefix_len: int) -> dict:
-        key = (id(z), id(window), l, prefix_len)
-        entry = self._scans.get(key)
-        if entry is None:
-            spec = window.spec
-            core = window.radius - l
-            scan = {
-                w: theta(z, w, l, prefix_len)
-                for w in window.vertices if spec.length(w) <= core
-            }
-            entry = self._scans[key] = (z, window, scan)
-        return entry[2]
-
-
 def verify_certificate(z: LandscapeRule, cert: DoublingCertificate,
-                       window: Window,
-                       cache: Optional[PatternScanCache] = None
-                       ) -> CertificateReport:
+                       window: Window) -> CertificateReport:
     """Re-check containment, disjointness, and both covering identities."""
-    if cache is None:
-        cache = PatternScanCache()
     spec = window.spec
     if cert.window_group != spec.to_dict() or \
             cert.window_radius != window.radius:
@@ -641,11 +626,12 @@ def verify_certificate(z: LandscapeRule, cert: DoublingCertificate,
     if cert.trivial:
         realized_pieces: list[list] = [[] for _ in cert.piece_patterns]
     else:
-        scan = cache.patterns(z, window, cert.l, cert.prefix_len)
-        realized_pieces = [
-            [w for w, pat in scan.items() if pat in pats]
-            for pats in cert.piece_patterns
-        ]
+        ids, patterns = pattern_scan(z, window, cert.l, cert.prefix_len)
+        realized_pieces = []
+        for pats in cert.piece_patterns:
+            wanted = {j for j, pat in enumerate(patterns) if pat in pats}
+            realized_pieces.append(list(compress(
+                window.vertices, map(wanted.__contains__, ids))))
 
     # clause 1: pieces inside the target set
     witness = None
@@ -739,12 +725,11 @@ def paradoxicalize_sequence(z0: LandscapeRule,
     one channel per piece.  After the last step every earlier
     certificate is re-verified against every later rule.
     """
-    t0 = PaddedLandscape(z0)
+    t0 = ChannelLandscape(z0, window)
     rules: list[LandscapeRule] = [t0]
     certificates: list[DoublingCertificate] = []
     reports: list[CertificateReport] = []
     allocator = ChannelAllocator()
-    cache = PatternScanCache()
     halted = None
     current = t0
     for target_spec in targets:
@@ -767,7 +752,7 @@ def paradoxicalize_sequence(z0: LandscapeRule,
         current, cert = relabel(current, cert, m_prime, allocator, window)
         rules.append(current)
         certificates.append(cert)
-        reports.append(verify_certificate(current, cert, window, cache))
+        reports.append(verify_certificate(current, cert, window))
     n = len(certificates)
     matrix: list[list[Optional[CertificateReport]]] = []
     for a in range(n):
@@ -778,8 +763,7 @@ def paradoxicalize_sequence(z0: LandscapeRule,
                 row.append(None)
             else:
                 row.append(
-                    verify_certificate(rules[k + 1], certificates[a],
-                                       window, cache)
+                    verify_certificate(rules[k + 1], certificates[a], window)
                 )
         matrix.append(row)
     return PipelineResult(

@@ -5,6 +5,15 @@ height of the corresponding translate.  The prefix length is carried
 separately from the ball radius: certificates need to read membership
 bits at positions well past the radius without paying for huge balls.
 
+:func:`theta` reads one pattern word by word.  Window-wide scans
+(:func:`pattern_scan`, behind :func:`realize` and
+:func:`observed_patterns`) are compiled against the window instead: the
+rule hands over one label row and one height per vertex
+(``window_rows``), each distinct (label prefix, height) pair is interned
+as a cell id, the cell ids are gathered along the window's offset tables
+(compositions of its step table), and a :class:`PatternBall` is built
+once per distinct pattern.  The result equals θ at every core vertex.
+
 Verdicts from :func:`classify_patterns` are window-relative by design;
 the report says so explicitly rather than claiming anything about the
 whole group.
@@ -13,6 +22,7 @@ whole group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Optional
 
 from .groups import GroupSpec, Window, ball, bfs_distances
@@ -124,36 +134,71 @@ class LocalSetSpec:
         return LocalSetSpec(int(obj["m"]), int(obj["prefixLen"]), patterns)
 
 
+def pattern_scan(z: LandscapeRule, window: Window, m: int,
+                 prefix_len: Optional[int] = None,
+                 core_radius: Optional[int] = None
+                 ) -> tuple[list[int], list[PatternBall]]:
+    """The pattern of every core vertex, compiled against the window.
+
+    The core of radius r is the first ``window.core_size(r)`` indices.
+    Returns ``(ids, patterns)``: core vertex v has the pattern
+    ``patterns[ids[v]]``, which equals ``theta(z, window.vertices[v], m,
+    prefix_len)``; ``patterns`` holds the distinct ones in order of
+    first occurrence.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if prefix_len is None:
+        prefix_len = m
+    if core_radius is None:
+        core_radius = window.radius - m
+    if core_radius < 0:
+        raise ValueError("window too small for the pattern radius")
+    if core_radius + m > window.radius:
+        raise ValueError(
+            f"core radius {core_radius} plus pattern radius {m} exceeds "
+            f"the window radius {window.radius}"
+        )
+    labels, heights = z.window_rows(window, prefix_len)
+    pairs = list(zip(labels, heights))
+    cells, cell = _intern(pairs)
+    gather = cell.__getitem__
+    tables = window.offset_tables(m)
+    # the first column runs over the core only, so zip stops there
+    keys = list(zip(map(gather, range(window.core_size(core_radius))),
+                    *(map(gather, t) for t in tables[1:])))
+    distinct, ids = _intern(keys)
+    patterns = [PatternBall(m, prefix_len, tuple(map(cells.__getitem__, key)))
+                for key in distinct]
+    return ids, patterns
+
+
+def _intern(items: list) -> tuple[list, list[int]]:
+    """The distinct items in order of first occurrence, and the position
+    of each item among them."""
+    distinct = list(dict.fromkeys(items))
+    position = {item: i for i, item in enumerate(distinct)}
+    return distinct, list(map(position.__getitem__, items))
+
+
 def realize(T: LocalSetSpec, z: LandscapeRule, window: Window,
             core_radius: Optional[int] = None) -> list:
     """Core vertices whose pattern lies in T, in enumeration order."""
-    if core_radius is None:
-        core_radius = window.radius - T.m
-    if core_radius < 0:
-        raise ValueError("window too small for the pattern radius")
-    spec = window.spec
-    out = []
-    for w in window.vertices:
-        if spec.length(w) > core_radius:
-            continue
-        if theta(z, w, T.m, T.prefix_len) in T.patterns:
-            out.append(w)
-    return out
+    ids, patterns = pattern_scan(z, window, T.m, T.prefix_len, core_radius)
+    wanted = {j for j, pat in enumerate(patterns) if pat in T.patterns}
+    return list(compress(window.vertices, map(wanted.__contains__, ids)))
 
 
 def observed_patterns(z: LandscapeRule, window: Window, m: int,
                       prefix_len: Optional[int] = None,
                       core_radius: Optional[int] = None) -> dict:
-    """Map pattern -> list of core vertices where it occurs."""
-    if core_radius is None:
-        core_radius = window.radius - m
-    spec = window.spec
-    occ: dict[PatternBall, list] = {}
-    for w in window.vertices:
-        if spec.length(w) > core_radius:
-            continue
-        occ.setdefault(theta(z, w, m, prefix_len), []).append(w)
-    return occ
+    """Map pattern -> list of core vertices where it occurs, with the
+    patterns in order of first occurrence."""
+    ids, patterns = pattern_scan(z, window, m, prefix_len, core_radius)
+    sites: list[list] = [[] for _ in patterns]
+    for w, j in zip(window.vertices, ids):
+        sites[j].append(w)
+    return dict(zip(patterns, sites))
 
 
 def center_height_local_set(z: LandscapeRule, window: Window, m: int,

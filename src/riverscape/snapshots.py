@@ -24,6 +24,7 @@ def snapshot_landscape(z: LandscapeRule, window: Window,
     """Materialize heights and label prefixes over the whole window."""
     if prefix_len < 1:
         raise ValueError("prefix length must be >= 1")
+    labels, heights = z.window_rows(window, prefix_len)
     return {
         "schema": SNAPSHOT_SCHEMA,
         "provenance": z.provenance,
@@ -32,8 +33,8 @@ def snapshot_landscape(z: LandscapeRule, window: Window,
             "radius": window.radius,
         },
         "labelPrefixLen": prefix_len,
-        "heights": [z.height(w) for w in window.vertices],
-        "labels": [z.label(w, prefix_len) for w in window.vertices],
+        "heights": heights,
+        "labels": labels,
     }
 
 

@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import json
 
 import pytest
 
+from riverscape import checking
 from riverscape.cli import main
 from riverscape.snapshots import load_json
 
@@ -102,7 +104,60 @@ class TestParadoxicalize:
         assert code == 0
 
 
+@pytest.fixture(scope="module")
+def bundle3_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle3")
+    code = run(["paradoxicalize", "--group", "f2", "--radius", 7,
+                "--target-heights", "1;2;3", "--out", out])
+    assert code == 0
+    return out
+
+
+class TestArtifactBytes:
+    def test_paradoxicalize_bytes_pinned(self, tmp_path):
+        # pinned so that a change which alters the bytes deterministically
+        # still fails; rerun determinism alone would not catch it
+        code = run(["paradoxicalize", "--group", "f2", "--radius", 8,
+                    "--target-heights", "1;2", "--out", tmp_path])
+        assert code == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("certificates.json", "final_snapshot.json")
+        }
+        assert digests == {
+            "certificates.json": "c6c09b0b906ced4a1a9542572b039e37"
+                                 "07ad2d8bf8205066bcf189550bdd0e1d",
+            "final_snapshot.json": "dd6c5a1aedc38a6ba3d8b13a3b665aff"
+                                   "c3c65f0c4c6cdf5e68d5488022d15838",
+        }
+
+
 class TestCheck:
+    def test_snapshot_loaded_once_per_bundle(self, bundle3_dir, tmp_path,
+                                             capsys, monkeypatch):
+        doc = load_json(bundle3_dir / "certificates.json")
+        assert len(doc["certificates"]) == 3
+        doc["certificates"][1]["translators"][0] = [1, 2, 1, 2]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        calls = []
+        real_ball = checking.ball
+
+        def counting_ball(*args, **kwargs):
+            calls.append(args)
+            return real_ball(*args, **kwargs)
+
+        monkeypatch.setattr(checking, "ball", counting_ball)
+        code = run(["check",
+                    "--snapshot", bundle3_dir / "final_snapshot.json",
+                    "--certificate", bad])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        verdicts = [line for line in lines if line.startswith("certificate")]
+        assert verdicts == ["certificate 0: pass", "certificate 1: FAIL",
+                            "certificate 2: pass"]
+        assert len(calls) == 1
+
     def test_bundle_passes(self, bundle_dir, capsys):
         code = run([
             "check",

@@ -28,6 +28,30 @@ def naive_reduce(letters):
     return tuple(out)
 
 
+def bfs_ball(spec, radius):
+    """Reference enumeration: breadth-first by ``apply_letter`` in letter
+    order, each sphere in discovery order; adjacency in letter order."""
+    vertices = [spec.identity()]
+    index = {spec.identity(): 0}
+    sphere = [spec.identity()]
+    for _ in range(radius):
+        nxt = []
+        for w in sphere:
+            for letter in spec.letters():
+                v = spec.apply_letter(w, letter)
+                if v not in index:
+                    index[v] = len(vertices) + len(nxt)
+                    nxt.append(v)
+        sphere = nxt
+        vertices.extend(nxt)
+    adjacency = [
+        tuple(index[v] for v in (spec.apply_letter(w, a)
+                                 for a in spec.letters()) if v in index)
+        for w in vertices
+    ]
+    return vertices, adjacency, index
+
+
 class TestReduce:
     @given(raw_words)
     def test_matches_naive_oracle(self, letters):
@@ -114,22 +138,53 @@ class TestIndexSpace:
 
     @pytest.mark.parametrize("spec,radius", WINDOWS)
     def test_index_of_is_ball_position(self, spec, radius):
-        win = ball(spec, radius)
-        assert [spec.index_of(w) for w in win.vertices] \
-            == list(range(len(win)))
+        vertices, _, _ = bfs_ball(spec, radius)
+        assert [spec.index_of(w) for w in vertices] \
+            == list(range(len(vertices)))
         for r in range(radius + 1):
-            assert spec.ball_size(r) == len(ball(spec, r))
+            assert spec.ball_size(r) == len(bfs_ball(spec, r)[0])
 
     @pytest.mark.parametrize("spec,radius", WINDOWS)
     def test_step_table_is_apply_letter(self, spec, radius):
-        win = ball(spec, radius)
+        vertices, _, index = bfs_ball(spec, radius)
         d = spec.degree
         step = spec.step_table(radius)
-        assert len(step) == len(win) * d
-        for i, w in enumerate(win.vertices):
+        assert len(step) == len(vertices) * d
+        for i, w in enumerate(vertices):
             for a, letter in enumerate(spec.letters()):
-                want = win.index.get(spec.apply_letter(w, letter), -1)
+                want = index.get(spec.apply_letter(w, letter), -1)
                 assert step[i * d + a] == want, (w, letter)
+
+    @pytest.mark.parametrize("spec,radius", WINDOWS)
+    def test_ball_matches_bfs_reference(self, spec, radius):
+        vertices, adjacency, _ = bfs_ball(spec, radius)
+        win = ball(spec, radius)
+        assert win.vertices == tuple(vertices)
+        assert win.adjacency == tuple(adjacency)
+        assert list(win.step) == list(spec.step_table(radius))
+
+    @pytest.mark.parametrize("spec,radius", WINDOWS)
+    def test_offset_tables_are_products(self, spec, radius):
+        win = ball(spec, radius)
+        for m in (0, 1, 2):
+            offsets = bfs_ball(spec, m)[0]
+            tables = win.offset_tables(m)
+            assert win.offset_tables(m) is tables
+            assert len(tables) == len(offsets)
+            for table, off in zip(tables, offsets):
+                assert len(table) == spec.ball_size(radius - m)
+                for i, j in enumerate(table):
+                    assert win.vertices[j] == \
+                        spec.mul(win.vertices[i], off)
+
+    def test_offset_radius_past_the_window(self):
+        with pytest.raises(ValueError):
+            ball(F2, 2).offset_tables(3)
+
+    def test_from_dict_builds_step_table(self, win5):
+        again = Window.from_dict(win5.to_dict())
+        assert list(again.step) == list(win5.step)
+        assert again.offset_tables(1) == win5.offset_tables(1)
 
     def test_step_table_of_a_point(self):
         assert list(F2.step_table(0)) == [-1] * 4
@@ -149,6 +204,24 @@ class TestBall:
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):
             ball(F2, 8, budget=1000)
+        # the budget is the vertex count itself: 2 * 3^4 - 1 = 161
+        assert len(ball(F2, 4, budget=161)) == 161
+        with pytest.raises(BudgetExceededError):
+            ball(F2, 4, budget=160)
+
+    def test_budget_checked_before_building(self, monkeypatch):
+        def no_table(radius):
+            raise AssertionError("step table built past the budget")
+
+        monkeypatch.setattr(F2, "step_table", no_table)
+        with pytest.raises(BudgetExceededError):
+            ball(F2, 40)
+
+    def test_indices_outside_window(self):
+        win = ball(F2, 2)
+        assert win.indices([(), (1,), (-2,)]) == [0, 1, 4]
+        with pytest.raises(ValueError):
+            win.indices([(1, 1, 1)])
 
     def test_adjacency_is_cayley(self, win5):
         for i, w in enumerate(win5.vertices):

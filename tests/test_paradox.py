@@ -1,16 +1,16 @@
+import hashlib
 import json
 
 import pytest
 
-from riverscape import (ChannelAllocator, FreeGroup, IntegerGroup,
-                        LocalSetSpec, PaddedLandscape, PatternBall,
-                        PatternScanCache, RelabeledLandscape, ball, build_GT,
-                        canonical_target_order, certificate_from_dict,
-                        cheeger_estimate, covering_radius, extract_pieces,
-                        find_doubling, paradoxicalize_sequence, project_even,
-                        project_odd, realize, relabel, river_landscape,
-                        theta, trivial_certificate, verify_certificate)
-from riverscape.landscapes import LandscapeRule
+from riverscape import (ChannelAllocator, ChannelLandscape, FreeGroup,
+                        IntegerGroup, LocalSetSpec, PatternBall, ball,
+                        build_GT, canonical_target_order,
+                        certificate_from_dict, cheeger_estimate,
+                        covering_radius, find_doubling,
+                        paradoxicalize_sequence, project_even, project_odd,
+                        river_landscape, trivial_certificate,
+                        verify_certificate)
 from riverscape.paradox import _HopcroftKarp
 from riverscape.patterns import center_height_local_set, observed_patterns
 from riverscape.snapshots import bundle_pipeline
@@ -40,50 +40,48 @@ class _RecursiveHopcroftKarp(_HopcroftKarp):
         return False
 
 
-class _Stamped(LandscapeRule):
-    """A throwaway rule whose heights depend on its stamp."""
-
-    provenance = "stamped"
-
-    def __init__(self, spec, stamp):
-        self.spec = spec
-        self.stamp = stamp
-
-    def height(self, word):
-        return 1 + (self.stamp + self.spec.length(word)) % 5
-
-    def label(self, word, s):
-        return "0" * s
-
-
 def full_core_target(rule, win):
     occ = observed_patterns(rule, win, 1, prefix_len=1)
     return LocalSetSpec(1, 1, frozenset(occ))
 
 
 class TestChannels:
-    def test_padded_odd_positions_carry_base(self, river):
-        padded = PaddedLandscape(river)
+    def test_padded_odd_positions_carry_base(self, river, win5):
+        padded = ChannelLandscape(river, win5)
         for w in [(), (1,), (1, 2)]:
             assert project_odd(padded.label(w, 20)) == river.label(w, 10)
             assert project_even(padded.label(w, 20)) == "0" * 10
             assert padded.height(w) == river.height(w)
 
-    def test_relabeled_bit_set_for_members(self, river):
-        padded = PaddedLandscape(river)
-        z = RelabeledLandscape(padded, {4: frozenset({(), (1, 1)})})
+    def test_relabeled_bit_set_for_members(self, river, win5):
+        padded = ChannelLandscape(river, win5)
+        members = win5.indices([(), (1, 1)])
+        z = padded.with_channels({4: members})
         assert z.label((), 4)[3] == "1"
+        assert z.label((1, 1), 4)[3] == "1"
         assert z.label((1,), 4)[3] == "0"
         assert project_odd(z.label((), 8)) == padded.label((), 8)[::2]
+        # the parent is untouched and the heights are shared
+        assert padded.label((), 4)[3] == "0"
+        assert z.heights is padded.heights
 
-    def test_odd_positions_rejected(self, river):
-        with pytest.raises(ValueError):
-            RelabeledLandscape(PaddedLandscape(river), {3: frozenset()})
+    def test_words_outside_the_window(self, river):
+        z = ChannelLandscape(river, ball(F2, 2)).with_channels({2: [0]})
+        w = (1, 2, 1)
+        assert project_odd(z.label(w, 12)) == river.label(w, 6)
+        assert project_even(z.label(w, 12)) == "0" * 6
+        assert z.height(w) == river.height(w)
 
-    def test_channel_collision_rejected(self, river):
-        base = RelabeledLandscape(PaddedLandscape(river), {4: frozenset()})
+    def test_odd_positions_rejected(self, river, win5):
         with pytest.raises(ValueError):
-            RelabeledLandscape(base, {4: frozenset({()})})
+            ChannelLandscape(river, win5).with_channels({3: []})
+
+    def test_channel_collision_rejected(self, river, win5):
+        base = ChannelLandscape(river, win5).with_channels({4: []})
+        with pytest.raises(ValueError):
+            base.with_channels({4: [0]})
+        with pytest.raises(ValueError):
+            base.with_channels({6: []}).with_channels({4: [0]})
 
     def test_allocator_monotone_and_even(self):
         alloc = ChannelAllocator()
@@ -197,6 +195,10 @@ class TestFindDoubling:
         assert not search.saturated
         assert search.matched_fraction < 1.0
 
+    def test_word_outside_window_rejected(self):
+        with pytest.raises(ValueError):
+            find_doubling([0, 7], ball(Z, 6))
+
     def test_deterministic(self, river, win8):
         a = find_doubling(river.river_points(win8), win8)
         b = find_doubling(river.river_points(win8), win8)
@@ -276,19 +278,6 @@ class TestCertificates:
         assert result.certificates[0].K <= 6
 
 
-class TestPatternScanCache:
-    def test_dropped_rules_never_serve_stale_scans(self):
-        # a freed rule's id is reused by the next allocation of the same
-        # size, so an id-keyed entry must keep its rule alive
-        cache = PatternScanCache()
-        window = ball(F2, 3)
-        for stamp in range(40):
-            rule = _Stamped(F2, stamp)
-            scan = cache.patterns(rule, window, 1, 2)
-            assert scan == PatternScanCache().patterns(rule, window, 1, 2)
-            del rule, scan
-
-
 class TestTrivialCertificate:
     def test_empty_target_passes(self, river, win8):
         absent = PatternBall(1, 1, tuple(
@@ -321,6 +310,20 @@ class TestDeterminism:
             )
 
         assert run() == run()
+
+    def test_bundle_bytes_pinned(self, win8):
+        # the criterion-10 bundle, pinned so that a change which alters
+        # the bytes deterministically still fails
+        result = paradoxicalize_sequence(
+            river_landscape(F2), [height_target({1}), height_target({2})],
+            win8,
+        )
+        data = json.dumps(bundle_pipeline(result, win8),
+                          sort_keys=True).encode()
+        assert len(data) == 660202
+        assert hashlib.sha256(data).hexdigest() == (
+            "00af71adf322a78ff30e54a74ef2142158e603064df5fd1eea585293b9bd36e3"
+        )
 
     def test_canonical_target_order(self, river, win8):
         t1 = center_height_local_set(river, win8, 1, {1}, prefix_len=1)
