@@ -26,9 +26,9 @@ from .snapshots import (bundle_pipeline, dump_json, load_json,
                         snapshot_landscape)
 from .witness import (CodeBlock, CodeBudgetError, CodeFormatError,
                       block_subset, decode_witness, defect, defect_bound,
-                      encode_blocks, encode_witness, kappa, nearest_river,
-                      parse_code, reference_radius, subset_from_index,
-                      subset_index, tree_witness_path, witness_subset_index)
+                      encode_blocks, encode_witness, kappa, parse_code,
+                      reference_radius, subset_from_index, subset_index,
+                      tree_witness_path, witness_subset_index)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

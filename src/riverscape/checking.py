@@ -12,7 +12,7 @@ certificate.
 from __future__ import annotations
 
 from .groups import GroupSpec, Window, ball
-from .landscapes import LandscapeRule
+from .landscapes import LandscapeRule, word_rows
 from .paradox import (CertificateReport, certificate_from_dict,
                       verify_certificate)
 from .snapshots import SNAPSHOT_SCHEMA
@@ -55,11 +55,17 @@ class SnapshotLandscape(LandscapeRule):
         self._check_prefix(s)
         return self.labels[self._index(word)][:s]
 
+    def _own(self, window: Window) -> bool:
+        return (window.spec, window.radius) == (self.spec, self.window.radius)
+
+    def window_heights(self, window: Window) -> list[int]:
+        return self.heights if self._own(window) \
+            else self._compute_heights(window)
+
     def window_rows(self, window: Window, s: int
                     ) -> tuple[list[str], list[int]]:
-        if (window.spec, window.radius) != \
-                (self.spec, self.window.radius):
-            return super().window_rows(window, s)
+        if not self._own(window):
+            return word_rows(self, window, s)
         self._check_prefix(s)
         labels = self.labels if s == self.prefix_len \
             else [bits[:s] for bits in self.labels]

@@ -105,6 +105,7 @@ def cmd_build(args) -> int:
             print(f"  Q[{n}]={comp.max_interior_size}")
     for v in report.violations:
         print(f"  violation: {v}")
+    print(f"uncertified: {report.uncertified}")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 

@@ -162,29 +162,37 @@ class ProperLabelRule:
             self._colorings[k] = coloring
         return coloring
 
+    def label_rows(self, window: Window, s: int) -> list[str]:
+        """The first s bits of every window vertex's label, in window
+        order, read from the colour arrays."""
+        return self._rows(window, s, "")
+
     def padded_rows(self, window: Window, s: int) -> list[str]:
         """The first s bits of every window vertex's label spread to the
-        odd positions, with zeros at the even ones, in window order.
+        odd positions, with zeros at the even ones, in window order."""
+        return self._rows(window, s, "0")
 
-        Read block by block from the colour arrays (a window index is an
-        enumeration index); each block of colour c is the precomputed
-        zero-interleaved indicator of c.
-        """
+    def _rows(self, window: Window, s: int, pad: str) -> list[str]:
+        """Label rows read block by block from the colour arrays (a
+        window index is an enumeration index), every label bit followed
+        by ``pad``; each block of colour c is the precomputed padded
+        indicator of c."""
         n = len(window)
         self._space.grow(window.radius)
         d = self.spec.degree
+        zero, one = "0" + pad, "1" + pad
         rows: list[str] = [""] * n
         have = 0
         k = 1
         while have < s:
             block_len = d**k + 1
             blocks = [""] + [
-                "00" * (c - 1) + "10" + "00" * (block_len - c)
+                zero * (c - 1) + one + zero * (block_len - c)
                 for c in range(1, block_len + 1)
             ]
             part = map(blocks.__getitem__, self._coloring(k).colors(n))
             rows = list(map(str.__add__, rows, part))
-            have += 2 * block_len
+            have += len(blocks[1])
             k += 1
         return [row[:s] for row in rows]
 

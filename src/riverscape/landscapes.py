@@ -9,6 +9,16 @@ Three height rules are shipped:
 * the river rule on free groups of rank >= 2, where height is one plus
   the distance to the letter-doubled embedded 4-tree.
 
+Heights are read once per window: ``LandscapeRule.window_heights``
+returns every window vertex's height in window order, computed once per
+(group, radius) and kept by the rule, and every window-wide reader
+(``window_rows``, the axioms, the components, the channel rule, pattern
+classification) goes through it.  The ternary rule paints its heights
+instead of evaluating each integer: height 1 on the ternary n in
+0..R, then for k = 1, 2, ... height 1 + k on every unpainted n within
+10^k of a ternary multiple of 10^k, spread to the window indices of n
+and -n.  ``height`` and ``label`` stay as the word-level oracles.
+
 ``verify_axioms`` certifies the four landscape axioms on a window and
 reports the empirical structure constants; ``components_leq`` measures
 sublevel-set components (the hilly certificate).
@@ -17,6 +27,7 @@ sublevel-set components (the hilly certificate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional
 
 from .groups import FreeGroup, GroupSpec, IntegerGroup, Window, bfs_distances
@@ -31,6 +42,7 @@ class LandscapeRule:
     def __init__(self, spec: GroupSpec, label_rule=None):
         self.spec = spec
         self.label_rule = label_rule or ProperLabelRule(spec)
+        self._window_heights: dict = {}
 
     def height(self, word) -> int:
         raise NotImplementedError
@@ -38,13 +50,34 @@ class LandscapeRule:
     def label(self, word, s: int) -> str:
         return self.label_rule.label(word, s)
 
+    def window_heights(self, window: Window) -> list[int]:
+        """The height of every window vertex, in window order; computed
+        once per (group, radius) and kept.  Callers must not mutate it."""
+        key = (window.spec, window.radius)
+        heights = self._window_heights.get(key)
+        if heights is None:
+            heights = self._compute_heights(window)
+            self._window_heights[key] = heights
+        return heights
+
+    def _compute_heights(self, window: Window) -> list[int]:
+        return [self.height(w) for w in window.vertices]
+
     def window_rows(self, window: Window, s: int
                     ) -> tuple[list[str], list[int]]:
         """Index-aligned label prefixes of length s and heights of every
-        window vertex; here one ``label`` and one ``height`` call each."""
-        words = window.vertices
-        return ([self.label(w, s) for w in words],
-                [self.height(w) for w in words])
+        window vertex: labels from the colour arrays, heights from
+        :meth:`window_heights`."""
+        return (self.label_rule.label_rows(window, s),
+                self.window_heights(window))
+
+
+def word_rows(z: LandscapeRule, window: Window, s: int
+              ) -> tuple[list[str], list[int]]:
+    """``window_rows`` word by word: one ``label`` and one ``height`` call
+    per window vertex."""
+    words = window.vertices
+    return [z.label(w, s) for w in words], [z.height(w) for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +111,17 @@ def ternary_height(n: int) -> int:
         k += 1
 
 
+def _ternary_up_to(limit: int) -> list[int]:
+    """The ternary integers 0..limit in increasing order."""
+    out = [0]
+    for width in range(len(str(limit))):
+        for tail in product("03", repeat=width):
+            t = int("3" + "".join(tail))
+            if t <= limit:
+                out.append(t)
+    return out
+
+
 class TernaryLandscape(LandscapeRule):
     provenance = "ternary"
 
@@ -88,6 +132,35 @@ class TernaryLandscape(LandscapeRule):
 
     def height(self, word: int) -> int:
         return ternary_height(word)
+
+    def _compute_heights(self, window: Window) -> list[int]:
+        """Paint the heights of |n| = 0..R scale by scale, then spread
+        them to window indices.
+
+        Height 1 goes on the ternary n; then for k = 1, 2, ... height
+        1 + k goes on every unpainted n within 10^k of a ternary multiple
+        t of 10^k (t / 10^k is ternary exactly when t is).  Painting in
+        increasing k leaves the least such k, which is
+        :func:`ternary_height`; the pass with 10^k >= R paints the rest,
+        because t = 0 covers 0..10^k.
+        """
+        R = window.radius
+        painted = [0] * (R + 1)
+        for t in _ternary_up_to(R):
+            painted[t] = 1
+        k, step = 1, 10
+        while True:
+            for t in _ternary_up_to((R + step) // step):
+                lo, hi = max(t * step - step, 0), min(t * step + step, R) + 1
+                painted[lo:hi] = [h or 1 + k for h in painted[lo:hi]]
+            if step >= R:
+                break
+            k, step = k + 1, step * 10
+        # u > 0 sits at index 2u - 1 and -u at index 2u
+        heights = [painted[0]] * (2 * R + 1)
+        heights[1::2] = painted[1:]
+        heights[2::2] = painted[1:]
+        return heights
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +322,13 @@ class StructureConstants:
     ``M[n]``: max distance from a height-n vertex to the height-1 set.
     ``N[l]``: max radius a height-1 vertex needs to see l other
     height-1 vertices.  ``S[m]``: max distance from any vertex to the
-    height->=m set.  ``Q[n]``: max component size of the height-<=n set
-    (filled by :func:`components_leq`).
+    height->=m set.  Sublevel component sizes come from
+    :func:`components_leq`.
     """
 
     M: dict[int, int] = field(default_factory=dict)
     N: dict[int, int] = field(default_factory=dict)
     S: dict[int, int] = field(default_factory=dict)
-    Q: Optional[dict[int, int]] = None
 
 
 @dataclass
@@ -265,6 +337,16 @@ class AxiomReport:
     constants: StructureConstants
     violations: list[str] = field(default_factory=list)
     uncertified: int = 0
+
+
+def _slack(window: Window) -> list[int]:
+    """R - |w| for every window index, read off the sphere boundaries
+    (enumeration sorts by length)."""
+    R = window.radius
+    slack: list[int] = []
+    for r in range(R + 1):
+        slack += [R - r] * (window.core_size(r) - len(slack))
+    return slack
 
 
 def verify_axioms(z: LandscapeRule, window: Window,
@@ -279,8 +361,8 @@ def verify_axioms(z: LandscapeRule, window: Window,
     ``uncertified``.
     """
     spec = window.spec
-    R = window.radius
-    heights = [z.height(w) for w in window.vertices]
+    heights = z.window_heights(window)
+    slack = _slack(window)
     constants = StructureConstants()
     violations: list[str] = []
     uncertified = 0
@@ -309,27 +391,24 @@ def verify_axioms(z: LandscapeRule, window: Window,
             violations.append("axiom 2: no height-1 vertex in the window")
     else:
         dist_h1 = bfs_distances(window, h1)
-        for i, h in enumerate(heights):
+        M = constants.M
+        for h, d, room in zip(heights, dist_h1, slack):
             if h == 1:
                 continue
-            d = dist_h1[i]
-            lw = spec.length(window.vertices[i])
-            if d < 0 or d > R - lw:
+            if d < 0 or d > room:
                 uncertified += 1
                 continue
-            constants.M[h] = max(constants.M.get(h, 0), d)
+            M[h] = max(M.get(h, 0), d)
 
     # axiom 3: height-1 density
     if h1:
         h1_words = [window.vertices[i] for i in h1]
         l_cap = min(density_max, len(h1_words) - 1)
-        for i in h1:
-            w = window.vertices[i]
-            lw = spec.length(w)
+        for i, w in zip(h1, h1_words):
             dists = sorted(spec.dist(w, v) for v in h1_words if v != w)
             for l in range(1, l_cap + 1):
                 d = dists[l - 1]
-                if d <= R - lw:
+                if d <= slack[i]:
                     constants.N[l] = max(constants.N.get(l, 0), d)
                 else:
                     uncertified += 1
@@ -346,18 +425,11 @@ def verify_axioms(z: LandscapeRule, window: Window,
             violations.append(f"axiom 4: no vertex of height >= {m}")
             continue
         dist_tall = bfs_distances(window, tall)
-        best = 0
-        seen_certified = False
-        for i in range(len(heights)):
-            d = dist_tall[i]
-            lw = spec.length(window.vertices[i])
-            if d < 0 or d > R - lw:
-                uncertified += 1
-                continue
-            seen_certified = True
-            best = max(best, d)
-        if seen_certified:
-            constants.S[m] = best
+        certified = [d for d, room in zip(dist_tall, slack)
+                     if 0 <= d <= room]
+        uncertified += len(heights) - len(certified)
+        if certified:
+            constants.S[m] = max(certified)
 
     return AxiomReport(
         passed=not violations,
@@ -384,9 +456,9 @@ def components_leq(z: LandscapeRule, window: Window, n: int) -> ComponentReport:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    spec = window.spec
-    R = window.radius
-    member = [z.height(w) <= n for w in window.vertices]
+    # the boundary sphere is the last block of indices
+    boundary = window.core_size(window.radius - 1)
+    member = [h <= n for h in z.window_heights(window)]
     seen = [False] * len(window.vertices)
     sizes: list[int] = []
     interior_sizes: list[int] = []
@@ -396,7 +468,7 @@ def components_leq(z: LandscapeRule, window: Window, n: int) -> ComponentReport:
             continue
         comp = [start]
         seen[start] = True
-        touches_boundary = spec.length(window.vertices[start]) == R
+        touches_boundary = start >= boundary
         head = 0
         while head < len(comp):
             i = comp[head]
@@ -405,7 +477,7 @@ def components_leq(z: LandscapeRule, window: Window, n: int) -> ComponentReport:
                 if member[j] and not seen[j]:
                     seen[j] = True
                     comp.append(j)
-                    if spec.length(window.vertices[j]) == R:
+                    if j >= boundary:
                         touches_boundary = True
         sizes.append(len(comp))
         if touches_boundary:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from .groups import GroupSpec, Window
 from .labels import interleave
-from .landscapes import LandscapeRule
+from .landscapes import LandscapeRule, word_rows
 from .patterns import LocalSetSpec, PatternBall, pattern_scan, realize
 
 
@@ -55,14 +55,13 @@ class ChannelLandscape(LandscapeRule):
     def __init__(self, base: LandscapeRule, window: Window,
                  parent: Optional["ChannelLandscape"] = None,
                  channels: Optional[dict] = None):
-        self.spec = base.spec
+        super().__init__(base.spec, base.label_rule)
         self.base = base
-        self.label_rule = base.label_rule
         self.window = window
         self.parent = parent
         self.channels = channels or {}
         if parent is None:
-            self.heights = [base.height(w) for w in window.vertices]
+            self.heights = base.window_heights(window)
             self.positions = frozenset(self.channels)
         else:
             self.heights = parent.heights
@@ -102,10 +101,17 @@ class ChannelLandscape(LandscapeRule):
             self._rows[s] = rows
         return rows
 
+    def _own(self, window: Window) -> bool:
+        return (window.spec, window.radius) == (self.spec, self.window.radius)
+
+    def window_heights(self, window: Window) -> list[int]:
+        return self.heights if self._own(window) \
+            else self.base.window_heights(window)
+
     def window_rows(self, window: Window, s: int
                     ) -> tuple[list[str], list[int]]:
-        if (window.spec, window.radius) != (self.spec, self.window.radius):
-            return super().window_rows(window, s)
+        if not self._own(window):
+            return word_rows(self, window, s)
         return self.label_rows(s), self.heights
 
     def height(self, word) -> int:

@@ -246,10 +246,9 @@ def classify_patterns(z: LandscapeRule, window: Window, m: int,
     if candidates is None:
         candidates = sorted(occ, key=lambda p: p.serialize())
     spec = window.spec
-    h1_core = [
-        i for i, w in enumerate(window.vertices)
-        if z.height(w) == 1 and spec.length(w) <= core_radius
-    ]
+    heights = z.window_heights(window)
+    h1_core = [i for i in range(window.core_size(core_radius))
+               if heights[i] == 1]
     report = PatternReport(m=m, window_radius=window.radius,
                            core_radius=core_radius)
     for pat in candidates:

@@ -37,11 +37,6 @@ class CodeFormatError(ValueError):
         self.offset = offset
 
 
-def nearest_river(river: RiverLandscape, gamma: tuple) -> tuple:
-    """A nearest river point, enumeration-least on ties."""
-    return river.nearest_river(gamma)
-
-
 def tree_witness_path(s: tuple, m: int) -> list[tuple]:
     """The first m vertices of the tree path from s via its ray junction.
 

@@ -34,6 +34,21 @@ class TestBuild:
         assert "Q[1]=1" in out
         assert "Q[2]=21" in out
 
+    def test_reports_constants_and_uncertified_count(self, tmp_path, capsys):
+        code = run(["build", "--group", "f2", "--landscape", "river",
+                    "--radius", 6, "--out", tmp_path])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "window: 1457 vertices at radius 6",
+            "axioms: pass",
+            "  M[2]=1, M[3]=2, M[4]=3",
+            "  N[1]=2, N[2]=2, N[3]=2, N[4]=2, N[5]=4, N[6]=4, N[7]=4, "
+            "N[8]=4",
+            "  S[1]=0, S[2]=1, S[3]=2, S[4]=3, S[5]=4, S[6]=5, S[7]=6",
+            "uncertified: 2696",
+        ]
+
     def test_radius_too_small_names_minimum(self, tmp_path, capsys):
         code = run(["build", "--group", "f2", "--landscape", "river",
                     "--radius", 0, "--out", tmp_path])
@@ -130,6 +145,21 @@ class TestArtifactBytes:
             "final_snapshot.json": "dd6c5a1aedc38a6ba3d8b13a3b665aff"
                                    "c3c65f0c4c6cdf5e68d5488022d15838",
         }
+
+
+    @pytest.mark.parametrize("group,landscape,radius,digest", [
+        ("z", "ternary", 20000,
+         "a1b5cf63f89c8933723aa2fbfda5384eb4bd8bc53358f210296168a602aaf368"),
+        ("f2", "river", 6,
+         "75a1d7ef9781fa68fee0f5e6a3a467f57c3aabca3a9adda3a8db1ee0491da18c"),
+    ])
+    def test_build_snapshot_bytes_pinned(self, tmp_path, group, landscape,
+                                         radius, digest):
+        code = run(["build", "--group", group, "--landscape", landscape,
+                    "--radius", radius, "--out", tmp_path])
+        assert code == 0
+        data = (tmp_path / "snapshot.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestCheck:

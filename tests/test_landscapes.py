@@ -1,12 +1,21 @@
-import pytest
+from functools import lru_cache
 
-from riverscape import (AnchorSet, FractalLandscape, FreeGroup, IntegerGroup,
-                        LandscapeRule, RiverLandscape, ball, bfs_distances,
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from riverscape import (AnchorSet, ChannelLandscape, FractalLandscape,
+                        FreeGroup, IntegerGroup, LandscapeRule,
+                        RiverLandscape, TernaryLandscape, ball, bfs_distances,
                         components_leq, double_word, is_ternary,
-                        ternary_height, undouble_word, verify_axioms)
+                        river_landscape, ternary_height, undouble_word,
+                        verify_axioms)
+from riverscape.snapshots import snapshot_landscape
 
 F2 = FreeGroup(2)
+F3 = FreeGroup(3)
 Z = IntegerGroup()
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def all_ternary_up_to(limit):
@@ -196,3 +205,150 @@ class TestAxiomFailures:
         report = verify_axioms(z, ball(Z, 10))
         assert not report.passed
         assert any("axiom 1" in v for v in report.violations)
+
+
+@lru_cache(maxsize=None)
+def ternary_table(limit):
+    """``ternary_height(n)`` for n = 0..limit, one word at a time."""
+    return tuple(ternary_height(n) for n in range(limit + 1))
+
+
+def ternary_oracle(win):
+    table = ternary_table(win.radius)
+    return [table[abs(n)] for n in win.vertices]
+
+
+EDGE_RADII = sorted({r for k in range(5)
+                     for r in (10**k - 1, 10**k, 10**k + 1, 3 * 10**k)})
+
+
+class _CountingRiver(RiverLandscape):
+    def __init__(self):
+        super().__init__(F2)
+        self.calls = 0
+
+    def height(self, word):
+        self.calls += 1
+        return super().height(word)
+
+
+class TestWindowHeights:
+    @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+    @given(radius=st.integers(0, 3000))
+    def test_ternary_paint_matches_height_at_random_radii(self, radius):
+        win = ball(Z, radius)
+        assert TernaryLandscape().window_heights(win) == ternary_oracle(win)
+
+    @pytest.mark.parametrize("radius", EDGE_RADII)
+    def test_ternary_paint_matches_height_at_scale_edges(self, radius):
+        win = ball(Z, radius)
+        assert TernaryLandscape().window_heights(win) == ternary_oracle(win)
+
+    def test_ternary_paint_calls_no_height(self, monkeypatch):
+        monkeypatch.setattr(TernaryLandscape, "height", None)
+        win = ball(Z, 1000)
+        assert len(TernaryLandscape().window_heights(win)) == len(win)
+
+    @pytest.mark.parametrize("radius", range(1, 9))
+    def test_river_matches_height(self, radius):
+        win = ball(F2, radius)
+        z = river_landscape(F2)
+        assert z.window_heights(win) == [z.height(w) for w in win.vertices]
+
+    @pytest.mark.parametrize("spec,anchors,radius", [
+        (Z, (3, 30), 120),
+        (F2, ((1, 1, 1),), 5),
+    ])
+    def test_fractal_matches_height(self, spec, anchors, radius):
+        win = ball(spec, radius)
+        z = FractalLandscape(spec, AnchorSet(spec, anchors))
+        assert z.window_heights(win) == [z.height(w) for w in win.vertices]
+
+    def test_kept_per_group_and_radius(self):
+        z = TernaryLandscape()
+        first = z.window_heights(ball(Z, 50))
+        assert z.window_heights(ball(Z, 50)) is first
+        assert len(z.window_heights(ball(Z, 60))) == 121
+        assert z.window_heights(ball(Z, 50)) is first
+
+    def test_channel_rule_holds_the_base_heights(self, river, win5):
+        z = ChannelLandscape(river, win5)
+        assert z.window_heights(win5) is river.window_heights(win5)
+        assert z.window_heights(ball(F2, 3)) \
+            == river.window_heights(ball(F2, 3))
+
+    def test_build_reads_each_height_once(self):
+        win = ball(F2, 6)
+        z = _CountingRiver()
+        verify_axioms(z, win)
+        for n in (1, 2):
+            components_leq(z, win, n)
+        snapshot_landscape(z, win, 8)
+        assert z.calls == len(win)
+
+
+def components_oracle(z, win, n):
+    """Sublevel components word by word: neighbours by ``apply_letter``,
+    boundary by word length."""
+    spec = win.spec
+    member = {w for w in win.vertices if z.height(w) <= n}
+    seen = set()
+    sizes, interior, truncated = [], [], 0
+    for w in win.vertices:
+        if w not in member or w in seen:
+            continue
+        comp, frontier = [w], [w]
+        seen.add(w)
+        while frontier:
+            u = frontier.pop()
+            for a in spec.letters():
+                v = spec.apply_letter(u, a)
+                if v in member and v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+                    frontier.append(v)
+        sizes.append(len(comp))
+        if any(spec.length(u) == win.radius for u in comp):
+            truncated += 1
+        else:
+            interior.append(len(comp))
+    return sizes, max(interior, default=0), truncated
+
+
+class TestComponents:
+    @settings(max_examples=20, deadline=None, phases=NO_SHRINK)
+    @given(radius=st.integers(1, 400), n=st.integers(1, 3))
+    def test_ternary_matches_word_oracle(self, radius, n):
+        win = ball(Z, radius)
+        z = TernaryLandscape()
+        got = components_leq(z, win, n)
+        assert (got.sizes, got.max_interior_size,
+                got.truncated_components) == components_oracle(z, win, n)
+
+    @pytest.mark.parametrize("radius", range(1, 7))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_river_matches_word_oracle(self, river, radius, n):
+        win = ball(F2, radius)
+        got = components_leq(river, win, n)
+        assert (got.sizes, got.max_interior_size,
+                got.truncated_components) == components_oracle(river, win, n)
+
+    def test_isolated_boundary_point_is_truncated(self, ternary):
+        # 30 and -30 are height-1 singletons on the boundary sphere
+        report = components_leq(ternary, ball(Z, 30), 1)
+        assert report.truncated_components == 2
+
+
+class TestWindowRows:
+    @pytest.mark.parametrize("spec,radius", [
+        (F2, 1), (F2, 4), (F2, 6), (F3, 3), (Z, 0), (Z, 300),
+    ])
+    @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
+    @given(data=st.data())
+    def test_labels_match_word_labels(self, spec, radius, data):
+        win = ball(spec, radius)
+        z = TernaryLandscape() if spec == Z else river_landscape(spec)
+        s = data.draw(st.integers(1, 40))
+        labels, heights = z.window_rows(win, s)
+        assert labels == [z.label(w, s) for w in win.vertices]
+        assert heights == [z.height(w) for w in win.vertices]

@@ -156,6 +156,20 @@ class TestChannelRows:
         w = win.vertices[data.draw(st.integers(0, len(win) - 1))]
         assert z.label(w, s) == oracle.label(w, s)
 
+    @pytest.mark.parametrize("spec,radius", WINDOWS)
+    @settings(max_examples=2, deadline=None, phases=NO_SHRINK)
+    @given(data=st.data())
+    def test_rows_on_a_smaller_window_match_word_oracle(self, spec, radius,
+                                                        data):
+        # a window the rule was not compiled against is read word by word
+        writes = data.draw(channel_writes(len(window(spec, radius))))
+        z, oracle = channel_rules(spec, radius, writes)
+        small = window(spec, radius - 2)
+        s = data.draw(st.integers(1, 48))
+        labels, heights = z.window_rows(small, s)
+        assert labels == [oracle.label(w, s) for w in small.vertices]
+        assert heights == [oracle.height(w) for w in small.vertices]
+
 
 class TestScanAgainstTheta:
     @pytest.mark.parametrize("spec,radius", WINDOWS)
@@ -222,9 +236,9 @@ class TestScanBounds:
         with pytest.raises(ValueError):
             observed_patterns(river, win, 1, core_radius=3)
 
-    def test_plain_rules_use_word_rows(self, river):
-        # a rule with no channel machinery is scanned through its
-        # label/height calls and still agrees with theta
+    def test_plain_rules_scan_from_colour_arrays(self, river):
+        # a rule with no channel machinery is scanned through its colour
+        # arrays and window heights and still agrees with theta
         win = window(F2, 4)
         want = oracle_occurrences(river, win, 2, 7)
         assert list(observed_patterns(river, win, 2, 7).items()) \

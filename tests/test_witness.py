@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from riverscape import (CodeBlock, CodeBudgetError, CodeFormatError,
                         FreeGroup, ball, block_subset, decode_witness, defect,
                         defect_bound, double_word, encode_blocks,
-                        encode_witness, kappa, nearest_river, offset_ball,
+                        encode_witness, kappa, offset_ball,
                         parse_code, reference_radius, subset_from_index,
                         subset_index, tree_witness_path,
                         witness_subset_index)
@@ -77,7 +77,7 @@ class TestKappa:
 
     def test_nearest_river_distance(self, river):
         for w in ball(F2, 6).vertices:
-            p = nearest_river(river, w)
+            p = river.nearest_river(w)
             assert F2.dist(w, p) == river.height(w) - 1
 
 
