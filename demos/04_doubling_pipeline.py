@@ -3,12 +3,10 @@
 Doubles the river (height-1 local set) and then the height-2 set on
 B_8(F2), prints the resulting certificates and re-verification matrix,
 and replays every certificate against the final snapshot, loaded once,
-through the construction-free checker.
+through the same verifier the pipeline runs on its own rows.
 """
 
-from riverscape import (FreeGroup, ball, build_GT, cheeger_estimate,
-                        covering_radius, paradoxicalize_sequence,
-                        river_landscape)
+from riverscape import FreeGroup, ball, paradoxicalize_sequence, river_landscape
 from riverscape.checking import check_certificate_dict, load_snapshot
 from riverscape.patterns import center_height_local_set
 from riverscape.snapshots import bundle_pipeline
@@ -24,14 +22,6 @@ def main():
     f2 = FreeGroup(2)
     win = ball(f2, 8)
     river = river_landscape(f2)
-
-    T = river.river_points(win)
-    rt = covering_radius(T, win)
-    graph = build_GT(T, win, rt)
-    print(f"river graph on B_8: {len(graph.nodes)} nodes, covering "
-          f"radius {rt}, degrees {graph.min_degree}..{graph.max_degree}")
-    print(f"spectral expansion diagnostic (window-only): "
-          f"{cheeger_estimate(graph):.4f}")
 
     result = paradoxicalize_sequence(
         river, [height_target({1}), height_target({2})], win

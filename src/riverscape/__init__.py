@@ -2,6 +2,10 @@
 height functions with certified axioms, witness maps with defect bounds,
 local sets, and matching-based doubling certificates."""
 
+from .checking import (CertificateReport, ClauseResult, DoublingCertificate,
+                       Snapshot, certificate_from_dict,
+                       check_certificate_dict, load_snapshot,
+                       verify_certificate)
 from .groups import (BudgetExceededError, FreeGroup, GroupSpec, IntegerGroup,
                      Window, ball, bfs_distances)
 from .labels import (GreedyColoring, ProperLabelRule,
@@ -12,12 +16,10 @@ from .landscapes import (AnchorSet, AxiomReport, ComponentReport,
                          double_word, fractal_landscape, is_ternary,
                          river_landscape, ternary_height, undouble_word,
                          verify_axioms)
-from .paradox import (ChannelAllocator, ChannelLandscape, DoublingCertificate,
-                      DoublingSearch, GTGraph, PipelineResult, build_GT,
-                      canonical_target_order, certificate_from_dict,
-                      cheeger_estimate, covering_radius, extract_pieces,
-                      find_doubling, paradoxicalize_sequence, relabel,
-                      trivial_certificate, verify_certificate)
+from .paradox import (ChannelAllocator, ChannelLandscape, DoublingSearch,
+                      PipelineResult, canonical_target_order,
+                      covering_radius, extract_pieces, find_doubling,
+                      paradoxicalize_sequence, relabel, trivial_certificate)
 from .patterns import (LocalSetSpec, PatternBall, PatternReport,
                        center_height_local_set, classify_patterns,
                        observed_patterns, offset_ball, pattern_scan, realize,

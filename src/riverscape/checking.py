@@ -1,88 +1,210 @@
-"""Independent certificate checking against materialized snapshots.
+"""Doubling certificates and their one verifier, over snapshot rows.
 
-The checker never touches construction code: it replays a landscape
-purely from the arrays stored in a snapshot and re-runs the clause
-verification.  Shared surface is limited to type definitions (words,
-windows, pattern balls, certificates).  The snapshot rule serves its
-stored rows, index-aligned with the window, straight to the pattern
-scan; a bundle's snapshot is loaded once and checked against every
-certificate.
+A certificate is checked against plain arrays: a :class:`Snapshot`
+holds a window and, in window order, the height and the label prefix of
+every window vertex.  :func:`verify_certificate` is the only verifier;
+the pipeline calls it on its rule's rows and ``riverscape check`` on a
+loaded snapshot file.  Construction imports the certificate types from
+here, and this module imports nothing from construction.
+
+What the checker shares with construction is window enumeration
+(``ball``, the step table, core sizes) and the row-level
+:func:`~riverscape.patterns.pattern_scan`, which is checked against
+word-level θ.  It shares no rule, channel, matcher or relabeling code.
+
+Verification runs in window-index space: T and every piece are index
+sets read off the scan, "inside the core of radius r" is an index below
+``window.core_size(r)``, and a translate composes the translator's
+letters on the window's step table.  A step that leaves the window
+means the translate lies outside it, hence outside the core, because
+balls in trees and on the line are convex.  Words appear only in the
+witness strings, and a witness names the enumeration-least offender.
 """
 
 from __future__ import annotations
 
-from .groups import GroupSpec, Window, ball
-from .landscapes import LandscapeRule, word_rows
-from .paradox import (CertificateReport, certificate_from_dict,
-                      verify_certificate)
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import compress
+from typing import Optional
+
+from .groups import GroupSpec, Window, ball, letter_index
+from .patterns import LocalSetSpec, PatternBall, pattern_scan
 from .snapshots import SNAPSHOT_SCHEMA
 
 
-class SnapshotLandscape(LandscapeRule):
-    """A landscape replayed from stored per-vertex heights and labels.
+@dataclass(frozen=True)
+class DoublingCertificate:
+    """Pattern-defined pieces and translators doubling a local set.
 
-    Only window vertices can be queried, and only up to the stored
-    prefix length; anything past that is a hard error rather than a
-    silent recomputation.
+    The first ``p`` translators belong to the phi family, the remaining
+    ``q`` to psi.  ``core_radius`` is the radius on which the covering
+    identities are claimed exactly.
     """
 
-    provenance = "snapshot"
+    m: int
+    target: LocalSetSpec
+    l: int
+    prefix_len: int
+    translators: tuple
+    p: int
+    q: int
+    pieces_vertices: tuple[frozenset, ...]
+    piece_patterns: tuple[frozenset, ...]
+    channel_positions: tuple[int, ...]
+    window_group: dict
+    window_radius: int
+    core_radius: int
+    K: int
+    trivial: bool
 
-    def __init__(self, window: Window, heights, labels, prefix_len: int):
-        self.spec = window.spec
-        self.window = window
-        self.prefix_len = prefix_len
-        self.heights = heights
-        self.labels = labels
+    def to_dict(self) -> dict:
+        return {
+            "schema": "riverscape.certificate/1",
+            "m": self.m,
+            "target": self.target.to_dict(),
+            "l": self.l,
+            "prefixLen": self.prefix_len,
+            "pieces": [
+                sorted(p.serialize() for p in pats)
+                for pats in self.piece_patterns
+            ],
+            "translators": [list(t) if isinstance(t, tuple) else [t]
+                            for t in self.translators],
+            "p": self.p,
+            "q": self.q,
+            "channelPositions": list(self.channel_positions),
+            "windowRef": {
+                "group": self.window_group,
+                "radius": self.window_radius,
+            },
+            "coreRadius": self.core_radius,
+            "displacementBound": self.K,
+            "trivial": self.trivial,
+        }
 
-    def _index(self, word) -> int:
-        i = self.window.index.get(word)
-        if i is None:
-            raise ValueError(f"word {word!r} outside the snapshot window")
-        return i
 
-    def _check_prefix(self, s: int) -> None:
+def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
+    """Parse a serialized certificate; a missing field, or translators
+    and pieces that do not number p + q, are a ``ValueError``."""
+    if obj.get("schema") != "riverscape.certificate/1":
+        raise ValueError(
+            f"unsupported certificate schema: {obj.get('schema')!r}"
+        )
+    try:
+        if obj["windowRef"]["group"] != spec.to_dict():
+            raise ValueError(
+                "certificate group does not match the given group")
+        cert = DoublingCertificate(
+            m=int(obj["m"]),
+            target=LocalSetSpec.from_dict(obj["target"]),
+            l=int(obj["l"]),
+            prefix_len=int(obj["prefixLen"]),
+            translators=tuple(
+                spec.word_from_json(t) for t in obj["translators"]
+            ),
+            p=int(obj["p"]),
+            q=int(obj["q"]),
+            pieces_vertices=tuple(frozenset() for _ in obj["pieces"]),
+            piece_patterns=tuple(
+                frozenset(PatternBall.deserialize(s) for s in pats)
+                for pats in obj["pieces"]
+            ),
+            channel_positions=tuple(int(c) for c in obj["channelPositions"]),
+            window_group=obj["windowRef"]["group"],
+            window_radius=int(obj["windowRef"]["radius"]),
+            core_radius=int(obj["coreRadius"]),
+            K=int(obj.get("displacementBound", 0)),
+            trivial=bool(obj.get("trivial", False)),
+        )
+    except KeyError as exc:
+        raise ValueError(
+            f"certificate is missing the field {exc.args[0]!r}") from None
+    if not len(cert.translators) == len(cert.piece_patterns) \
+            == cert.p + cert.q:
+        raise ValueError(
+            f"certificate has {len(cert.translators)} translators and "
+            f"{len(cert.piece_patterns)} pieces, but p + q = {cert.p + cert.q}"
+        )
+    return cert
+
+
+@dataclass
+class ClauseResult:
+    name: str
+    passed: bool
+    witness: Optional[str] = None
+
+
+@dataclass
+class CertificateReport:
+    passed: bool
+    clauses: list[ClauseResult]
+
+    def to_dict(self) -> dict:
+        return {
+            "pass": self.passed,
+            "clauses": [
+                {"name": c.name, "pass": c.passed, "witness": c.witness}
+                for c in self.clauses
+            ],
+        }
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """The height and the first ``prefix_len`` label bits of every window
+    vertex, index-aligned with the window."""
+
+    window: Window
+    heights: list[int]
+    labels: list[str]
+    prefix_len: int
+
+    def rows(self, s: int) -> tuple[list[str], list[int]]:
+        """Label prefixes of length s and heights, for
+        :func:`~riverscape.patterns.pattern_scan`."""
         if s > self.prefix_len:
             raise ValueError(
                 f"prefix {s} exceeds snapshot prefix length "
                 f"{self.prefix_len}"
             )
-
-    def height(self, word) -> int:
-        return self.heights[self._index(word)]
-
-    def label(self, word, s: int) -> str:
-        self._check_prefix(s)
-        return self.labels[self._index(word)][:s]
-
-    def _own(self, window: Window) -> bool:
-        return (window.spec, window.radius) == (self.spec, self.window.radius)
-
-    def window_heights(self, window: Window) -> list[int]:
-        return self.heights if self._own(window) \
-            else self._compute_heights(window)
-
-    def window_rows(self, window: Window, s: int
-                    ) -> tuple[list[str], list[int]]:
-        if not self._own(window):
-            return word_rows(self, window, s)
-        self._check_prefix(s)
         labels = self.labels if s == self.prefix_len \
             else [bits[:s] for bits in self.labels]
         return labels, self.heights
 
 
-def load_snapshot(obj: dict) -> SnapshotLandscape:
+def load_snapshot(obj: dict) -> Snapshot:
+    """Parse a snapshot; a missing field, or heights and labels that do
+    not fit the window and the prefix length, are a ``ValueError``
+    naming the field."""
     if obj.get("schema") != SNAPSHOT_SCHEMA:
         raise ValueError(f"unsupported snapshot schema: {obj.get('schema')!r}")
-    spec = GroupSpec.from_dict(obj["windowRef"]["group"])
-    window = ball(spec, int(obj["windowRef"]["radius"]))
-    return SnapshotLandscape(
-        window, obj["heights"], obj["labels"], int(obj["labelPrefixLen"])
-    )
+    try:
+        spec = GroupSpec.from_dict(obj["windowRef"]["group"])
+        radius = int(obj["windowRef"]["radius"])
+        prefix_len = int(obj["labelPrefixLen"])
+        heights, labels = obj["heights"], obj["labels"]
+    except KeyError as exc:
+        raise ValueError(
+            f"snapshot is missing the field {exc.args[0]!r}") from None
+    window = ball(spec, radius)
+    for name, rows in (("heights", heights), ("labels", labels)):
+        if len(rows) != len(window):
+            raise ValueError(
+                f"snapshot field {name!r} has {len(rows)} entries, the "
+                f"window of radius {radius} has {len(window)} vertices"
+            )
+    for i, bits in enumerate(labels):
+        if len(bits) != prefix_len:
+            raise ValueError(
+                f"snapshot field 'labels': label {i} has {len(bits)} bits, "
+                f"'labelPrefixLen' is {prefix_len}"
+            )
+    return Snapshot(window, heights, labels, prefix_len)
 
 
-def check_certificate_dict(z: SnapshotLandscape, cert_obj: dict
+def check_certificate_dict(snapshot: Snapshot, cert_obj: dict
                            ) -> CertificateReport:
     """Re-verify one serialized certificate against a loaded snapshot
     (:func:`load_snapshot`).
@@ -90,15 +212,89 @@ def check_certificate_dict(z: SnapshotLandscape, cert_obj: dict
     Raises ``ValueError`` on schema or window mismatch; verification
     failures come back as a failing report, not an exception.
     """
-    cert = certificate_from_dict(cert_obj, z.spec)
-    if cert.window_radius != z.window.radius:
+    cert = certificate_from_dict(cert_obj, snapshot.window.spec)
+    return verify_certificate(snapshot, cert)
+
+
+def _select(ids: list[int], patterns: list[PatternBall], wanted
+            ) -> list[int]:
+    """The core indices whose pattern lies in ``wanted``, ascending."""
+    hit = {j for j, pat in enumerate(patterns) if pat in wanted}
+    return list(compress(range(len(ids)), map(hit.__contains__, ids)))
+
+
+def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
+                       ) -> CertificateReport:
+    """Re-check containment, disjointness, and both covering identities
+    on the certificate's core, exactly."""
+    window = snapshot.window
+    spec = window.spec
+    if (cert.window_group, cert.window_radius) != \
+            (spec.to_dict(), window.radius):
         raise ValueError(
-            f"certificate radius {cert.window_radius} does not match "
-            f"snapshot radius {z.window.radius}"
+            f"certificate window (radius {cert.window_radius}) does not "
+            f"match the snapshot window (radius {window.radius})"
         )
-    if cert.prefix_len > z.prefix_len:
+    if cert.core_radius > window.radius:
         raise ValueError(
-            f"certificate needs label prefix {cert.prefix_len}, snapshot "
-            f"stores only {z.prefix_len}"
+            f"certificate core radius {cert.core_radius} exceeds its "
+            f"window radius {window.radius}"
         )
-    return verify_certificate(z, cert, z.window)
+    words = window.vertices
+    target = cert.target
+    ids, patterns = pattern_scan(snapshot.rows(target.prefix_len), window,
+                                 target.m, target.prefix_len)
+    T = _select(ids, patterns, target.patterns)
+    if cert.trivial:
+        pieces: list[list[int]] = [[] for _ in cert.piece_patterns]
+    else:
+        ids, patterns = pattern_scan(snapshot.rows(cert.prefix_len), window,
+                                     cert.l, cert.prefix_len)
+        pieces = [_select(ids, patterns, pats)
+                  for pats in cert.piece_patterns]
+    clauses: list[ClauseResult] = []
+
+    # clause 1: pieces inside the target set
+    in_T = set(T)
+    witness = next((f"piece {i} vertex {words[y]!r} outside target"
+                    for i, members in enumerate(pieces)
+                    for y in members if y not in in_T), None)
+    clauses.append(ClauseResult("pieces-contained", witness is None, witness))
+
+    # clause 2: pairwise disjoint pieces
+    witness = None
+    seen: dict[int, int] = {}
+    for i, members in enumerate(pieces):
+        for y in members:
+            if y in seen:
+                witness = f"vertex {words[y]!r} in pieces {seen[y]} and {i}"
+                break
+            seen[y] = i
+        if witness:
+            break
+    clauses.append(ClauseResult("pieces-disjoint", witness is None, witness))
+
+    # clause 3: both covering identities, exactly, on the stated core
+    n_core = window.core_size(cert.core_radius)
+    T_core = set(T[:bisect_left(T, n_core)])
+    step, d = window.step, spec.degree
+    for name, lo, hi in (("phi-cover", 0, cert.p),
+                         ("psi-cover", cert.p, cert.p + cert.q)):
+        covered: set[int] = set()
+        for g, members in zip(cert.translators[lo:hi], pieces[lo:hi]):
+            xs = members
+            for a in map(letter_index, spec.word_letters(g)):
+                xs = [step[x * d + a] if x >= 0 else -1 for x in xs]
+            covered.update(x for x in xs if 0 <= x < n_core)
+        witness = None
+        extra = covered - T_core
+        missing = T_core - covered
+        if extra:
+            witness = (f"translated piece point {words[min(extra)]!r} "
+                       f"not in target core")
+        elif missing:
+            witness = f"target vertex {words[min(missing)]!r} not covered"
+        clauses.append(ClauseResult(name, witness is None, witness))
+
+    passed = all(c.passed for c in clauses)
+    return CertificateReport(passed=passed, clauses=clauses)

@@ -11,6 +11,7 @@ import csv
 import sys
 from pathlib import Path
 
+from .checking import check_certificate_dict, load_snapshot
 from .groups import (DEFAULT_VERTEX_BUDGET, BudgetExceededError, FreeGroup,
                      GroupSpec, IntegerGroup, ball)
 from .labels import separation_index
@@ -182,8 +183,6 @@ def cmd_paradoxicalize(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .checking import check_certificate_dict, load_snapshot
-
     snapshot = load_snapshot(load_json(args.snapshot))
     payload = load_json(args.certificate)
     certs = payload.get("certificates", [payload]) \
@@ -251,7 +250,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (InputError, ValueError, OSError, KeyError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

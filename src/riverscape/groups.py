@@ -78,6 +78,10 @@ class GroupSpec:
     def length(self, u) -> int:
         raise NotImplementedError
 
+    def word_letters(self, u) -> tuple[int, ...]:
+        """The letters spelling ``u`` as a geodesic from the identity."""
+        raise NotImplementedError
+
     def dist(self, u, v) -> int:
         return self.length(self.mul(self.inverse(u), v))
 
@@ -193,6 +197,9 @@ class FreeGroup(GroupSpec):
     def length(self, u: tuple[int, ...]) -> int:
         return len(u)
 
+    def word_letters(self, u: tuple[int, ...]) -> tuple[int, ...]:
+        return u
+
     def sort_key(self, u: tuple[int, ...]):
         return (len(u), tuple(letter_key(letter) for letter in u))
 
@@ -287,6 +294,9 @@ class IntegerGroup(GroupSpec):
 
     def length(self, u: int) -> int:
         return abs(u)
+
+    def word_letters(self, u: int) -> tuple[int, ...]:
+        return (1,) * u if u >= 0 else (-1,) * -u
 
     def dist(self, u: int, v: int) -> int:
         return abs(v - u)

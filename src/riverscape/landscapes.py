@@ -72,14 +72,6 @@ class LandscapeRule:
                 self.window_heights(window))
 
 
-def word_rows(z: LandscapeRule, window: Window, s: int
-              ) -> tuple[list[str], list[int]]:
-    """``window_rows`` word by word: one ``label`` and one ``height`` call
-    per window vertex."""
-    words = window.vertices
-    return [z.label(w, s) for w in words], [z.height(w) for w in words]
-
-
 # ---------------------------------------------------------------------------
 # ternary rule on the integers
 

@@ -1,4 +1,4 @@
-"""Doubling maps, piece extraction, relabeling, and certified verification.
+"""Doubling maps, piece extraction, relabeling, and the inductive pipeline.
 
 The flow realizes a local set on a window, finds two injective
 bounded-displacement self-maps with disjoint images by deterministic
@@ -11,8 +11,11 @@ positions above the earlier prefix ceiling.
 One :class:`ChannelLandscape` per pipeline carries the labels: the base
 labels spread to odd positions, read from the colour arrays as one row
 per window vertex, and a channel write sets bits in the rows of a new
-rule that shares the heights.  Relabeling and verification scan patterns
-with :func:`~riverscape.patterns.pattern_scan` over those rows.
+rule that shares the heights.  Relabeling scans patterns with
+:func:`~riverscape.patterns.pattern_scan` over those rows, and every
+step report and matrix entry hands the same rows, at the certificate's
+prefix, to :func:`riverscape.checking.verify_certificate`, the verifier
+``riverscape check`` runs on snapshot files.
 
 All tie-breaking is enumeration-order; there is no randomness anywhere,
 so reruns produce byte-identical certificates.
@@ -22,13 +25,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import compress
 from typing import Optional, Sequence
 
-from .groups import GroupSpec, Window
-from .labels import interleave
-from .landscapes import LandscapeRule, word_rows
-from .patterns import LocalSetSpec, PatternBall, pattern_scan, realize
+from .checking import (CertificateReport, DoublingCertificate, Snapshot,
+                       verify_certificate)
+from .groups import Window, bfs_distances
+from .landscapes import LandscapeRule
+from .patterns import LocalSetSpec, pattern_scan, realize
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +50,8 @@ class ChannelLandscape(LandscapeRule):
     (``label_rule.padded_rows``), a derived rule copies its parent's rows
     and sets its own member bits, or shares them when none of its
     channels lies inside the prefix.  The base's labels are those of its
-    ``label_rule``.
+    ``label_rule``.  Asked about another window, or a word outside its
+    own, the rule raises ``ValueError``.
     """
 
     provenance = "relabeled"
@@ -101,30 +105,27 @@ class ChannelLandscape(LandscapeRule):
             self._rows[s] = rows
         return rows
 
-    def _own(self, window: Window) -> bool:
-        return (window.spec, window.radius) == (self.spec, self.window.radius)
+    def _check_window(self, window: Window) -> None:
+        if (window.spec, window.radius) != (self.spec, self.window.radius):
+            raise ValueError(
+                f"channel rule compiled against {self.spec!r} at radius "
+                f"{self.window.radius}, asked about {window.spec!r} at "
+                f"radius {window.radius}")
 
     def window_heights(self, window: Window) -> list[int]:
-        return self.heights if self._own(window) \
-            else self.base.window_heights(window)
+        self._check_window(window)
+        return self.heights
 
     def window_rows(self, window: Window, s: int
                     ) -> tuple[list[str], list[int]]:
-        if not self._own(window):
-            return word_rows(self, window, s)
+        self._check_window(window)
         return self.label_rows(s), self.heights
 
     def height(self, word) -> int:
-        i = self.window.index.get(word)
-        return self.base.height(word) if i is None else self.heights[i]
+        return self.heights[self.window.indices([word])[0]]
 
     def label(self, word, s: int) -> str:
-        i = self.window.index.get(word)
-        if i is not None:
-            return self.label_rows(s)[i]
-        # outside the window no channel has members: the padded base
-        half = (s + 1) // 2
-        return interleave(self.label_rule.label(word, half), "0" * half)[:s]
+        return self.label_rows(s)[self.window.indices([word])[0]]
 
 
 class ChannelAllocator:
@@ -144,114 +145,15 @@ class ChannelAllocator:
 
 
 # ---------------------------------------------------------------------------
-# covering radius and the bounded-displacement graph
+# covering radius
 
 def covering_radius(T: Sequence, window: Window) -> int:
     """Least R with a T-point within R of every window vertex (estimate)."""
     if not T:
         raise ValueError("empty set has no covering radius; "
                          "empty targets take the trivial-certificate path")
-    from .groups import bfs_distances
-
     dist = bfs_distances(window, window.indices(T))
     return max(dist)
-
-
-@dataclass
-class GTGraph:
-    """The auxiliary graph on T with edges at distance <= 3 R_T."""
-
-    nodes: tuple
-    adjacency: tuple[tuple[int, ...], ...]
-    edge_distance: int
-    n_components: int
-    max_degree: int
-    min_degree: int
-
-
-def build_GT(T: Sequence, window: Window, R_T: int) -> GTGraph:
-    spec = window.spec
-    nodes = tuple(sorted(T, key=spec.sort_key))
-    cut = 3 * R_T
-    # G_T lives on T alone, so pairwise word distances beat enumerating
-    # the (possibly huge) offset ball of radius 3 R_T
-    rows: list[list[int]] = [[] for _ in nodes]
-    for i, u in enumerate(nodes):
-        for j in range(i + 1, len(nodes)):
-            if 0 < spec.dist(u, nodes[j]) <= cut:
-                rows[i].append(j)
-                rows[j].append(i)
-    adjacency = [tuple(sorted(r)) for r in rows]
-    # component count by BFS
-    seen = [False] * len(nodes)
-    n_components = 0
-    for start in range(len(nodes)):
-        if seen[start]:
-            continue
-        n_components += 1
-        queue = [start]
-        seen[start] = True
-        while queue:
-            i = queue.pop()
-            for j in adjacency[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(j)
-    degrees = [len(r) for r in adjacency] or [0]
-    return GTGraph(
-        nodes=nodes,
-        adjacency=tuple(adjacency),
-        edge_distance=3 * R_T,
-        n_components=n_components,
-        max_degree=max(degrees),
-        min_degree=min(degrees),
-    )
-
-
-def cheeger_estimate(graph: GTGraph) -> float:
-    """Crude spectral lower bound lambda_2 / 2 for the Cheeger constant.
-
-    Diagnostic only: computed on the largest component of the window
-    graph, which says nothing rigorous about the infinite object.
-    """
-    import numpy as np
-
-    n = len(graph.nodes)
-    if n < 2:
-        return 0.0
-    # largest component
-    seen = [-1] * n
-    comps: list[list[int]] = []
-    for start in range(n):
-        if seen[start] >= 0:
-            continue
-        comp = [start]
-        seen[start] = len(comps)
-        head = 0
-        while head < len(comp):
-            i = comp[head]
-            head += 1
-            for j in graph.adjacency[i]:
-                if seen[j] < 0:
-                    seen[j] = len(comps)
-                    comp.append(j)
-        comps.append(comp)
-    comp = max(comps, key=len)
-    idx = {v: i for i, v in enumerate(comp)}
-    k = len(comp)
-    if k < 2:
-        return 0.0
-    adj = np.zeros((k, k))
-    for v in comp:
-        for w in graph.adjacency[v]:
-            if w in idx:
-                adj[idx[v], idx[w]] = 1.0
-    deg = adj.sum(axis=1)
-    deg[deg == 0] = 1.0
-    d_inv_sqrt = 1.0 / np.sqrt(deg)
-    lap = np.eye(k) - (adj * d_inv_sqrt).T * d_inv_sqrt
-    eigenvalues = np.linalg.eigvalsh(lap)
-    return float(eigenvalues[1] / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,90 +304,6 @@ def find_doubling(T: Sequence, window: Window, K_start: int = 2,
 # ---------------------------------------------------------------------------
 # certificates
 
-@dataclass(frozen=True)
-class DoublingCertificate:
-    """Pattern-defined pieces and translators doubling a local set.
-
-    The first ``p`` translators belong to the phi family, the remaining
-    ``q`` to psi.  ``core_radius`` is the radius on which the covering
-    identities are claimed exactly.
-    """
-
-    m: int
-    target: LocalSetSpec
-    l: int
-    prefix_len: int
-    translators: tuple
-    p: int
-    q: int
-    pieces_vertices: tuple[frozenset, ...]
-    piece_patterns: tuple[frozenset, ...]
-    channel_positions: tuple[int, ...]
-    window_group: dict
-    window_radius: int
-    core_radius: int
-    K: int
-    trivial: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "riverscape.certificate/1",
-            "m": self.m,
-            "target": self.target.to_dict(),
-            "l": self.l,
-            "prefixLen": self.prefix_len,
-            "pieces": [
-                sorted(p.serialize() for p in pats)
-                for pats in self.piece_patterns
-            ],
-            "translators": [list(t) if isinstance(t, tuple) else [t]
-                            for t in self.translators],
-            "p": self.p,
-            "q": self.q,
-            "channelPositions": list(self.channel_positions),
-            "windowRef": {
-                "group": self.window_group,
-                "radius": self.window_radius,
-            },
-            "coreRadius": self.core_radius,
-            "displacementBound": self.K,
-            "trivial": self.trivial,
-        }
-
-
-def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
-    if obj.get("schema") != "riverscape.certificate/1":
-        raise ValueError(
-            f"unsupported certificate schema: {obj.get('schema')!r}"
-        )
-    if obj["windowRef"]["group"] != spec.to_dict():
-        raise ValueError("certificate group does not match the given group")
-    return DoublingCertificate(
-        m=int(obj["m"]),
-        target=LocalSetSpec.from_dict(obj["target"]),
-        l=int(obj["l"]),
-        prefix_len=int(obj["prefixLen"]),
-        translators=tuple(
-            spec.word_from_json(t) for t in obj["translators"]
-        ),
-        p=int(obj["p"]),
-        q=int(obj["q"]),
-        pieces_vertices=tuple(
-            frozenset() for _ in obj["pieces"]
-        ),
-        piece_patterns=tuple(
-            frozenset(PatternBall.deserialize(s) for s in pats)
-            for pats in obj["pieces"]
-        ),
-        channel_positions=tuple(int(c) for c in obj["channelPositions"]),
-        window_group=obj["windowRef"]["group"],
-        window_radius=int(obj["windowRef"]["radius"]),
-        core_radius=int(obj["coreRadius"]),
-        K=int(obj.get("displacementBound", 0)),
-        trivial=bool(obj.get("trivial", False)),
-    )
-
-
 def trivial_certificate(target: LocalSetSpec, window: Window
                         ) -> DoublingCertificate:
     """The certificate for an empty realization: zero phi pieces, one
@@ -555,20 +373,17 @@ def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
 
 
 def relabel(z: ChannelLandscape, cert: DoublingCertificate, m_prime: int,
-            allocator: Optional[ChannelAllocator] = None,
-            window: Optional[Window] = None
+            allocator: Optional[ChannelAllocator] = None
             ) -> tuple[ChannelLandscape, DoublingCertificate]:
     """Write piece membership bits into fresh even channels.
 
     Returns the new rule and the certificate completed with its pattern
-    sets (computed on ``window``, which defaults to nothing being
-    recomputed for trivial certificates).
+    sets, computed on the rule's window; a trivial certificate is
+    returned as it is.
     """
     if cert.trivial:
         return z, cert
-    if window is None:
-        raise ValueError("relabeling a non-trivial certificate needs the "
-                         "window to materialize its pattern sets")
+    window = z.window
     if allocator is None:
         allocator = ChannelAllocator()
     count = cert.p + cert.q
@@ -578,7 +393,8 @@ def relabel(z: ChannelLandscape, cert: DoublingCertificate, m_prime: int,
     z_prime = z.with_channels(dict(zip(positions, pieces)))
     prefix_len = positions[-1]
     allocator.floor = max(allocator.floor, prefix_len)
-    ids, patterns = pattern_scan(z_prime, window, cert.l, prefix_len)
+    ids, patterns = pattern_scan(z_prime.window_rows(window, prefix_len),
+                                 window, cert.l, prefix_len)
     n_core = len(ids)
     piece_patterns = [
         frozenset(patterns[ids[i]] for i in members if i < n_core)
@@ -591,100 +407,6 @@ def relabel(z: ChannelLandscape, cert: DoublingCertificate, m_prime: int,
         piece_patterns=tuple(piece_patterns),
     )
     return z_prime, cert_prime
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-@dataclass
-class ClauseResult:
-    name: str
-    passed: bool
-    witness: Optional[str] = None
-
-
-@dataclass
-class CertificateReport:
-    passed: bool
-    clauses: list[ClauseResult]
-
-    def to_dict(self) -> dict:
-        return {
-            "pass": self.passed,
-            "clauses": [
-                {"name": c.name, "pass": c.passed, "witness": c.witness}
-                for c in self.clauses
-            ],
-        }
-
-
-def verify_certificate(z: LandscapeRule, cert: DoublingCertificate,
-                       window: Window) -> CertificateReport:
-    """Re-check containment, disjointness, and both covering identities."""
-    spec = window.spec
-    if cert.window_group != spec.to_dict() or \
-            cert.window_radius != window.radius:
-        raise ValueError("certificate was issued for a different window")
-    rc = cert.core_radius
-    clauses: list[ClauseResult] = []
-
-    T = set(realize(cert.target, z, window))
-    if cert.trivial:
-        realized_pieces: list[list] = [[] for _ in cert.piece_patterns]
-    else:
-        ids, patterns = pattern_scan(z, window, cert.l, cert.prefix_len)
-        realized_pieces = []
-        for pats in cert.piece_patterns:
-            wanted = {j for j, pat in enumerate(patterns) if pat in pats}
-            realized_pieces.append(list(compress(
-                window.vertices, map(wanted.__contains__, ids))))
-
-    # clause 1: pieces inside the target set
-    witness = None
-    for i, members in enumerate(realized_pieces):
-        for y in members:
-            if y not in T:
-                witness = f"piece {i} vertex {y!r} outside target"
-                break
-        if witness:
-            break
-    clauses.append(ClauseResult("pieces-contained", witness is None, witness))
-
-    # clause 2: pairwise disjoint pieces
-    witness = None
-    seen: dict = {}
-    for i, members in enumerate(realized_pieces):
-        for y in members:
-            if y in seen:
-                witness = f"vertex {y!r} in pieces {seen[y]} and {i}"
-                break
-            seen[y] = i
-        if witness:
-            break
-    clauses.append(ClauseResult("pieces-disjoint", witness is None, witness))
-
-    # clause 3: both covering identities, exactly, on the stated core
-    T_core = {w for w in T if spec.length(w) <= rc}
-    for name, lo, hi in (("phi-cover", 0, cert.p),
-                         ("psi-cover", cert.p, cert.p + cert.q)):
-        covered = set()
-        for i in range(lo, hi):
-            g = cert.translators[i]
-            for y in realized_pieces[i]:
-                x = spec.mul(y, g)
-                if spec.length(x) <= rc:
-                    covered.add(x)
-        witness = None
-        extra = covered - T_core
-        missing = T_core - covered
-        if extra:
-            witness = f"translated piece point {next(iter(extra))!r} not in target core"
-        elif missing:
-            witness = f"target vertex {next(iter(missing))!r} not covered"
-        clauses.append(ClauseResult(name, witness is None, witness))
-
-    passed = all(c.passed for c in clauses)
-    return CertificateReport(passed=passed, clauses=clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +439,14 @@ def canonical_target_order(targets: Sequence[LocalSetSpec]
         targets,
         key=lambda t: (t.m, sorted(p.serialize() for p in t.patterns)),
     )
+
+
+def _verify(rule: ChannelLandscape, cert: DoublingCertificate
+            ) -> CertificateReport:
+    """Verify ``cert`` on the rule's rows at the prefix it reads."""
+    s = max(cert.prefix_len, cert.target.prefix_len)
+    snapshot = Snapshot(rule.window, rule.heights, rule.label_rows(s), s)
+    return verify_certificate(snapshot, cert)
 
 
 def paradoxicalize_sequence(z0: LandscapeRule,
@@ -755,10 +485,10 @@ def paradoxicalize_sequence(z0: LandscapeRule,
             break
         cert = extract_pieces(search, target, window)
         m_prime = max(target.m, allocator.floor)
-        current, cert = relabel(current, cert, m_prime, allocator, window)
+        current, cert = relabel(current, cert, m_prime, allocator)
         rules.append(current)
         certificates.append(cert)
-        reports.append(verify_certificate(current, cert, window))
+        reports.append(_verify(current, cert))
     n = len(certificates)
     matrix: list[list[Optional[CertificateReport]]] = []
     for a in range(n):
@@ -768,9 +498,7 @@ def paradoxicalize_sequence(z0: LandscapeRule,
                 # rule predates the certificate's channels
                 row.append(None)
             else:
-                row.append(
-                    verify_certificate(rules[k + 1], certificates[a], window)
-                )
+                row.append(_verify(rules[k + 1], certificates[a]))
         matrix.append(row)
     return PipelineResult(
         initial_rule=t0,

@@ -8,11 +8,11 @@ bits at positions well past the radius without paying for huge balls.
 :func:`theta` reads one pattern word by word.  Window-wide scans
 (:func:`pattern_scan`, behind :func:`realize` and
 :func:`observed_patterns`) are compiled against the window instead: the
-rule hands over one label row and one height per vertex
-(``window_rows``), each distinct (label prefix, height) pair is interned
-as a cell id, the cell ids are gathered along the window's offset tables
-(compositions of its step table), and a :class:`PatternBall` is built
-once per distinct pattern.  The result equals θ at every core vertex.
+scan reads one label row and one height per vertex (a rule's
+``window_rows``, or a snapshot's rows), each distinct (label prefix,
+height) pair is interned as a cell id, the cell ids are gathered along
+the window's offset tables (compositions of its step table), and a
+:class:`PatternBall` is built once per distinct pattern.  The result equals θ at every core vertex.
 
 Verdicts from :func:`classify_patterns` are window-relative by design;
 the report says so explicitly rather than claiming anything about the
@@ -128,28 +128,33 @@ class LocalSetSpec:
             raise ValueError(
                 f"unsupported local set schema: {obj.get('schema')!r}"
             )
-        patterns = frozenset(
-            PatternBall.deserialize(s) for s in obj["patterns"]
-        )
-        return LocalSetSpec(int(obj["m"]), int(obj["prefixLen"]), patterns)
+        try:
+            patterns = frozenset(
+                PatternBall.deserialize(s) for s in obj["patterns"]
+            )
+            return LocalSetSpec(int(obj["m"]), int(obj["prefixLen"]),
+                                patterns)
+        except KeyError as exc:
+            raise ValueError(
+                f"local set is missing the field {exc.args[0]!r}") from None
 
 
-def pattern_scan(z: LandscapeRule, window: Window, m: int,
-                 prefix_len: Optional[int] = None,
-                 core_radius: Optional[int] = None
+def pattern_scan(rows: tuple[list[str], list[int]], window: Window, m: int,
+                 prefix_len: int, core_radius: Optional[int] = None
                  ) -> tuple[list[int], list[PatternBall]]:
     """The pattern of every core vertex, compiled against the window.
 
-    The core of radius r is the first ``window.core_size(r)`` indices.
-    Returns ``(ids, patterns)``: core vertex v has the pattern
+    ``rows`` is ``(labels, heights)``: the label prefix of length
+    ``prefix_len`` and the height of every window vertex, in window
+    order (a rule's ``window_rows``, or a snapshot's rows).  The core of
+    radius r is the first ``window.core_size(r)`` indices.  Returns
+    ``(ids, patterns)``: core vertex v has the pattern
     ``patterns[ids[v]]``, which equals ``theta(z, window.vertices[v], m,
-    prefix_len)``; ``patterns`` holds the distinct ones in order of
-    first occurrence.
+    prefix_len)`` for the rule z the rows were read from; ``patterns``
+    holds the distinct ones in order of first occurrence.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if prefix_len is None:
-        prefix_len = m
     if core_radius is None:
         core_radius = window.radius - m
     if core_radius < 0:
@@ -159,7 +164,7 @@ def pattern_scan(z: LandscapeRule, window: Window, m: int,
             f"core radius {core_radius} plus pattern radius {m} exceeds "
             f"the window radius {window.radius}"
         )
-    labels, heights = z.window_rows(window, prefix_len)
+    labels, heights = rows
     pairs = list(zip(labels, heights))
     cells, cell = _intern(pairs)
     gather = cell.__getitem__
@@ -184,7 +189,8 @@ def _intern(items: list) -> tuple[list, list[int]]:
 def realize(T: LocalSetSpec, z: LandscapeRule, window: Window,
             core_radius: Optional[int] = None) -> list:
     """Core vertices whose pattern lies in T, in enumeration order."""
-    ids, patterns = pattern_scan(z, window, T.m, T.prefix_len, core_radius)
+    ids, patterns = pattern_scan(z.window_rows(window, T.prefix_len), window,
+                                 T.m, T.prefix_len, core_radius)
     wanted = {j for j, pat in enumerate(patterns) if pat in T.patterns}
     return list(compress(window.vertices, map(wanted.__contains__, ids)))
 
@@ -194,7 +200,10 @@ def observed_patterns(z: LandscapeRule, window: Window, m: int,
                       core_radius: Optional[int] = None) -> dict:
     """Map pattern -> list of core vertices where it occurs, with the
     patterns in order of first occurrence."""
-    ids, patterns = pattern_scan(z, window, m, prefix_len, core_radius)
+    if prefix_len is None:
+        prefix_len = m
+    ids, patterns = pattern_scan(z.window_rows(window, prefix_len), window,
+                                 m, prefix_len, core_radius)
     sites: list[list] = [[] for _ in patterns]
     for w, j in zip(window.vertices, ids):
         sites[j].append(w)

@@ -1,0 +1,300 @@
+"""The certificate verifier: clause mutations, snapshots, and its imports.
+
+Each mutation edits a serialized bundle (certificate or snapshot) so that
+an exact set of clauses fails, and is checked through the library
+(``load_snapshot`` + ``check_certificate_dict``) and through
+``riverscape check``.  The mutations are chosen by reading the
+snapshot's arrays word by word (``F2.mul`` and the stored rows), not
+through the verifier's index-space scan.
+"""
+
+import ast
+import json
+from dataclasses import replace
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+import riverscape.checking
+from riverscape import (FreeGroup, IntegerGroup, LocalSetSpec, PatternBall,
+                        Snapshot, TernaryLandscape, ball,
+                        check_certificate_dict, load_snapshot,
+                        observed_patterns, offset_ball,
+                        paradoxicalize_sequence, realize, river_landscape,
+                        trivial_certificate, verify_certificate)
+from riverscape.cli import main
+from riverscape.patterns import center_height_local_set
+from riverscape.snapshots import bundle_pipeline
+
+F2 = FreeGroup(2)
+Z = IntegerGroup()
+R = 8
+
+
+@lru_cache(maxsize=None)
+def bundle_text() -> str:
+    """The B_8 bundle doubling the river (height-1 target) as JSON."""
+    win = ball(F2, R)
+    result = paradoxicalize_sequence(river_landscape(F2), [
+        lambda rule, w: center_height_local_set(rule, w, 1, {1},
+                                                prefix_len=1)
+    ], win)
+    return json.dumps(bundle_pipeline(result, win))
+
+
+@pytest.fixture
+def bundle():
+    doc = json.loads(bundle_text())
+    return doc["finalSnapshot"], doc["certificates"][0]
+
+
+def occurrences(snap, m, s):
+    """Pattern -> core words (radius R - m), read word by word from the
+    snapshot's stored heights and labels."""
+    win = ball(F2, R)
+    index, heights, labels = win.index, snap["heights"], snap["labels"]
+    occ = {}
+    for w in win.vertices[:win.core_size(R - m)]:
+        entries = []
+        for delta in offset_ball(F2, m):
+            i = index[F2.mul(w, delta)]
+            entries.append((labels[i][:s], heights[i]))
+        occ.setdefault(PatternBall(m, s, tuple(entries)), []).append(w)
+    return occ
+
+
+def realized(snap, cert):
+    """T and the pieces' member words, and the translators as words."""
+    target = cert["target"]
+    T = {w for pat, ws in occurrences(snap, target["m"],
+                                      target["prefixLen"]).items()
+         if pat.serialize() in target["patterns"] for w in ws}
+    occ = occurrences(snap, cert["l"], cert["prefixLen"])
+    pieces = [[w for pat, ws in occ.items() if pat.serialize() in pats
+               for w in ws] for pats in cert["pieces"]]
+    translators = [F2.word_from_json(t) for t in cert["translators"]]
+    return T, occ, pieces, translators
+
+
+def in_core(cert, word):
+    return len(word) <= cert["coreRadius"]
+
+
+# --- mutations: (snapshot, certificate) -> (snapshot, certificate) --------
+
+def duplicate_piece(snap, cert):
+    # a phi piece and its translator twice: the covers are sets, so only
+    # disjointness notices
+    cert["pieces"].insert(1, cert["pieces"][0])
+    cert["translators"].insert(1, cert["translators"][0])
+    cert["p"] += 1
+    return snap, cert
+
+
+def add_foreign_pattern(snap, cert):
+    # a pattern that occurs only off T, at vertices whose translates by
+    # piece 1's translator leave the core
+    T, occ, _, translators = realized(snap, cert)
+    g = translators[1]
+    pat = next(pat for pat, ws in occ.items()
+               if all(w not in T and not in_core(cert, F2.mul(w, g))
+                      for w in ws))
+    cert["pieces"][1].append(pat.serialize())
+    return snap, cert
+
+
+def tamper_phi_translator(snap, cert):
+    cert["translators"][1] = [1, 2, 1, 2]
+    return snap, cert
+
+
+def drop_pattern(family):
+    def mutate(snap, cert):
+        # a pattern of the family occurring at a piece point whose
+        # translate lies in the core
+        _, occ, _, translators = realized(snap, cert)
+        lo, hi = (0, cert["p"]) if family == "phi" \
+            else (cert["p"], cert["p"] + cert["q"])
+        for i in range(lo, hi):
+            for text in cert["pieces"][i]:
+                pat = PatternBall.deserialize(text)
+                if any(in_core(cert, F2.mul(y, translators[i]))
+                       for y in occ[pat]):
+                    cert["pieces"][i].remove(text)
+                    return snap, cert
+        raise AssertionError("no pattern to drop")
+    mutate.__name__ = f"drop_{family}_pattern"
+    return mutate
+
+
+def clear_member_bit(snap, cert):
+    # the first phi piece point, in window order, whose translate lies in
+    # the core loses its membership bit; the patterns of the piece points
+    # within distance l of it change with it
+    _, _, pieces, translators = realized(snap, cert)
+    win = ball(F2, R)
+    y, i = min(((y, i) for i in range(cert["p"]) for y in pieces[i]
+                if in_core(cert, F2.mul(y, translators[i]))),
+               key=lambda pair: win.index[pair[0]])
+    v = win.index[y]
+    pos = cert["channelPositions"][i]
+    bits = snap["labels"][v]
+    assert bits[pos - 1] == "1"
+    snap["labels"][v] = bits[:pos - 1] + "0" + bits[pos:]
+    return snap, cert
+
+
+def grow_core(snap, cert):
+    cert["coreRadius"] = R - cert["l"]
+    return snap, cert
+
+
+def shrink_core(snap, cert):
+    # the identities are exact, so they hold on every smaller core
+    cert["coreRadius"] -= 1
+    return snap, cert
+
+
+MUTATIONS = [
+    (duplicate_piece, {"pieces-disjoint"}),
+    (add_foreign_pattern, {"pieces-contained"}),
+    (tamper_phi_translator, {"phi-cover"}),
+    (drop_pattern("phi"), {"phi-cover"}),
+    (drop_pattern("psi"), {"psi-cover"}),
+    (clear_member_bit, {"phi-cover", "psi-cover"}),
+    (grow_core, {"phi-cover", "psi-cover"}),
+    (shrink_core, set()),
+]
+
+
+def failing_via_library(snap, cert):
+    report = check_certificate_dict(load_snapshot(snap), cert)
+    return {c.name for c in report.clauses if not c.passed}
+
+
+def failing_via_cli(snap, cert, tmp_path, capsys):
+    snap_path, cert_path = tmp_path / "snap.json", tmp_path / "cert.json"
+    snap_path.write_text(json.dumps(snap))
+    cert_path.write_text(json.dumps(cert))
+    code = main(["check", "--snapshot", str(snap_path),
+                 "--certificate", str(cert_path)])
+    lines = capsys.readouterr().out.splitlines()
+    failing = {line.split()[1].rstrip(":") for line in lines
+               if line.startswith("  clause ")}
+    assert code == (1 if failing else 0)
+    assert lines[0] == f"certificate 0: {'FAIL' if failing else 'pass'}"
+    return failing
+
+
+class TestClauseMutations:
+    def test_unmutated_bundle_passes(self, bundle, tmp_path, capsys):
+        snap, cert = bundle
+        assert failing_via_library(snap, cert) == set()
+        assert failing_via_cli(snap, cert, tmp_path, capsys) == set()
+
+    @pytest.mark.parametrize("mutate,expected", MUTATIONS,
+                             ids=[m.__name__ for m, _ in MUTATIONS])
+    def test_library(self, bundle, mutate, expected):
+        snap, cert = mutate(*bundle)
+        assert failing_via_library(snap, cert) == expected
+
+    @pytest.mark.parametrize("mutate,expected", MUTATIONS,
+                             ids=[m.__name__ for m, _ in MUTATIONS])
+    def test_riverscape_check(self, bundle, tmp_path, capsys, mutate,
+                              expected):
+        snap, cert = mutate(*bundle)
+        assert failing_via_cli(snap, cert, tmp_path, capsys) == expected
+
+    def test_witness_names_the_least_uncovered_vertex(self, bundle):
+        snap, cert = grow_core(*bundle)
+        T, _, pieces, translators = realized(snap, cert)
+        covered = {F2.mul(y, translators[i])
+                   for i in range(cert["p"]) for y in pieces[i]}
+        win = ball(F2, R)
+        least = min((w for w in T if in_core(cert, w) and w not in covered),
+                    key=win.index.__getitem__)
+        report = check_certificate_dict(load_snapshot(snap), cert)
+        phi = next(c for c in report.clauses if c.name == "phi-cover")
+        assert phi.witness == f"target vertex {least!r} not covered"
+
+
+class TestVerifier:
+    def test_core_past_the_window_rejected(self, bundle):
+        snap, cert = bundle
+        cert["coreRadius"] = R + 1
+        with pytest.raises(ValueError, match="core radius"):
+            check_certificate_dict(load_snapshot(snap), cert)
+
+    def test_translator_count_must_match_pieces(self, bundle):
+        snap, cert = bundle
+        cert["translators"].pop()
+        with pytest.raises(ValueError, match="translators"):
+            check_certificate_dict(load_snapshot(snap), cert)
+
+    def test_prefix_past_the_snapshot_rejected(self, bundle):
+        snap, cert = bundle
+        short = Snapshot(ball(F2, R), snap["heights"],
+                         [bits[:4] for bits in snap["labels"]], 4)
+        with pytest.raises(ValueError, match="prefix"):
+            check_certificate_dict(short, cert)
+
+    def test_rows_truncate_to_the_asked_prefix(self, bundle):
+        snap, _ = bundle
+        loaded = load_snapshot(snap)
+        labels, heights = loaded.rows(3)
+        assert labels == [bits[:3] for bits in snap["labels"]]
+        assert heights is loaded.heights
+        assert loaded.rows(loaded.prefix_len)[0] is loaded.labels
+
+    @pytest.mark.parametrize("n", [0, 3, -3, 300, 500, -500])
+    def test_translates_on_the_line_against_words(self, n):
+        # on B_400(Z) one phi piece and one psi piece, both all of T (the
+        # ternary height-1 points), moved by n and -n; covers computed
+        # with integer words, translates leaving the window included
+        win = ball(Z, 400)
+        rule = TernaryLandscape(Z)
+        labels, heights = rule.window_rows(win, 2)
+        ones = frozenset(pat for pat in observed_patterns(rule, win, 1, 2)
+                         if pat.center_height == 1)
+        target = LocalSetSpec(1, 2, ones)
+        T = realize(target, rule, win)
+        rc = 390
+        cert = replace(
+            trivial_certificate(target, win), trivial=False, l=1, p=1, q=1,
+            translators=(n, -n), piece_patterns=(ones, ones),
+            pieces_vertices=(frozenset(), frozenset()), core_radius=rc)
+        report = verify_certificate(Snapshot(win, heights, labels, 2), cert)
+        core = {t for t in T if abs(t) <= rc}
+        want = [f"vertex {T[0]!r} in pieces 0 and 1"]
+        for shift in (n, -n):
+            covered = {t + shift for t in T if abs(t + shift) <= rc}
+            extra, missing = covered - core, core - covered
+            if extra:
+                want.append(f"translated piece point "
+                            f"{min(extra, key=Z.index_of)!r} not in target "
+                            f"core")
+            elif missing:
+                want.append(f"target vertex {min(missing, key=Z.index_of)!r}"
+                            f" not covered")
+            else:
+                want.append(None)
+        assert [c.witness for c in report.clauses[1:]] == want
+        assert report.clauses[0].passed
+
+
+class TestImports:
+    def test_checking_imports_no_construction_module(self):
+        # the checker may share window enumeration and the pattern scan
+        # with construction, never a rule, channel, matcher or relabeling
+        tree = ast.parse(Path(riverscape.checking.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    imported.update(a.name.split("."))
+        forbidden = {"paradox", "landscapes", "labels", "witness", "cli"}
+        assert not imported & forbidden, imported & forbidden

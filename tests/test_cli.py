@@ -217,6 +217,39 @@ class TestCheck:
                     "--certificate", bundle_dir / "certificates.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("field,edit", [
+        ("heights", lambda doc: doc["heights"].pop()),
+        ("labels", lambda doc: doc["labels"].pop()),
+        ("labels", lambda doc: doc["labels"].__setitem__(
+            7, doc["labels"][7][:-1])),
+        ("labels", lambda doc: doc.pop("labels")),
+        ("labelPrefixLen", lambda doc: doc.pop("labelPrefixLen")),
+    ], ids=["short-heights", "short-labels", "short-label",
+            "missing-labels", "missing-prefix-len"])
+    def test_malformed_snapshot_is_input_error(self, bundle_dir, tmp_path,
+                                               capsys, field, edit):
+        doc = load_json(bundle_dir / "final_snapshot.json")
+        edit(doc)
+        bad = tmp_path / "bad_snapshot.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check", "--snapshot", bad,
+                    "--certificate", bundle_dir / "certificates.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snapshot") and repr(field) in err
+
+    def test_missing_certificate_field_is_input_error(self, bundle_dir,
+                                                      tmp_path, capsys):
+        doc = load_json(bundle_dir / "certificates.json")
+        del doc["certificates"][0]["target"]["patterns"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check",
+                    "--snapshot", bundle_dir / "final_snapshot.json",
+                    "--certificate", bad])
+        assert code == 2
+        assert "missing the field 'patterns'" in capsys.readouterr().err
+
     def test_missing_file(self, bundle_dir):
         assert run(["check", "--snapshot", "/nonexistent.json",
                     "--certificate",

@@ -157,18 +157,16 @@ class TestChannelRows:
         assert z.label(w, s) == oracle.label(w, s)
 
     @pytest.mark.parametrize("spec,radius", WINDOWS)
-    @settings(max_examples=2, deadline=None, phases=NO_SHRINK)
-    @given(data=st.data())
-    def test_rows_on_a_smaller_window_match_word_oracle(self, spec, radius,
-                                                        data):
-        # a window the rule was not compiled against is read word by word
-        writes = data.draw(channel_writes(len(window(spec, radius))))
-        z, oracle = channel_rules(spec, radius, writes)
-        small = window(spec, radius - 2)
-        s = data.draw(st.integers(1, 48))
-        labels, heights = z.window_rows(small, s)
-        assert labels == [oracle.label(w, s) for w in small.vertices]
-        assert heights == [oracle.height(w) for w in small.vertices]
+    def test_rows_on_a_foreign_window_rejected(self, spec, radius):
+        # a channel rule answers only for the window it was compiled
+        # against; there is no word-by-word fallback
+        z, _ = channel_rules(spec, radius, [{2: [0]}])
+        for rule in (z.parent, z):
+            for other in (window(spec, radius - 2), window(F2, 3)):
+                with pytest.raises(ValueError):
+                    rule.window_rows(other, 4)
+                with pytest.raises(ValueError):
+                    rule.window_heights(other)
 
 
 class TestScanAgainstTheta:
@@ -216,7 +214,7 @@ class TestScanAgainstTheta:
             trivial=False, p=1, q=len(pieces) - 1, pieces_vertices=pieces,
         )
         allocator = ChannelAllocator(floor=max(z.positions, default=0))
-        z2, cert2 = relabel(z, cert, 1, allocator, win)
+        z2, cert2 = relabel(z, cert, 1, allocator)
         written = RelabeledLandscape(oracle, dict(zip(
             cert2.channel_positions, pieces)))
         core = set(core_words(win, l))
