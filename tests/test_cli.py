@@ -84,6 +84,18 @@ class TestAmenability:
         with open(tmp_path / "defects.csv") as fh:
             assert len(list(csv.reader(fh))) == 1
 
+    def test_defects_bytes_pinned(self, tmp_path, capsys):
+        # pinned against the word-level table, so a fast path that
+        # changes a single row fails
+        code = run(["amenability", "--group", "f2", "--radius", 7,
+                    "--m-values", "5,10,20", "--out", tmp_path])
+        assert code == 0
+        assert capsys.readouterr().out == \
+            "defect rows: 17484; bound violations: 0\n"
+        data = (tmp_path / "defects.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == \
+            "ea044de987f05cdb2961d85e9664a5471ac073afe0ad25e75b8055e1e7a07c9f"
+
 
 @pytest.fixture(scope="module")
 def bundle_dir(tmp_path_factory):
