@@ -17,8 +17,7 @@ from .landscapes import (AnchorSet, AxiomReport, ComponentReport,
                          river_landscape, ternary_height, undouble_word,
                          verify_axioms)
 from .paradox import (ChannelAllocator, ChannelLandscape, DoublingSearch,
-                      PipelineResult, canonical_target_order,
-                      covering_radius, extract_pieces, find_doubling,
+                      PipelineResult, extract_pieces, find_doubling,
                       paradoxicalize_sequence, relabel, trivial_certificate)
 from .patterns import (LocalSetSpec, PatternBall, PatternReport,
                        center_height_local_set, classify_patterns,
@@ -28,9 +27,9 @@ from .snapshots import (bundle_pipeline, dump_json, load_json,
                         snapshot_landscape)
 from .witness import (CodeBlock, CodeBudgetError, CodeFormatError,
                       block_subset, decode_witness, defect, defect_bound,
-                      encode_blocks, encode_witness, kappa, parse_code,
-                      reference_radius, subset_from_index, subset_index,
-                      tree_witness_path, witness_subset_index)
+                      defect_table, encode_blocks, encode_witness, kappa,
+                      parse_code, reference_radius, subset_from_index,
+                      subset_index, tree_witness_path, witness_subset_index)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -84,15 +84,27 @@ class DoublingCertificate:
         }
 
 
+def _expect(value, kind: type, what: str):
+    """``value`` when it is a JSON object (``dict``) or array (``list``)
+    as ``kind`` asks; otherwise a ``ValueError`` naming ``what``."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise ValueError(f"{what} must be {name}, not {type(value).__name__}")
+    return value
+
+
 def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
-    """Parse a serialized certificate; a missing field, or translators
-    and pieces that do not number p + q, are a ``ValueError``."""
+    """Parse a serialized certificate; a missing or wrong-typed field, or
+    translators and pieces that do not number p + q, are a
+    ``ValueError``."""
+    _expect(obj, dict, "certificate")
     if obj.get("schema") != "riverscape.certificate/1":
         raise ValueError(
             f"unsupported certificate schema: {obj.get('schema')!r}"
         )
     try:
-        if obj["windowRef"]["group"] != spec.to_dict():
+        ref = _expect(obj["windowRef"], dict, "certificate field 'windowRef'")
+        if ref["group"] != spec.to_dict():
             raise ValueError(
                 "certificate group does not match the given group")
         cert = DoublingCertificate(
@@ -111,8 +123,8 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
                 for pats in obj["pieces"]
             ),
             channel_positions=tuple(int(c) for c in obj["channelPositions"]),
-            window_group=obj["windowRef"]["group"],
-            window_radius=int(obj["windowRef"]["radius"]),
+            window_group=ref["group"],
+            window_radius=int(ref["radius"]),
             core_radius=int(obj["coreRadius"]),
             K=int(obj.get("displacementBound", 0)),
             trivial=bool(obj.get("trivial", False)),
@@ -175,16 +187,20 @@ class Snapshot:
 
 
 def load_snapshot(obj: dict) -> Snapshot:
-    """Parse a snapshot; a missing field, or heights and labels that do
-    not fit the window and the prefix length, are a ``ValueError``
-    naming the field."""
+    """Parse a snapshot; a missing or wrong-typed field, or heights and
+    labels that do not fit the window and the prefix length, are a
+    ``ValueError`` naming the field."""
+    _expect(obj, dict, "snapshot")
     if obj.get("schema") != SNAPSHOT_SCHEMA:
         raise ValueError(f"unsupported snapshot schema: {obj.get('schema')!r}")
     try:
-        spec = GroupSpec.from_dict(obj["windowRef"]["group"])
-        radius = int(obj["windowRef"]["radius"])
+        ref = _expect(obj["windowRef"], dict, "snapshot field 'windowRef'")
+        spec = GroupSpec.from_dict(
+            _expect(ref["group"], dict, "snapshot field 'group'"))
+        radius = int(ref["radius"])
         prefix_len = int(obj["labelPrefixLen"])
-        heights, labels = obj["heights"], obj["labels"]
+        heights = _expect(obj["heights"], list, "snapshot field 'heights'")
+        labels = _expect(obj["labels"], list, "snapshot field 'labels'")
     except KeyError as exc:
         raise ValueError(
             f"snapshot is missing the field {exc.args[0]!r}") from None

@@ -7,8 +7,8 @@ Exit codes: 0 success, 1 verification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .checking import check_certificate_dict, load_snapshot
@@ -20,7 +20,7 @@ from .landscapes import (AnchorSet, FractalLandscape, RiverLandscape,
 from .paradox import paradoxicalize_sequence
 from .patterns import LocalSetSpec, center_height_local_set
 from .snapshots import bundle_pipeline, dump_json, load_json, snapshot_landscape
-from .witness import defect, defect_bound
+from .witness import defect_table
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -110,34 +110,41 @@ def cmd_build(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
+def _m_values(args) -> list[int]:
+    """The m of the defect table, ascending: --m-values, else 1..--m-max,
+    else none.  An m below 1 is an input error."""
+    if args.m_max is not None and args.m_max < 1:
+        raise InputError(f"--m-max must be >= 1, got {args.m_max}")
+    if not args.m_values:
+        return list(range(1, (args.m_max or 0) + 1))
+    m_values = sorted({int(x) for x in args.m_values.split(",") if x})
+    if m_values and m_values[0] < 1:
+        raise InputError(f"--m-values must be >= 1, got {m_values[0]}")
+    return m_values
+
+
 def cmd_amenability(args) -> int:
+    m_values = _m_values(args)
     spec = parse_group(args.group)
     z = make_landscape("river", spec, args.radius)
     window = ball(spec, args.radius, budget=args.budget_vertices)
-    if args.m_values:
-        m_values = sorted({int(x) for x in args.m_values.split(",") if x})
-    else:
-        m_values = list(range(1, args.m_max + 1))
     out = _outdir(args)
-    rows = []
+    rows = defect_table(z, window, m_values)
+    names = [" ".join(map(str, w))
+             for w in window.vertices[:window.core_size(window.radius - 1)]]
+    tails: dict = {}
     violated = 0
-    for w in window.vertices:
-        if spec.length(w) > window.radius - 1:
-            continue
-        for sigma in spec.letters():
-            for m in m_values:
-                d = defect(z, w, sigma, m)
-                bound = defect_bound(z, w, m)
-                rows.append((w, sigma, m, d, bound))
-                if d > bound:
-                    violated += 1
+    # no field needs quoting, so each line is the one csv.writer writes
     with open(out / "defects.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "generator", "m", "defect", "bound"])
-        for w, sigma, m, d, bound in rows:
-            writer.writerow(
-                [" ".join(map(str, w)), sigma, m, str(d), str(bound)]
-            )
+        fh.write("vertex,generator,m,defect,bound\r\n")
+        for i, sigma, m, d, bound in rows:
+            key = (sigma, m, d, bound)
+            tail = tails.get(key)
+            if tail is None:
+                tail = tails[key] = (f",{sigma},{m},{Fraction(d, m)},"
+                                     f"{Fraction(bound, m)}\r\n")
+            fh.write(names[i] + tail)
+            violated += d > bound
     print(f"defect rows: {len(rows)}; bound violations: {violated}")
     return EXIT_OK if violated == 0 else EXIT_VERIFY_FAIL
 
@@ -221,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("amenability", help="defect table for the river")
     common(p)
-    p.add_argument("--m-max", type=int, default=0)
+    p.add_argument("--m-max", type=int, default=None)
     p.add_argument("--m-values", default="")
     p.set_defaults(func=cmd_amenability)
 

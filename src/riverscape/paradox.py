@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .checking import (CertificateReport, DoublingCertificate, Snapshot,
                        verify_certificate)
-from .groups import Window, bfs_distances
+from .groups import Window
 from .landscapes import LandscapeRule
 from .patterns import LocalSetSpec, pattern_scan, realize
 
@@ -142,18 +142,6 @@ class ChannelAllocator:
         if positions:
             self.floor = positions[-1]
         return positions
-
-
-# ---------------------------------------------------------------------------
-# covering radius
-
-def covering_radius(T: Sequence, window: Window) -> int:
-    """Least R with a T-point within R of every window vertex (estimate)."""
-    if not T:
-        raise ValueError("empty set has no covering radius; "
-                         "empty targets take the trivial-certificate path")
-    dist = bfs_distances(window, window.indices(T))
-    return max(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +365,11 @@ def relabel(z: ChannelLandscape, cert: DoublingCertificate, m_prime: int,
             ) -> tuple[ChannelLandscape, DoublingCertificate]:
     """Write piece membership bits into fresh even channels.
 
-    Returns the new rule and the certificate completed with its pattern
-    sets, computed on the rule's window; a trivial certificate is
-    returned as it is.
+    The channels lie above ``m_prime``, the certificate's radius and the
+    target's label prefix, so the bits never change the patterns that
+    define the target.  Returns the new rule and the certificate
+    completed with its pattern sets, computed on the rule's window; a
+    trivial certificate is returned as it is.
     """
     if cert.trivial:
         return z, cert
@@ -387,7 +377,7 @@ def relabel(z: ChannelLandscape, cert: DoublingCertificate, m_prime: int,
     if allocator is None:
         allocator = ChannelAllocator()
     count = cert.p + cert.q
-    m_prime = max(m_prime, cert.m)
+    m_prime = max(m_prime, cert.m, cert.target.prefix_len)
     positions = allocator.allocate(count, above=m_prime)
     pieces = [window.indices(members) for members in cert.pieces_vertices]
     z_prime = z.with_channels(dict(zip(positions, pieces)))
@@ -430,15 +420,6 @@ class PipelineResult:
             entry.passed
             for row in self.matrix for entry in row if entry is not None
         )
-
-
-def canonical_target_order(targets: Sequence[LocalSetSpec]
-                           ) -> list[LocalSetSpec]:
-    """Order targets by radius, then by pattern-set serialization."""
-    return sorted(
-        targets,
-        key=lambda t: (t.m, sorted(p.serialize() for p in t.patterns)),
-    )
 
 
 def _verify(rule: ChannelLandscape, cert: DoublingCertificate

@@ -5,6 +5,14 @@ tree path that starts at (the preimage of) its nearest river point,
 runs to the junction with the fixed ray, and continues along the ray.
 The fixed ray is the one whose image consists of the powers (aa)^i.
 
+``kappa``, ``defect`` and ``defect_bound`` are the word-level oracles.
+The window-wide table :func:`defect_table` uses a closed form instead:
+both witness paths of a row are geodesic rays toward the same end of the
+ray, so |kappa_m(g) symdiff kappa_m(g sigma)| = 2 min(m, max(t, t')),
+where t and t' are the positions at which the two paths merge.  Those
+come from two numbers per window index, read off the step table: the
+length of the undoubled nearest river point and of its ray junction.
+
 The code serializes, per element, the index of its witness set in a
 canonical enumeration of the subsets of a reference ball, in unary
 blocks of the string 010 framed by 11.
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .groups import FreeGroup
+from .groups import FreeGroup, Window, letter_index, offset_steps
 from .landscapes import RiverLandscape, double_word, undouble_word
 from .patterns import offset_ball
 
@@ -81,6 +89,83 @@ def defect_bound(river: RiverLandscape, gamma: tuple, m: int) -> Fraction:
     """The proven ceiling 2 (H + 2) C / m at this vertex."""
     c = river.bilipschitz
     return Fraction(2 * (river.height(gamma) + 2) * c, m)
+
+
+def river_rays(window: Window) -> tuple[list[int], list[int]]:
+    """|s| and J for every window index: the length of the undoubled
+    nearest river point s, and of its ray junction (the leading run of
+    the ray letter in s).
+
+    The nearest river point of a word is its longest prefix of equal
+    letter pairs, so both numbers follow from the word's parent in the
+    step table: the paired prefix grows only when the last letter
+    repeats the one letter the parent leaves unpaired, and the ray run
+    only when a word spelled by the ray letter gets one more.
+    """
+    n = len(window)
+    ray = letter_index(RAY_LETTER)
+    size, last = [0] * n, [-1] * n
+    paired, run = [0] * n, [0] * n
+    for j, (p, a) in enumerate(offset_steps(window.step, window.spec.degree,
+                                            n), 1):
+        k = size[p]
+        size[j], last[j] = k + 1, a
+        paired[j] = k + 1 if paired[p] == k - 1 and last[p] == a \
+            else paired[p]
+        run[j] = k + 1 if run[p] == k and a == ray else run[p]
+    # paired prefixes have even length, and so does a ray run inside one
+    return ([q // 2 for q in paired],
+            [min(r, q) // 2 for r, q in zip(run, paired)])
+
+
+def merge_positions(n: int, j: int, n2: int, j2: int,
+                    c: int) -> tuple[int, int]:
+    """The positions (t, t') at which the witness paths of tree vertices
+    s and s' merge, so that |path_m(s) symdiff path_m(s')| is
+    2 min(m, max(t, t')).
+
+    ``n`` and ``n2`` are |s| and |s'|, ``j`` and ``j2`` their ray
+    junctions, ``c`` the length of their common prefix.  Both paths are
+    geodesic rays toward the end of the ray.  When the common prefix
+    reaches both junctions the paths merge there; otherwise they merge
+    on the ray, at a^max(j, j2).
+    """
+    top = max(j, j2)
+    if c >= top:
+        return n - c, n2 - c
+    return n - 2 * j + top, n2 - 2 * j2 + top
+
+
+def defect_table(river: RiverLandscape, window: Window,
+                 m_values: list[int]
+                 ) -> list[tuple[int, int, int, int, int]]:
+    """Rows (i, sigma, m, d, b) for every core vertex i (word length at
+    most R - 1), letter sigma and m, in that nesting order: the defect
+    is d / m and its ceiling b / m, exactly :func:`defect` and
+    :func:`defect_bound` at window word i.
+
+    One merge computation per (i, sigma) serves every m.  The nearest
+    river points s and s' are nested, each a prefix of the longer of
+    gamma and gamma sigma, so their common prefix is the shorter one.
+    """
+    if any(m < 1 for m in m_values):
+        raise ValueError("m must be >= 1")
+    size, junction = river_rays(window)
+    heights = river.window_heights(window)
+    step, letters = window.step, window.spec.letters()
+    d = len(letters)
+    ceiling = 2 * river.bilipschitz
+    rows = []
+    for i in range(window.core_size(window.radius - 1)):
+        n, j = size[i], junction[i]
+        bound = ceiling * (heights[i] + 2)
+        for a, sigma in enumerate(letters):
+            k = step[i * d + a]
+            merge = max(merge_positions(n, j, size[k], junction[k],
+                                        min(n, size[k])))
+            rows.extend((i, sigma, m, 2 * min(m, merge), bound)
+                        for m in m_values)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,14 @@ import json
 
 import pytest
 
-from riverscape import checking
+from riverscape import (ChannelLandscape, FreeGroup, ball, checking,
+                        river_landscape)
 from riverscape.cli import main
+from riverscape.patterns import center_height_local_set
 from riverscape.snapshots import load_json
+
+
+F2 = FreeGroup(2)
 
 
 def run(argv):
@@ -84,6 +89,18 @@ class TestAmenability:
         with open(tmp_path / "defects.csv") as fh:
             assert len(list(csv.reader(fh))) == 1
 
+    @pytest.mark.parametrize("option,value", [
+        ("--m-values", "0,2"), ("--m-values", "-1"), ("--m-max", "0"),
+    ])
+    def test_m_below_one_rejected_up_front(self, tmp_path, capsys, option,
+                                           value):
+        out = tmp_path / "out"
+        code = run(["amenability", "--group", "f2", "--radius", 4,
+                    option, value, "--out", out])
+        assert code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (out / "defects.csv").exists()
+
     def test_defects_bytes_pinned(self, tmp_path, capsys):
         # pinned against the word-level table, so a fast path that
         # changes a single row fails
@@ -129,6 +146,26 @@ class TestParadoxicalize:
         code = run(["paradoxicalize", "--group", "f2", "--radius", 8,
                     "--targets", targets_file, "--out", tmp_path])
         assert code == 0
+
+    def test_channels_clear_a_long_target_prefix(self, tmp_path, capsys):
+        # a target that reads 30 label bits at radius 1: channels written
+        # inside those bits would change the patterns that define it
+        win = ball(F2, 6)
+        target = center_height_local_set(
+            ChannelLandscape(river_landscape(F2), win), win, 1, {1},
+            prefix_len=30)
+        assert len(target.patterns) == 5
+        targets_file = tmp_path / "targets.json"
+        targets_file.write_text(json.dumps([target.to_dict()]))
+        code = run(["paradoxicalize", "--group", "f2", "--radius", 6,
+                    "--targets", targets_file, "--out", tmp_path])
+        assert code == 0
+        assert "certificate 0: pass" in capsys.readouterr().out
+        cert = load_json(tmp_path / "certificates.json")["certificates"][0]
+        assert min(cert["channelPositions"]) > 30
+        assert run(["check",
+                    "--snapshot", tmp_path / "final_snapshot.json",
+                    "--certificate", tmp_path / "certificates.json"]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +298,29 @@ class TestCheck:
                     "--certificate", bad])
         assert code == 2
         assert "missing the field 'patterns'" in capsys.readouterr().err
+
+    def test_certificate_of_the_wrong_type_is_input_error(
+            self, bundle_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1]")
+        code = run(["check",
+                    "--snapshot", bundle_dir / "final_snapshot.json",
+                    "--certificate", bad])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: certificate must be an object, not int\n"
+
+    def test_window_ref_of_the_wrong_type_is_input_error(
+            self, bundle_dir, tmp_path, capsys):
+        doc = load_json(bundle_dir / "final_snapshot.json")
+        doc["windowRef"] = [doc["windowRef"]]
+        bad = tmp_path / "bad_snapshot.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check", "--snapshot", bad,
+                    "--certificate", bundle_dir / "certificates.json"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: snapshot field 'windowRef' must be an object, not list\n"
 
     def test_missing_file(self, bundle_dir):
         assert run(["check", "--snapshot", "/nonexistent.json",

@@ -5,8 +5,7 @@ import pytest
 
 from riverscape import (ChannelAllocator, ChannelLandscape, FreeGroup,
                         IntegerGroup, LocalSetSpec, PatternBall, Snapshot,
-                        ball, canonical_target_order, certificate_from_dict,
-                        covering_radius, find_doubling,
+                        ball, certificate_from_dict, find_doubling,
                         paradoxicalize_sequence, project_even, project_odd,
                         river_landscape, trivial_certificate,
                         verify_certificate)
@@ -97,21 +96,6 @@ class TestChannels:
         second = alloc.allocate(2, above=1)
         assert second == (12, 14)
         assert alloc.floor == 14
-
-
-class TestCoveringRadius:
-    def test_identity_alone(self):
-        win = ball(Z, 10)
-        assert covering_radius([0], win) == 10
-
-    def test_two_points(self):
-        win = ball(Z, 10)
-        assert covering_radius([-10, 10], win) == 10
-        assert covering_radius(list(range(-10, 11)), win) == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            covering_radius([], ball(Z, 2))
 
 
 class TestMatcher:
@@ -317,8 +301,3 @@ class TestDeterminism:
         assert hashlib.sha256(data).hexdigest() == (
             "00af71adf322a78ff30e54a74ef2142158e603064df5fd1eea585293b9bd36e3"
         )
-
-    def test_canonical_target_order(self, river, win8):
-        t1 = center_height_local_set(river, win8, 1, {1}, prefix_len=1)
-        t2 = center_height_local_set(river, win8, 2, {1})
-        assert canonical_target_order([t2, t1]) == [t1, t2]

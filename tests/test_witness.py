@@ -1,17 +1,20 @@
 import pytest
 from fractions import Fraction
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from riverscape import (CodeBlock, CodeBudgetError, CodeFormatError,
                         FreeGroup, ball, block_subset, decode_witness, defect,
                         defect_bound, double_word, encode_blocks,
                         encode_witness, kappa, offset_ball,
-                        parse_code, reference_radius, subset_from_index,
-                        subset_index, tree_witness_path,
-                        witness_subset_index)
+                        parse_code, reference_radius, river_landscape,
+                        subset_from_index, subset_index, tree_witness_path,
+                        undouble_word, witness_subset_index)
+from riverscape.witness import defect_table, merge_positions, river_rays
 
 F2 = FreeGroup(2)
+F3 = FreeGroup(3)
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 class TestTreePath:
@@ -105,6 +108,80 @@ class TestDefect:
         g = (1, 2)
         assert defect_bound(river, g, 10) \
             == Fraction(2 * (river.height(g) + 2) * 2, 10)
+
+
+def assert_table_matches_oracle(spec, radius, m_values):
+    """Every row of the closed-form table equals the word-level defect
+    and ceiling, and the rows come in (vertex, letter, m) order."""
+    river = river_landscape(spec)
+    win = ball(spec, radius)
+    rows = defect_table(river, win, m_values)
+    assert [row[:3] for row in rows] == [
+        (i, sigma, m)
+        for i in range(win.core_size(radius - 1))
+        for sigma in spec.letters()
+        for m in m_values
+    ]
+    for i, sigma, m, d, b in rows:
+        g = win.vertices[i]
+        assert Fraction(d, m) == defect(river, g, sigma, m), (g, sigma, m)
+        assert Fraction(b, m) == defect_bound(river, g, m), (g, m)
+
+
+def ray_junction(s):
+    j = 0
+    while j < len(s) and s[j] == 1:
+        j += 1
+    return j
+
+
+def common_prefix(s, t):
+    c = 0
+    while c < min(len(s), len(t)) and s[c] == t[c]:
+        c += 1
+    return c
+
+
+class TestDefectTable:
+    def test_merge_positions_on_every_pair(self):
+        # any two tree vertices, not only the nested pairs of neighbours
+        # the table meets: their paths can merge on the ray below a
+        # common prefix that stops short of a junction
+        tree = ball(F2, 4).vertices
+        for s in tree:
+            for s2 in tree:
+                t, t2 = merge_positions(len(s), ray_junction(s), len(s2),
+                                        ray_junction(s2),
+                                        common_prefix(s, s2))
+                for m in (1, 2, 3, 5, 9):
+                    sym = set(tree_witness_path(s, m)) \
+                        ^ set(tree_witness_path(s2, m))
+                    assert len(sym) == 2 * min(m, max(t, t2)), (s, s2, m)
+
+    @pytest.mark.parametrize("spec,radius", [(F2, 6), (F3, 4)])
+    def test_river_rays_against_words(self, spec, radius):
+        river = river_landscape(spec)
+        win = ball(spec, radius)
+        size, junction = river_rays(win)
+        for w, n, j in zip(win.vertices, size, junction):
+            s = undouble_word(river.nearest_river(w))
+            assert n == len(s)
+            assert s[:j] == (1,) * j and s[j:j + 1] != (1,)
+
+    @pytest.mark.parametrize("spec,radius", [(F2, 7), (F3, 5)])
+    def test_every_row_against_the_oracle(self, spec, radius):
+        assert_table_matches_oracle(spec, radius, list(range(1, 13)))
+
+    @settings(max_examples=6, deadline=None, phases=NO_SHRINK)
+    @given(spec=st.sampled_from([F2, F3]), radius=st.integers(0, 5),
+           m_values=st.lists(st.integers(1, 25), min_size=1, max_size=4,
+                             unique=True))
+    def test_drawn_windows_against_the_oracle(self, spec, radius, m_values):
+        assert_table_matches_oracle(spec, radius, m_values)
+
+    def test_m_below_one_rejected(self, river):
+        with pytest.raises(ValueError):
+            defect_table(river, ball(F2, 3), [2, 0])
 
 
 class TestSubsetEnumeration:
