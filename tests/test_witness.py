@@ -144,9 +144,8 @@ def common_prefix(s, t):
 
 class TestDefectTable:
     def test_merge_positions_on_every_pair(self):
-        # any two tree vertices, not only the nested pairs of neighbours
-        # the table meets: their paths can merge on the ray below a
-        # common prefix that stops short of a junction
+        # any two tree vertices: the nested pairs of neighbours that the
+        # table meets never take the branch that merges on the ray
         tree = ball(F2, 4).vertices
         for s in tree:
             for s2 in tree:
