@@ -6,7 +6,7 @@ window, and reports sublevel-component sizes (the hilly certificate).
 """
 
 from riverscape import (AnchorSet, FractalLandscape, FreeGroup,
-                        IntegerGroup, ball, components_leq, river_landscape,
+                        IntegerGroup, RiverLandscape, ball, components_leq,
                         ternary_height, verify_axioms)
 
 
@@ -31,7 +31,7 @@ def main():
               f"max interior size {comp.max_interior_size}")
 
     f2 = FreeGroup(2)
-    river = river_landscape(f2)
+    river = RiverLandscape(f2)
     win8 = ball(f2, 8)
     report = verify_axioms(river, win8)
     print(f"\nriver on B_8(F2): axioms pass = {report.passed}")

@@ -7,14 +7,14 @@ round-trips a witness set through the unary 11/010 code.
 
 from fractions import Fraction
 
-from riverscape import (FreeGroup, ball, block_subset, decode_witness,
-                        defect, defect_bound, encode_witness, kappa,
-                        river_landscape)
+from riverscape import (FreeGroup, RiverLandscape, ball, block_subset,
+                        decode_witness, defect, defect_bound, encode_witness,
+                        kappa)
 
 
 def main():
     f2 = FreeGroup(2)
-    river = river_landscape(f2)
+    river = RiverLandscape(f2)
 
     print("kappa_3(e):", kappa(river, (), 3))
     g = (1, 2)

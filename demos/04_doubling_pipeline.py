@@ -6,7 +6,7 @@ and replays every certificate against the final snapshot, loaded once,
 through the same verifier the pipeline runs on its own rows.
 """
 
-from riverscape import FreeGroup, ball, paradoxicalize_sequence, river_landscape
+from riverscape import FreeGroup, RiverLandscape, ball, paradoxicalize_sequence
 from riverscape.checking import check_certificate_dict, load_snapshot
 from riverscape.patterns import center_height_local_set
 from riverscape.snapshots import bundle_pipeline
@@ -21,7 +21,7 @@ def height_target(heights):
 def main():
     f2 = FreeGroup(2)
     win = ball(f2, 8)
-    river = river_landscape(f2)
+    river = RiverLandscape(f2)
 
     result = paradoxicalize_sequence(
         river, [height_target({1}), height_target({2})], win

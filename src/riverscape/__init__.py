@@ -8,19 +8,16 @@ from .checking import (CertificateReport, ClauseResult, DoublingCertificate,
                        verify_certificate)
 from .groups import (BudgetExceededError, FreeGroup, GroupSpec, IntegerGroup,
                      Window, ball, bfs_distances)
-from .labels import (GreedyColoring, ProperLabelRule,
-                     interleave, project_even, project_odd, separation_index)
+from .labels import GreedyColoring, ProperLabelRule, separation_index
 from .landscapes import (AnchorSet, AxiomReport, ComponentReport,
                          FractalLandscape, LandscapeRule, RiverLandscape,
                          StructureConstants, TernaryLandscape, components_leq,
-                         double_word, fractal_landscape, is_ternary,
-                         river_landscape, ternary_height, undouble_word,
-                         verify_axioms)
+                         double_word, is_ternary, ternary_height,
+                         undouble_word, verify_axioms)
 from .paradox import (ChannelAllocator, ChannelLandscape, DoublingSearch,
                       PipelineResult, extract_pieces, find_doubling,
                       paradoxicalize_sequence, relabel, trivial_certificate)
-from .patterns import (LocalSetSpec, PatternBall, PatternReport,
-                       center_height_local_set, classify_patterns,
+from .patterns import (LocalSetSpec, PatternBall, center_height_local_set,
                        observed_patterns, offset_ball, pattern_scan, realize,
                        theta)
 from .snapshots import (bundle_pipeline, dump_json, load_json,

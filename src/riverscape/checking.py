@@ -18,7 +18,9 @@ sets read off the scan, "inside the core of radius r" is an index below
 letters on the window's step table.  A step that leaves the window
 means the translate lies outside it, hence outside the core, because
 balls in trees and on the line are convex.  Words appear only in the
-witness strings, and a witness names the enumeration-least offender.
+witness strings, built from the window's word view when a clause
+fails, and a witness names the enumeration-least offender; a passing
+check builds no word.
 """
 
 from __future__ import annotations
@@ -256,7 +258,6 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
             f"certificate core radius {cert.core_radius} exceeds its "
             f"window radius {window.radius}"
         )
-    words = window.vertices
     target = cert.target
     ids, patterns = pattern_scan(snapshot.rows(target.prefix_len), window,
                                  target.m, target.prefix_len)
@@ -272,7 +273,8 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
 
     # clause 1: pieces inside the target set
     in_T = set(T)
-    witness = next((f"piece {i} vertex {words[y]!r} outside target"
+    witness = next((f"piece {i} vertex {window.vertices[y]!r} "
+                    f"outside target"
                     for i, members in enumerate(pieces)
                     for y in members if y not in in_T), None)
     clauses.append(ClauseResult("pieces-contained", witness is None, witness))
@@ -283,7 +285,8 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
     for i, members in enumerate(pieces):
         for y in members:
             if y in seen:
-                witness = f"vertex {words[y]!r} in pieces {seen[y]} and {i}"
+                witness = (f"vertex {window.vertices[y]!r} in pieces "
+                           f"{seen[y]} and {i}")
                 break
             seen[y] = i
         if witness:
@@ -306,10 +309,11 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
         extra = covered - T_core
         missing = T_core - covered
         if extra:
-            witness = (f"translated piece point {words[min(extra)]!r} "
-                       f"not in target core")
+            witness = (f"translated piece point "
+                       f"{window.vertices[min(extra)]!r} not in target core")
         elif missing:
-            witness = f"target vertex {words[min(missing)]!r} not covered"
+            witness = (f"target vertex {window.vertices[min(missing)]!r} "
+                       f"not covered")
         clauses.append(ClauseResult(name, witness is None, witness))
 
     passed = all(c.passed for c in clauses)

@@ -9,6 +9,11 @@ never leak.
 Enumeration order is the global convention used everywhere for
 tie-breaking and serialization: words sorted by length, then
 lexicographically by letter, with letter order ``+1 < -1 < +2 < -2 < ...``.
+
+A window B_R(G, e) is its step table: vertex ids are enumeration
+indices, and a neighbour is one table read.  Words are a view built on
+first use, for printing and for the word-level oracles; a word is
+ranked arithmetically (``index_of``), never through a lookup table.
 """
 
 from __future__ import annotations
@@ -111,9 +116,6 @@ class GroupSpec:
     def ball_words(self, radius: int, step: array) -> list:
         """The words of B_radius(e) in index order, read off its step
         table."""
-        raise NotImplementedError
-
-    def word_to_json(self, u):
         raise NotImplementedError
 
     def word_from_json(self, obj):
@@ -259,9 +261,6 @@ class FreeGroup(GroupSpec):
                     words[c] = w + (letters[a],)
         return words
 
-    def word_to_json(self, u: tuple[int, ...]) -> list[int]:
-        return list(u)
-
     def word_from_json(self, obj) -> tuple[int, ...]:
         return self.reduce(int(x) for x in obj)
 
@@ -329,10 +328,6 @@ class IntegerGroup(GroupSpec):
     def ball_words(self, radius: int, step: array) -> list:
         return [0] + [u for n in range(1, radius + 1) for u in (n, -n)]
 
-    def word_to_json(self, u: int) -> list[int]:
-        # a^n is serialized as its signed count, not n unit letters
-        return [u] if u != 0 else []
-
     def word_from_json(self, obj) -> int:
         if not obj:
             return 0
@@ -362,49 +357,47 @@ def offset_steps(step: array, degree: int, count: int
 
 @dataclass(frozen=True)
 class Window:
-    """The ball B_R(G, e) with its induced adjacency.
+    """The ball B_R(G, e) as its step table.
 
-    ``vertices`` is in enumeration order with vertex 0 the identity;
-    ``adjacency[i]`` lists neighbor indices in letter order.  A window is
-    determined by its group and radius, so code that must know whether
-    two windows agree compares ``(spec, radius)``.
+    Vertices are the indices 0 .. len - 1 in enumeration order, vertex 0
+    the identity; the neighbours of vertex i are the non-negative
+    entries of ``step[i * degree:(i + 1) * degree]``, in letter order
+    (:meth:`letter_columns` splits them by letter).  The words are a view built on first use, for the places that print
+    or multiply words.  A window is determined by its group and radius,
+    so code that must know whether two windows agree compares
+    ``(spec, radius)``.
     """
 
     spec: GroupSpec
     radius: int
-    vertices: tuple
-    adjacency: tuple[tuple[int, ...], ...]
-    index: dict = field(repr=False, compare=False, hash=False, default=None)
+    step: array = field(repr=False, compare=False)
     _offset_tables: dict = field(init=False, repr=False, compare=False,
                                  hash=False, default_factory=dict)
 
-    def __post_init__(self):
-        if self.index is None:
-            object.__setattr__(
-                self, "index", {w: i for i, w in enumerate(self.vertices)}
-            )
-
     def __len__(self) -> int:
-        return len(self.vertices)
+        return self.spec.ball_size(self.radius)
 
     @cached_property
-    def step(self) -> array:
-        """The window's step table (:meth:`GroupSpec.step_table`)."""
-        return self.spec.step_table(self.radius)
+    def vertices(self) -> tuple:
+        """The words of the window, in index order."""
+        return tuple(self.spec.ball_words(self.radius, self.step))
 
-    def contains(self, word) -> bool:
-        return word in self.index
+    def letter_columns(self) -> list[array]:
+        """The step table split by letter: ``columns[a][i]`` is the
+        neighbour of vertex i by the letter with index a, or -1.  Graph
+        walks read a column per letter rather than computing the flat
+        position ``i * degree + a`` for every read."""
+        d = self.spec.degree
+        return [self.step[a::d] for a in range(d)]
 
-    def indices(self, words) -> list[int]:
-        """The window indices of ``words``; a word outside the window is
-        a ``ValueError``."""
-        index = self.index
-        try:
-            return [index[w] for w in words]
-        except KeyError as exc:
-            raise ValueError(
-                f"word {exc.args[0]!r} outside the window"
-            ) from None
+    def index_of(self, word) -> int:
+        """The window index of ``word``; a word outside the window, or
+        not in normal form, is a ``ValueError``."""
+        spec = self.spec
+        if spec.length(word) > self.radius or \
+                spec.reduce(spec.word_letters(word)) != word:
+            raise ValueError(f"word {word!r} outside the window")
+        return spec.index_of(word)
 
     def core_size(self, core_radius: int) -> int:
         """The number of vertices with word length <= core_radius: they
@@ -440,74 +433,41 @@ class Window:
             self._offset_tables[m] = tables
         return tables
 
-    def to_dict(self) -> dict:
-        spec = self.spec
-        return {
-            "schema": "riverscape.window/1",
-            "group": spec.to_dict(),
-            "radius": self.radius,
-            "vertices": [spec.word_to_json(w) for w in self.vertices],
-            "adjacency": [list(row) for row in self.adjacency],
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "Window":
-        if obj.get("schema") != "riverscape.window/1":
-            raise ValueError(f"unsupported window schema: {obj.get('schema')!r}")
-        spec = GroupSpec.from_dict(obj["group"])
-        vertices = tuple(spec.word_from_json(v) for v in obj["vertices"])
-        adjacency = tuple(tuple(row) for row in obj["adjacency"])
-        return Window(spec, int(obj["radius"]), vertices, adjacency)
-
 
 def ball(spec: GroupSpec, radius: int,
          budget: int = DEFAULT_VERTEX_BUDGET) -> Window:
-    """Enumerate B_radius(G, e) in the deterministic order.
+    """B_radius(G, e) in the deterministic order, as its step table.
 
-    The words and the adjacency are read off the step table.  Raises
-    :class:`BudgetExceededError` before materializing anything when the
-    ball holds more than ``budget`` vertices.
+    Raises :class:`BudgetExceededError` before building anything when
+    the ball holds more than ``budget`` vertices.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    n = spec.ball_size(radius)
-    if n > budget:
+    if spec.ball_size(radius) > budget:
         raise BudgetExceededError(
             f"ball of radius {radius} exceeds vertex budget {budget}"
         )
-    step = spec.step_table(radius)
-    d = spec.degree
-    vertices = tuple(spec.ball_words(radius, step))
-    # one int object per index, shared by the index and every adjacency
-    # row (reading the table makes a new object per entry)
-    ids = list(range(n))
-    at = ids.__getitem__
-    adjacency = tuple(
-        tuple([at(j) for j in step[i * d:i * d + d] if j >= 0])
-        for i in range(n)
-    )
-    window = Window(spec, radius, vertices, adjacency,
-                    dict(zip(vertices, ids)))
-    window.__dict__["step"] = step  # seeds the cached property
-    return window
+    return Window(spec, radius, spec.step_table(radius))
 
 
 def bfs_distances(window: Window, sources: Sequence[int]) -> list[int]:
     """Graph distances from a source set inside the window (-1 = unreached)."""
-    dist = [-1] * len(window.vertices)
+    dist = [-1] * len(window)
+    columns = window.letter_columns()
     frontier = []
     for s in sources:
         if dist[s] == -1:
             dist[s] = 0
             frontier.append(s)
-    d = 0
+    k = 0
     while frontier:
-        d += 1
+        k += 1
         nxt = []
         for i in frontier:
-            for j in window.adjacency[i]:
-                if dist[j] == -1:
-                    dist[j] = d
+            for column in columns:
+                j = column[i]
+                if j >= 0 and dist[j] == -1:
+                    dist[j] = k
                     nxt.append(j)
         frontier = nxt
     return dist

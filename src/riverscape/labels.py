@@ -28,23 +28,6 @@ from typing import Optional
 from .groups import GroupSpec, Window, offset_steps
 
 
-def interleave(u: str, v: str) -> str:
-    """Alternating merge u1 v1 u2 v2 ... of two equal-length bit strings."""
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return "".join(a + b for a, b in zip(u, v))
-
-
-def project_odd(w: str) -> str:
-    """The odd-position (1-based) subsequence."""
-    return w[::2]
-
-
-def project_even(w: str) -> str:
-    """The even-position (1-based) subsequence."""
-    return w[1::2]
-
-
 def separation_index(spec: GroupSpec, r: int) -> int:
     """Prefix length S_r after which words at distance <= r are separated."""
     if r < 0:

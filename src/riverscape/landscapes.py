@@ -12,12 +12,12 @@ Three height rules are shipped:
 Heights are read once per window: ``LandscapeRule.window_heights``
 returns every window vertex's height in window order, computed once per
 (group, radius) and kept by the rule, and every window-wide reader
-(``window_rows``, the axioms, the components, the channel rule, pattern
-classification) goes through it.  The ternary rule paints its heights
-instead of evaluating each integer: height 1 on the ternary n in
-0..R, then for k = 1, 2, ... height 1 + k on every unpainted n within
-10^k of a ternary multiple of 10^k, spread to the window indices of n
-and -n.  ``height`` and ``label`` stay as the word-level oracles.
+(``window_rows``, the axioms, the components, the channel rule) goes
+through it.  The ternary rule paints its heights instead of evaluating
+each integer: height 1 on the ternary n in 0..R, then for k = 1, 2, ...
+height 1 + k on every unpainted n within 10^k of a ternary multiple of
+10^k, spread to the window indices of n and -n.  ``height`` and
+``label`` stay as the word-level oracles.
 
 ``verify_axioms`` certifies the four landscape axioms on a window and
 reports the empirical structure constants; ``components_leq`` measures
@@ -272,36 +272,20 @@ class RiverLandscape(LandscapeRule):
         return len(word) % 2 == 0 and _paired_prefix_len(word) == len(word)
 
     def dist_to_river(self, word: tuple) -> int:
-        paired = _paired_prefix_len(word)
-        gate_len = min(paired + 1, len(word))
-        return (len(word) - gate_len) + (gate_len % 2)
+        return len(word) - _paired_prefix_len(word)
 
     def height(self, word: tuple) -> int:
         return self.dist_to_river(word) + 1
 
     def nearest_river(self, word: tuple) -> tuple:
-        """The nearest river point, enumeration-least on ties."""
-        paired = _paired_prefix_len(word)
-        if paired == len(word):
-            return word
-        gate = word[: paired + 1]
-        if len(gate) % 2 == 0:
-            return gate
-        # the gate has an odd tail: its river neighbors are gate[:-1] and
-        # gate + tail; the shorter one is enumeration-least
-        return gate[:-1]
+        """The nearest river point, enumeration-least on ties.
 
-    def river_points(self, window: Window) -> list[tuple]:
-        """River points inside the window, in enumeration order."""
-        return [w for w in window.vertices if self.is_river(w)]
-
-
-def river_landscape(spec: Optional[FreeGroup] = None) -> RiverLandscape:
-    return RiverLandscape(spec)
-
-
-def fractal_landscape(spec: GroupSpec, anchors: AnchorSet) -> FractalLandscape:
-    return FractalLandscape(spec, anchors)
+        Off the river the geodesic to it leaves through the gate, the
+        paired prefix plus one letter; the gate's river neighbours are
+        the paired prefix and the paired prefix with that letter
+        doubled, and the shorter one is enumeration-least.
+        """
+        return word[:_paired_prefix_len(word)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +350,7 @@ def verify_axioms(z: LandscapeRule, window: Window,
             )
 
     # axiom 1: slope <= 1 across every window edge
-    for i, row in enumerate(window.adjacency):
+    for i, row in enumerate(zip(*window.letter_columns())):
         for j in row:
             if j > i and abs(heights[i] - heights[j]) > 1:
                 violations.append(
@@ -405,7 +389,7 @@ def verify_axioms(z: LandscapeRule, window: Window,
                 else:
                     uncertified += 1
                     break
-        if l_cap < 1 and len(h1) > 0 and len(window.vertices) > 1:
+        if l_cap < 1 and len(h1) > 0 and len(window) > 1:
             violations.append("axiom 3: fewer than two height-1 vertices")
 
     # axiom 4: visibility of high ground
@@ -451,7 +435,8 @@ def components_leq(z: LandscapeRule, window: Window, n: int) -> ComponentReport:
     # the boundary sphere is the last block of indices
     boundary = window.core_size(window.radius - 1)
     member = [h <= n for h in z.window_heights(window)]
-    seen = [False] * len(window.vertices)
+    seen = [False] * len(window)
+    columns = window.letter_columns()
     sizes: list[int] = []
     interior_sizes: list[int] = []
     truncated = 0
@@ -465,8 +450,9 @@ def components_leq(z: LandscapeRule, window: Window, n: int) -> ComponentReport:
         while head < len(comp):
             i = comp[head]
             head += 1
-            for j in window.adjacency[i]:
-                if member[j] and not seen[j]:
+            for column in columns:
+                j = column[i]
+                if j >= 0 and member[j] and not seen[j]:
                     seen[j] = True
                     comp.append(j)
                     if j >= boundary:

@@ -8,6 +8,11 @@ the two covering identities exactly on a stated core.  Certificates
 survive later steps because every later relabeling only touches even
 positions above the earlier prefix ceiling.
 
+The flow runs on window indices: the realization, the matching, the
+maps and the pieces are index sets, and a translator is read off the
+offset table that matched a pair, as the inverse of that offset.  Words
+appear only as translators.
+
 One :class:`ChannelLandscape` per pipeline carries the labels: the base
 labels spread to odd positions, read from the colour arrays as one row
 per window vertex, and a channel write sets bits in the rows of a new
@@ -122,10 +127,10 @@ class ChannelLandscape(LandscapeRule):
         return self.label_rows(s), self.heights
 
     def height(self, word) -> int:
-        return self.heights[self.window.indices([word])[0]]
+        return self.heights[self.window.index_of(word)]
 
     def label(self, word, s: int) -> str:
-        return self.label_rows(s)[self.window.indices([word])[0]]
+        return self.label_rows(s)[self.window.index_of(word)]
 
 
 class ChannelAllocator:
@@ -227,20 +232,21 @@ class DoublingSearch:
     trivial: bool
     K: int
     core_radius: int
-    phi: dict
-    psi: dict
+    phi: dict[int, int]
+    psi: dict[int, int]
     matched_fraction: float
     attempts: list[tuple[int, float]] = field(default_factory=list)
 
 
-def find_doubling(T: Sequence, window: Window, K_start: int = 2,
+def find_doubling(T: Sequence[int], window: Window, K_start: int = 2,
                   k_ceiling: int = 8) -> DoublingSearch:
     """Sweep displacement bounds until a saturating doubling is matched.
 
-    Never claims non-existence: an exhausted sweep reports the largest
-    matched fraction and leaves the question open.  The candidates of a
-    vertex are read off the window's offset tables of B_(K-1), in
-    enumeration order of the offsets.
+    ``T`` holds window indices, ascending; ``phi`` and ``psi`` map each
+    core index of T to an index of T.  Never claims non-existence: an
+    exhausted sweep reports the largest matched fraction and leaves the
+    question open.  The candidates of a vertex are read off the window's
+    offset tables of B_(K-1), in enumeration order of the offsets.
     """
     R = window.radius
     if not T:
@@ -248,9 +254,11 @@ def find_doubling(T: Sequence, window: Window, K_start: int = 2,
             saturated=True, trivial=True, K=0, core_radius=R,
             phi={}, psi={}, matched_fraction=1.0,
         )
-    right = sorted(window.indices(T))
+    right = list(T)
+    if right[0] < 0 or right[-1] >= len(window):
+        raise ValueError(f"vertices {right[0]}..{right[-1]} outside the "
+                         f"window of {len(window)} vertices")
     right_pos = {t: j for j, t in enumerate(right)}
-    words = window.vertices
     best_fraction = 0.0
     attempts: list[tuple[int, float]] = []
     for K in range(K_start, k_ceiling + 1):
@@ -271,14 +279,9 @@ def find_doubling(T: Sequence, window: Window, K_start: int = 2,
         best_fraction = max(best_fraction, fraction)
         if size == 2 * len(core):
             match = matcher.match_left
-            phi = {
-                words[x]: words[right[match[i]]]
-                for i, x in enumerate(core)
-            }
-            psi = {
-                words[x]: words[right[match[len(core) + i]]]
-                for i, x in enumerate(core)
-            }
+            phi = {x: right[match[i]] for i, x in enumerate(core)}
+            psi = {x: right[match[len(core) + i]]
+                   for i, x in enumerate(core)}
             return DoublingSearch(
                 saturated=True, trivial=False, K=K, core_radius=R - K,
                 phi=phi, psi=psi, matched_fraction=1.0, attempts=attempts,
@@ -317,19 +320,27 @@ def trivial_certificate(target: LocalSetSpec, window: Window
 
 def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
                    window: Window) -> DoublingCertificate:
-    """Group the doubling images by translator into disjoint pieces."""
+    """Group the doubling images by translator into disjoint pieces.
+
+    The image y of x is x times an offset of B_(K-1), found on the
+    window's offset tables, so y's translator (y^-1 x) is that offset's
+    inverse; the pieces hold window indices.
+    """
     if not search.saturated:
         raise ValueError("cannot extract pieces from an unsaturated search")
     if search.trivial:
         return trivial_certificate(target, window)
     spec = window.spec
+    tables = window.offset_tables(search.K - 1)
+    # offset j of B_(K-1) is window word j
+    inverses = [spec.inverse(delta) for delta in window.vertices[:len(tables)]]
     phi_pieces: dict = {}
     psi_pieces: dict = {}
     for assignment, pieces in ((search.phi, phi_pieces),
                                (search.psi, psi_pieces)):
         for x, y in assignment.items():
-            g = spec.mul(spec.inverse(y), x)
-            pieces.setdefault(g, set()).add(y)
+            j = next(j for j, table in enumerate(tables) if table[x] == y)
+            pieces.setdefault(inverses[j], set()).add(y)
     phi_translators = sorted(phi_pieces, key=spec.sort_key)
     psi_translators = sorted(psi_pieces, key=spec.sort_key)
     translators = tuple(phi_translators + psi_translators)
@@ -379,8 +390,7 @@ def relabel(z: ChannelLandscape, cert: DoublingCertificate, m_prime: int,
     count = cert.p + cert.q
     m_prime = max(m_prime, cert.m, cert.target.prefix_len)
     positions = allocator.allocate(count, above=m_prime)
-    pieces = [window.indices(members) for members in cert.pieces_vertices]
-    z_prime = z.with_channels(dict(zip(positions, pieces)))
+    z_prime = z.with_channels(dict(zip(positions, cert.pieces_vertices)))
     prefix_len = positions[-1]
     allocator.floor = max(allocator.floor, prefix_len)
     ids, patterns = pattern_scan(z_prime.window_rows(window, prefix_len),
@@ -388,7 +398,7 @@ def relabel(z: ChannelLandscape, cert: DoublingCertificate, m_prime: int,
     n_core = len(ids)
     piece_patterns = [
         frozenset(patterns[ids[i]] for i in members if i < n_core)
-        for members in pieces
+        for members in cert.pieces_vertices
     ]
     cert_prime = replace(
         cert,

@@ -1,4 +1,4 @@
-"""Labeled pattern balls, local sets, and window diagnostics.
+"""Labeled pattern balls and local sets, and their window scans.
 
 A pattern ball records, for every offset in B_m(e), the label prefix and
 height of the corresponding translate.  The prefix length is carried
@@ -12,20 +12,19 @@ scan reads one label row and one height per vertex (a rule's
 ``window_rows``, or a snapshot's rows), each distinct (label prefix,
 height) pair is interned as a cell id, the cell ids are gathered along
 the window's offset tables (compositions of its step table), and a
-:class:`PatternBall` is built once per distinct pattern.  The result equals θ at every core vertex.
-
-Verdicts from :func:`classify_patterns` are window-relative by design;
-the report says so explicitly rather than claiming anything about the
-whole group.
+:class:`PatternBall` is built once per distinct pattern.  The result
+equals θ at every core vertex.  Scans answer in window indices:
+:func:`realize` returns the core indices of a local set, and no word is
+built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Optional
 
-from .groups import GroupSpec, Window, ball, bfs_distances
+from .groups import GroupSpec, Window, ball
 from .landscapes import LandscapeRule
 
 _BALL_CACHE: dict = {}
@@ -56,17 +55,6 @@ class PatternBall:
     @property
     def center_height(self) -> int:
         return self.entries[0][1]
-
-    def truncate(self, prefix_len: int) -> "PatternBall":
-        """The same ball with label prefixes cut down to ``prefix_len``."""
-        if prefix_len > self.prefix_len:
-            raise ValueError("cannot extend a pattern prefix")
-        if prefix_len == self.prefix_len:
-            return self
-        return PatternBall(
-            self.m, prefix_len,
-            tuple((bits[:prefix_len], h) for bits, h in self.entries),
-        )
 
     def serialize(self) -> str:
         body = ";".join(f"{bits}:{h}" for bits, h in self.entries)
@@ -187,26 +175,26 @@ def _intern(items: list) -> tuple[list, list[int]]:
 
 
 def realize(T: LocalSetSpec, z: LandscapeRule, window: Window,
-            core_radius: Optional[int] = None) -> list:
-    """Core vertices whose pattern lies in T, in enumeration order."""
+            core_radius: Optional[int] = None) -> list[int]:
+    """The core indices whose pattern lies in T, ascending."""
     ids, patterns = pattern_scan(z.window_rows(window, T.prefix_len), window,
                                  T.m, T.prefix_len, core_radius)
     wanted = {j for j, pat in enumerate(patterns) if pat in T.patterns}
-    return list(compress(window.vertices, map(wanted.__contains__, ids)))
+    return list(compress(range(len(ids)), map(wanted.__contains__, ids)))
 
 
 def observed_patterns(z: LandscapeRule, window: Window, m: int,
                       prefix_len: Optional[int] = None,
                       core_radius: Optional[int] = None) -> dict:
-    """Map pattern -> list of core vertices where it occurs, with the
-    patterns in order of first occurrence."""
+    """Map pattern -> the ascending core indices where it occurs, with
+    the patterns in order of first occurrence."""
     if prefix_len is None:
         prefix_len = m
     ids, patterns = pattern_scan(z.window_rows(window, prefix_len), window,
                                  m, prefix_len, core_radius)
-    sites: list[list] = [[] for _ in patterns]
-    for w, j in zip(window.vertices, ids):
-        sites[j].append(w)
+    sites: list[list[int]] = [[] for _ in patterns]
+    for i, j in enumerate(ids):
+        sites[j].append(i)
     return dict(zip(patterns, sites))
 
 
@@ -220,71 +208,3 @@ def center_height_local_set(z: LandscapeRule, window: Window, m: int,
     some = next(iter(pats), None)
     plen = some.prefix_len if some is not None else (prefix_len or m)
     return LocalSetSpec(m, plen, pats)
-
-
-@dataclass
-class PatternVerdict:
-    pattern: PatternBall
-    verdict: str            # "absent" | "recurrent" | "undetermined"
-    occurrences: int
-    recurrence_radius: Optional[int] = None   # K_B when recurrent
-
-
-@dataclass
-class PatternReport:
-    """Window-relative I/J/K diagnostics for a family of patterns."""
-
-    m: int
-    window_radius: int
-    core_radius: int
-    verdicts: list[PatternVerdict] = field(default_factory=list)
-
-
-def classify_patterns(z: LandscapeRule, window: Window, m: int,
-                      candidates: Optional[Iterable[PatternBall]] = None,
-                      prefix_len: Optional[int] = None) -> PatternReport:
-    """Sort patterns into absent / recurrent-near-height-1 / undetermined.
-
-    "absent" means no occurrence on this window's core, "recurrent" that
-    every core height-1 vertex sees an occurrence within the reported
-    radius (certified inside the window).  Both are finite-window
-    proxies, recorded as such via the radii in the report.
-    """
-    core_radius = window.radius - m
-    occ = observed_patterns(z, window, m, prefix_len, core_radius)
-    if candidates is None:
-        candidates = sorted(occ, key=lambda p: p.serialize())
-    spec = window.spec
-    heights = z.window_heights(window)
-    h1_core = [i for i in range(window.core_size(core_radius))
-               if heights[i] == 1]
-    report = PatternReport(m=m, window_radius=window.radius,
-                           core_radius=core_radius)
-    for pat in candidates:
-        sites = occ.get(pat, [])
-        if not sites:
-            report.verdicts.append(
-                PatternVerdict(pat, "absent", 0)
-            )
-            continue
-        site_idx = [window.index[w] for w in sites]
-        dist = bfs_distances(window, site_idx)
-        worst = 0
-        certified = True
-        for i in h1_core:
-            d = dist[i]
-            lw = spec.length(window.vertices[i])
-            if d < 0 or d > window.radius - lw:
-                certified = False
-                break
-            worst = max(worst, d)
-        if certified and h1_core:
-            report.verdicts.append(
-                PatternVerdict(pat, "recurrent", len(sites),
-                               recurrence_radius=worst)
-            )
-        else:
-            report.verdicts.append(
-                PatternVerdict(pat, "undetermined", len(sites))
-            )
-    return report

@@ -1,4 +1,4 @@
-"""Versioned JSON persistence for windows, landscapes, and certificates.
+"""Versioned JSON persistence for landscapes and certificates.
 
 A landscape snapshot materializes heights and label prefixes for every
 window vertex, in enumeration order, so a checker can replay claims

@@ -1,7 +1,7 @@
 import pytest
 
-from riverscape import (FreeGroup, IntegerGroup, TernaryLandscape, ball,
-                        river_landscape)
+from riverscape import (FreeGroup, IntegerGroup, RiverLandscape,
+                        TernaryLandscape, ball)
 
 
 @pytest.fixture(scope="session")
@@ -31,7 +31,7 @@ def win10(f2):
 
 @pytest.fixture(scope="session")
 def river(f2):
-    return river_landscape(f2)
+    return RiverLandscape(f2)
 
 
 @pytest.fixture(scope="session")

@@ -10,10 +10,9 @@ import time
 import pytest
 
 from riverscape import (CodeFormatError, FreeGroup, LocalSetSpec,
-                        ProperLabelRule, ball, components_leq, defect,
-                        defect_bound, encode_blocks, find_doubling, kappa,
-                        offset_ball, paradoxicalize_sequence, parse_code,
-                        project_odd, realize, river_landscape,
+                        ProperLabelRule, RiverLandscape, components_leq,
+                        defect_bound, encode_blocks, kappa, offset_ball,
+                        paradoxicalize_sequence, parse_code,
                         separation_index, subset_from_index, subset_index,
                         ternary_height, theta, verify_axioms,
                         verify_certificate)
@@ -22,6 +21,7 @@ from riverscape.landscapes import LandscapeRule
 from riverscape.patterns import center_height_local_set, observed_patterns
 from riverscape.snapshots import bundle_pipeline
 
+from test_labels import project_odd
 from test_landscapes import brute_ternary_height
 
 F2 = FreeGroup(2)
@@ -87,11 +87,13 @@ def test_criterion_03_hilly_stabilization(ternary, zwin_small, zwin_large):
 def test_criterion_04_symdiff_inequality(river, win10, kappa20):
     start = time.time()
     checked = 0
+    step, d = win10.step, F2.degree
     for i in win10.core_indices(win10.radius - 1):
         g = win10.vertices[i]
         lg = kappa20[g]
         bound = 2 * river.height(g) * 2  # 2 (d+1) C with d = H-1, C = 2
-        for j in win10.adjacency[i]:
+        # a core vertex has all of its neighbours inside the window
+        for j in step[i * d:(i + 1) * d]:
             lh = kappa20[win10.vertices[j]]
             counts = {}
             size = 0
@@ -158,7 +160,7 @@ def test_criterion_06_witness_code():
 def test_criterion_07_doubling(river, win8, win10):
     start = time.time()
     # (a) the full core of B_8
-    z8 = river_landscape(F2)
+    z8 = RiverLandscape(F2)
     occ = observed_patterns(z8, win8, 1, prefix_len=1)
     full = LocalSetSpec(1, 1, frozenset(occ))
     res_a = paradoxicalize_sequence(z8, [full], win8)
@@ -168,7 +170,7 @@ def test_criterion_07_doubling(river, win8, win10):
 
     # (b) the river vertices of B_10
     res_b = paradoxicalize_sequence(
-        river_landscape(F2), [height_target({1})], win10
+        RiverLandscape(F2), [height_target({1})], win10
     )
     cert_b = res_b.certificates[0]
     assert res_b.halted is None and cert_b.K <= 6
@@ -183,7 +185,7 @@ def test_criterion_07_doubling(river, win8, win10):
 @pytest.fixture(scope="module")
 def pipeline10(win10):
     return paradoxicalize_sequence(
-        river_landscape(F2),
+        RiverLandscape(F2),
         [height_target({1}), height_target({2}), height_target({3})],
         win10,
     )
@@ -241,7 +243,7 @@ def test_criterion_09_oracles(river, win5):
 def test_criterion_10_reproducibility(win8):
     def run():
         result = paradoxicalize_sequence(
-            river_landscape(F2),
+            RiverLandscape(F2),
             [height_target({1}), height_target({2})],
             win8,
         )

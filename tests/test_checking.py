@@ -18,10 +18,10 @@ import pytest
 
 import riverscape.checking
 from riverscape import (FreeGroup, IntegerGroup, LocalSetSpec, PatternBall,
-                        Snapshot, TernaryLandscape, ball,
+                        RiverLandscape, Snapshot, TernaryLandscape, ball,
                         check_certificate_dict, load_snapshot,
                         observed_patterns, offset_ball,
-                        paradoxicalize_sequence, realize, river_landscape,
+                        paradoxicalize_sequence, realize,
                         trivial_certificate, verify_certificate)
 from riverscape.cli import main
 from riverscape.patterns import center_height_local_set
@@ -36,7 +36,7 @@ R = 8
 def bundle_text() -> str:
     """The B_8 bundle doubling the river (height-1 target) as JSON."""
     win = ball(F2, R)
-    result = paradoxicalize_sequence(river_landscape(F2), [
+    result = paradoxicalize_sequence(RiverLandscape(F2), [
         lambda rule, w: center_height_local_set(rule, w, 1, {1},
                                                 prefix_len=1)
     ], win)
@@ -53,12 +53,12 @@ def occurrences(snap, m, s):
     """Pattern -> core words (radius R - m), read word by word from the
     snapshot's stored heights and labels."""
     win = ball(F2, R)
-    index, heights, labels = win.index, snap["heights"], snap["labels"]
+    index, heights, labels = win.index_of, snap["heights"], snap["labels"]
     occ = {}
     for w in win.vertices[:win.core_size(R - m)]:
         entries = []
         for delta in offset_ball(F2, m):
-            i = index[F2.mul(w, delta)]
+            i = index(F2.mul(w, delta))
             entries.append((labels[i][:s], heights[i]))
         occ.setdefault(PatternBall(m, s, tuple(entries)), []).append(w)
     return occ
@@ -79,6 +79,15 @@ def realized(snap, cert):
 
 def in_core(cert, word):
     return len(word) <= cert["coreRadius"]
+
+
+def least_uncovered(snap, cert):
+    """The enumeration-least core word of T that no phi piece covers."""
+    T, _, pieces, translators = realized(snap, cert)
+    covered = {F2.mul(y, translators[i])
+               for i in range(cert["p"]) for y in pieces[i]}
+    return min((w for w in T if in_core(cert, w) and w not in covered),
+               key=F2.index_of)
 
 
 # --- mutations: (snapshot, certificate) -> (snapshot, certificate) --------
@@ -136,8 +145,8 @@ def clear_member_bit(snap, cert):
     win = ball(F2, R)
     y, i = min(((y, i) for i in range(cert["p"]) for y in pieces[i]
                 if in_core(cert, F2.mul(y, translators[i]))),
-               key=lambda pair: win.index[pair[0]])
-    v = win.index[y]
+               key=lambda pair: win.index_of(pair[0]))
+    v = win.index_of(y)
     pos = cert["channelPositions"][i]
     bits = snap["labels"][v]
     assert bits[pos - 1] == "1"
@@ -173,12 +182,17 @@ def failing_via_library(snap, cert):
     return {c.name for c in report.clauses if not c.passed}
 
 
-def failing_via_cli(snap, cert, tmp_path, capsys):
+def run_check(snap, cert, tmp_path):
+    """``riverscape check`` on the two documents written to files."""
     snap_path, cert_path = tmp_path / "snap.json", tmp_path / "cert.json"
     snap_path.write_text(json.dumps(snap))
     cert_path.write_text(json.dumps(cert))
-    code = main(["check", "--snapshot", str(snap_path),
+    return main(["check", "--snapshot", str(snap_path),
                  "--certificate", str(cert_path)])
+
+
+def failing_via_cli(snap, cert, tmp_path, capsys):
+    code = run_check(snap, cert, tmp_path)
     lines = capsys.readouterr().out.splitlines()
     failing = {line.split()[1].rstrip(":") for line in lines
                if line.startswith("  clause ")}
@@ -208,15 +222,42 @@ class TestClauseMutations:
 
     def test_witness_names_the_least_uncovered_vertex(self, bundle):
         snap, cert = grow_core(*bundle)
-        T, _, pieces, translators = realized(snap, cert)
-        covered = {F2.mul(y, translators[i])
-                   for i in range(cert["p"]) for y in pieces[i]}
-        win = ball(F2, R)
-        least = min((w for w in T if in_core(cert, w) and w not in covered),
-                    key=win.index.__getitem__)
+        least = least_uncovered(snap, cert)
         report = check_certificate_dict(load_snapshot(snap), cert)
         phi = next(c for c in report.clauses if c.name == "phi-cover")
         assert phi.witness == f"target vertex {least!r} not covered"
+
+
+class TestWordView:
+    """The checker works on window indices: a passing check builds no
+    word, and a failing one names its offender through the window's
+    word view."""
+
+    def test_passing_check_builds_no_word(self, bundle, tmp_path,
+                                          monkeypatch):
+        def no_words(self, radius, step):
+            raise AssertionError("a passing check built the window's words")
+
+        monkeypatch.setattr(FreeGroup, "ball_words", no_words)
+        assert run_check(*bundle, tmp_path) == 0
+
+    def test_failing_check_names_the_word(self, bundle, tmp_path, capsys,
+                                          monkeypatch):
+        snap, cert = grow_core(*bundle)
+        least = least_uncovered(snap, cert)
+        built = []
+        words = FreeGroup.ball_words
+
+        def counted(self, radius, step):
+            built.append(radius)
+            return words(self, radius, step)
+
+        monkeypatch.setattr(FreeGroup, "ball_words", counted)
+        assert run_check(snap, cert, tmp_path) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert f"  clause phi-cover: target vertex {least!r} not covered" \
+            in out
+        assert built == [R]
 
 
 class TestVerifier:
@@ -258,7 +299,7 @@ class TestVerifier:
         ones = frozenset(pat for pat in observed_patterns(rule, win, 1, 2)
                          if pat.center_height == 1)
         target = LocalSetSpec(1, 2, ones)
-        T = realize(target, rule, win)
+        T = [win.vertices[i] for i in realize(target, rule, win)]
         rc = 390
         cert = replace(
             trivial_certificate(target, win), trivial=False, l=1, p=1, q=1,

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from riverscape import (ChannelLandscape, FreeGroup, ball, checking,
-                        river_landscape)
+from riverscape import (ChannelLandscape, FreeGroup, RiverLandscape, ball,
+                        checking)
 from riverscape.cli import main
 from riverscape.patterns import center_height_local_set
 from riverscape.snapshots import load_json
@@ -152,7 +152,7 @@ class TestParadoxicalize:
         # inside those bits would change the patterns that define it
         win = ball(F2, 6)
         target = center_height_local_set(
-            ChannelLandscape(river_landscape(F2), win), win, 1, {1},
+            ChannelLandscape(RiverLandscape(F2), win), win, 1, {1},
             prefix_len=30)
         assert len(target.patterns) == 5
         targets_file = tmp_path / "targets.json"

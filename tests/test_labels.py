@@ -6,14 +6,31 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from riverscape import (FreeGroup, GreedyColoring, IntegerGroup,
-                        ProperLabelRule, ball, interleave, project_even,
-                        project_odd, separation_index)
+                        ProperLabelRule, ball, separation_index)
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
 Z = IntegerGroup()
 
 bits = st.text(alphabet="01", max_size=40)
+
+
+def interleave(u, v):
+    """Oracle: the alternating merge u1 v1 u2 v2 ... of two equal-length
+    bit strings."""
+    if len(u) != len(v):
+        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
+    return "".join(a + b for a, b in zip(u, v))
+
+
+def project_odd(w):
+    """Oracle: the odd-position (1-based) subsequence."""
+    return w[::2]
+
+
+def project_even(w):
+    """Oracle: the even-position (1-based) subsequence."""
+    return w[1::2]
 
 
 class WordGreedyColoring:

@@ -4,14 +4,17 @@ import json
 import pytest
 
 from riverscape import (ChannelAllocator, ChannelLandscape, FreeGroup,
-                        IntegerGroup, LocalSetSpec, PatternBall, Snapshot,
-                        ball, certificate_from_dict, find_doubling,
-                        paradoxicalize_sequence, project_even, project_odd,
-                        river_landscape, trivial_certificate,
-                        verify_certificate)
+                        IntegerGroup, LocalSetSpec, PatternBall,
+                        RiverLandscape, Snapshot, ball, certificate_from_dict,
+                        extract_pieces, find_doubling,
+                        paradoxicalize_sequence, realize,
+                        trivial_certificate, verify_certificate)
 from riverscape.paradox import _HopcroftKarp
 from riverscape.patterns import center_height_local_set, observed_patterns
 from riverscape.snapshots import bundle_pipeline
+
+from test_labels import project_even, project_odd
+from test_landscapes import river_points
 
 F2 = FreeGroup(2)
 Z = IntegerGroup()
@@ -59,7 +62,7 @@ class TestChannels:
 
     def test_relabeled_bit_set_for_members(self, river, win5):
         padded = ChannelLandscape(river, win5)
-        members = win5.indices([(), (1, 1)])
+        members = [win5.index_of(w) for w in [(), (1, 1)]]
         z = padded.with_channels({4: members})
         assert z.label((), 4)[3] == "1"
         assert z.label((1, 1), 4)[3] == "1"
@@ -145,7 +148,7 @@ class TestMatcher:
         assert sorted(matcher.match_left) == list(range(n))
 
     def test_matching_is_injective(self, river, win8):
-        T = river.river_points(win8)
+        T = river_points(river, win8)
         search = find_doubling(T, win8)
         assert search.saturated
         images = list(search.phi.values()) + list(search.psi.values())
@@ -153,10 +156,11 @@ class TestMatcher:
         assert set(images) <= set(T)
 
     def test_displacement_bounded(self, river, win8):
-        search = find_doubling(river.river_points(win8), win8)
+        search = find_doubling(river_points(river, win8), win8)
+        words = win8.vertices
         for fam in (search.phi, search.psi):
             for x, y in fam.items():
-                assert F2.dist(x, y) <= search.K - 1
+                assert F2.dist(words[x], words[y]) <= search.K - 1
 
 
 class TestFindDoubling:
@@ -172,12 +176,13 @@ class TestFindDoubling:
         assert search.matched_fraction < 1.0
 
     def test_word_outside_window_rejected(self):
+        # B_6(Z) has the 13 indices 0..12
         with pytest.raises(ValueError):
-            find_doubling([0, 7], ball(Z, 6))
+            find_doubling([0, 13], ball(Z, 6))
 
     def test_deterministic(self, river, win8):
-        a = find_doubling(river.river_points(win8), win8)
-        b = find_doubling(river.river_points(win8), win8)
+        a = find_doubling(river_points(river, win8), win8)
+        b = find_doubling(river_points(river, win8), win8)
         assert a.phi == b.phi and a.psi == b.psi and a.K == b.K
 
 
@@ -248,6 +253,24 @@ class TestCertificates:
             rule_snapshot(pipeline8.rules[1], win8, again.prefix_len), again)
         assert report.passed
 
+    @pytest.mark.parametrize("target", [full_core_target,
+                                        height_target({3})],
+                             ids=["full-core", "height-3"])
+    def test_translators_agree_with_words(self, river, win8, target):
+        # a piece's translator is read off the offset tables; with words,
+        # every pair (x, y) of its family has y^-1 x equal to it
+        target = target(river, win8)
+        search = find_doubling(realize(target, river, win8), win8)
+        cert = extract_pieces(search, target, win8)
+        words = win8.vertices
+        for family, lo, hi in ((search.phi, 0, cert.p),
+                               (search.psi, cert.p, cert.p + cert.q)):
+            piece = {y: cert.translators[i] for i in range(lo, hi)
+                     for y in cert.pieces_vertices[i]}
+            assert len(piece) == len(family)
+            for x, y in family.items():
+                assert F2.mul(F2.inverse(words[y]), words[x]) == piece[y]
+
     def test_full_core_doubles(self, river, win8):
         result = paradoxicalize_sequence(river, [full_core_target], win8)
         assert result.halted is None
@@ -278,7 +301,7 @@ class TestTrivialCertificate:
 class TestDeterminism:
     def test_bundles_byte_identical(self, win8):
         def run():
-            z = river_landscape(F2)
+            z = RiverLandscape(F2)
             result = paradoxicalize_sequence(
                 z, [height_target({1}), height_target({2})], win8
             )
@@ -292,7 +315,7 @@ class TestDeterminism:
         # the criterion-10 bundle, pinned so that a change which alters
         # the bytes deterministically still fails
         result = paradoxicalize_sequence(
-            river_landscape(F2), [height_target({1}), height_target({2})],
+            RiverLandscape(F2), [height_target({1}), height_target({2})],
             win8,
         )
         data = json.dumps(bundle_pipeline(result, win8),

@@ -1,9 +1,8 @@
 import pytest
 
 from riverscape import (FreeGroup, IntegerGroup, LandscapeRule, LocalSetSpec,
-                        PatternBall, ball, classify_patterns,
-                        observed_patterns, offset_ball, realize,
-                        river_landscape, theta)
+                        PatternBall, ball, observed_patterns, offset_ball,
+                        realize, theta)
 from riverscape.patterns import center_height_local_set
 
 F2 = FreeGroup(2)
@@ -24,14 +23,6 @@ class TestPatternBall:
         pat = theta(river, (1, 2), 2, prefix_len=6)
         again = PatternBall.deserialize(pat.serialize())
         assert again == pat
-
-    def test_truncate(self, river):
-        pat = theta(river, (1,), 1, prefix_len=8)
-        cut = pat.truncate(3)
-        assert cut.prefix_len == 3
-        assert all(len(bits) == 3 for bits, _ in cut.entries)
-        with pytest.raises(ValueError):
-            cut.truncate(5)
 
     def test_center_entry(self, river):
         g = (1, 2)
@@ -99,7 +90,7 @@ class TestLocalSets:
 
     def test_realize_height_one_is_river(self, river, win8):
         spec = center_height_local_set(river, win8, 1, {1}, prefix_len=1)
-        got = realize(spec, river, win8)
+        got = [win8.vertices[i] for i in realize(spec, river, win8)]
         want = [
             w for w in win8.vertices
             if len(w) <= win8.radius - 1 and river.is_river(w)
@@ -109,7 +100,7 @@ class TestLocalSets:
     def test_realize_respects_core(self, river, win8):
         spec = center_height_local_set(river, win8, 1, {1}, prefix_len=1)
         got = realize(spec, river, win8, core_radius=4)
-        assert all(len(w) <= 4 for w in got)
+        assert all(len(win8.vertices[i]) <= 4 for i in got)
 
     def test_empty_patterns_realize_empty(self, river, win8):
         spec = LocalSetSpec(1, 1, frozenset())
@@ -128,26 +119,6 @@ class TestObservedPatterns:
         total = sum(len(v) for v in occ.values())
         assert total == len(win.core_indices(4))
         for pat, sites in occ.items():
-            for w in sites:
-                assert theta(river, w, 1) == pat
+            for i in sites:
+                assert theta(river, win.vertices[i], 1) == pat
 
-
-class TestClassifyPatterns:
-    def test_absent_and_recurrent(self, river, win8):
-        occ = observed_patterns(river, win8, 1, prefix_len=1)
-        h1_pattern = next(p for p in occ if p.center_height == 1)
-        fake = PatternBall(1, 1, tuple(
-            (bits, 77) for bits, _ in h1_pattern.entries
-        ))
-        report = classify_patterns(
-            river, win8, 1, candidates=[h1_pattern, fake], prefix_len=1
-        )
-        by_pattern = {v.pattern: v for v in report.verdicts}
-        assert by_pattern[fake].verdict == "absent"
-        assert by_pattern[h1_pattern].verdict == "recurrent"
-        assert by_pattern[h1_pattern].recurrence_radius == 0
-
-    def test_report_records_window_radii(self, river, win8):
-        report = classify_patterns(river, win8, 2)
-        assert report.window_radius == 8
-        assert report.core_radius == 6

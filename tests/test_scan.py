@@ -15,10 +15,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from riverscape import (ChannelAllocator, ChannelLandscape, FreeGroup,
-                        IntegerGroup, LocalSetSpec, TernaryLandscape, ball,
-                        interleave, observed_patterns, realize, relabel,
-                        river_landscape, theta, trivial_certificate)
+                        IntegerGroup, LocalSetSpec, RiverLandscape,
+                        TernaryLandscape, ball, observed_patterns, realize,
+                        relabel, theta, trivial_certificate)
 from riverscape.landscapes import LandscapeRule
+
+from test_labels import interleave
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -96,7 +98,7 @@ def window(spec, radius):
 
 @lru_cache(maxsize=None)
 def base_rule(spec):
-    return TernaryLandscape(spec) if spec == Z else river_landscape(spec)
+    return TernaryLandscape(spec) if spec == Z else RiverLandscape(spec)
 
 
 @st.composite
@@ -141,6 +143,12 @@ def oracle_occurrences(oracle, win, m, prefix_len):
     return occ
 
 
+def index_occurrences(win, occ):
+    """The (pattern, core indices) pairs of word-level occurrences."""
+    return [(pat, [win.index_of(w) for w in words])
+            for pat, words in occ.items()]
+
+
 class TestChannelRows:
     @pytest.mark.parametrize("spec,radius", WINDOWS)
     @settings(max_examples=4, deadline=None, phases=NO_SHRINK)
@@ -181,14 +189,14 @@ class TestScanAgainstTheta:
         prefix_len = data.draw(st.integers(1, 40))
         want = oracle_occurrences(oracle, win, m, prefix_len)
         got = observed_patterns(z, win, m, prefix_len)
-        assert list(got.items()) == list(want.items())
+        assert list(got.items()) == list(index_occurrences(win, want))
         for pat in got:
             for bits, h in pat.entries:
                 assert type(bits) is str and type(h) is int
         chosen = data.draw(st.lists(st.sampled_from(list(want)),
                                     unique=True, max_size=6))
         target = LocalSetSpec(m, prefix_len, frozenset(chosen))
-        assert realize(target, z, win) == [
+        assert [win.vertices[i] for i in realize(target, z, win)] == [
             w for w in core_words(win, m)
             if theta(oracle, w, m, prefix_len) in target.patterns
         ]
@@ -205,8 +213,7 @@ class TestScanAgainstTheta:
         # certificate with random pieces exercises it on every window
         l = data.draw(st.sampled_from([1, 2]))
         pieces = tuple(
-            frozenset(win.vertices[i] for i in data.draw(
-                st.lists(st.integers(0, n - 1), max_size=40)))
+            frozenset(data.draw(st.lists(st.integers(0, n - 1), max_size=40)))
             for _ in range(data.draw(st.integers(2, 4)))
         )
         cert = replace(
@@ -215,13 +222,15 @@ class TestScanAgainstTheta:
         )
         allocator = ChannelAllocator(floor=max(z.positions, default=0))
         z2, cert2 = relabel(z, cert, 1, allocator)
+        word_pieces = [frozenset(win.vertices[i] for i in members)
+                       for members in pieces]
         written = RelabeledLandscape(oracle, dict(zip(
-            cert2.channel_positions, pieces)))
+            cert2.channel_positions, word_pieces)))
         core = set(core_words(win, l))
         assert cert2.piece_patterns == tuple(
             frozenset(theta(written, y, l, cert2.prefix_len)
                       for y in members if y in core)
-            for members in pieces
+            for members in word_pieces
         )
         labels, _ = z2.window_rows(win, cert2.prefix_len)
         assert labels == [written.label(w, cert2.prefix_len)
@@ -240,4 +249,4 @@ class TestScanBounds:
         win = window(F2, 4)
         want = oracle_occurrences(river, win, 2, 7)
         assert list(observed_patterns(river, win, 2, 7).items()) \
-            == list(want.items())
+            == list(index_occurrences(win, want))

@@ -4,12 +4,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from riverscape import (CodeBlock, CodeBudgetError, CodeFormatError,
-                        FreeGroup, ball, block_subset, decode_witness, defect,
-                        defect_bound, double_word, encode_blocks,
-                        encode_witness, kappa, offset_ball,
-                        parse_code, reference_radius, river_landscape,
-                        subset_from_index, subset_index, tree_witness_path,
-                        undouble_word, witness_subset_index)
+                        FreeGroup, RiverLandscape, ball, block_subset,
+                        decode_witness, defect, defect_bound, double_word,
+                        encode_blocks, encode_witness, kappa, offset_ball,
+                        parse_code, reference_radius, subset_from_index,
+                        subset_index, tree_witness_path, undouble_word,
+                        witness_subset_index)
 from riverscape.witness import defect_table, merge_positions, river_rays
 
 F2 = FreeGroup(2)
@@ -113,7 +113,7 @@ class TestDefect:
 def assert_table_matches_oracle(spec, radius, m_values):
     """Every row of the closed-form table equals the word-level defect
     and ceiling, and the rows come in (vertex, letter, m) order."""
-    river = river_landscape(spec)
+    river = RiverLandscape(spec)
     win = ball(spec, radius)
     rows = defect_table(river, win, m_values)
     assert [row[:3] for row in rows] == [
@@ -159,7 +159,7 @@ class TestDefectTable:
 
     @pytest.mark.parametrize("spec,radius", [(F2, 6), (F3, 4)])
     def test_river_rays_against_words(self, spec, radius):
-        river = river_landscape(spec)
+        river = RiverLandscape(spec)
         win = ball(spec, radius)
         size, junction = river_rays(win)
         for w, n, j in zip(win.vertices, size, junction):
