@@ -9,15 +9,20 @@ first ``separation_index(spec, r)`` bits.
 
 The greedy colorings follow the global enumeration order, so a vertex's
 color never depends on any window; labels are intrinsic to the word and
-byte-reproducible.  They are computed in enumeration-index space: a
-word is ranked arithmetically (``GroupSpec.index_of``), indices are
-colored in increasing order, and a vertex's competitors are the earlier
-indices reached by composing the steps of ``GroupSpec.step_table``
-along the offsets of B_k.  This is the intrinsic greedy coloring
-exactly: earlier words have length <= |w|, and balls in trees and on the
-line are convex, so the geodesic w, w a_1, ..., w g of an offset g only
-leaves the grown ball B_R (R >= |w|) when w g itself lies outside it,
-i.e. is a later word.  No words are stored.
+byte-reproducible.  They are computed in enumeration-index space, a
+parent's children at a time.  On F_r and on Z the Cayley graph is a
+tree and enumeration is breadth-first: the children of a vertex u are
+contiguous, d of them from index 1 for the identity and d - 1 from
+f(u) = (d - 1)u + 2 for every other vertex.  An earlier
+vertex x within distance k of a child c of u is no descendant of c, so
+its geodesic to c passes through u: x is either an index below f(u)
+with d(u, x) <= k - 1, or, when k >= 2, one of c's earlier siblings.
+So one colour mask, read along the offsets of B_(k-1) from u (composing
+the steps of ``GroupSpec.step_table``) and bounded by ``x < f(u)``,
+decides the colours of u's whole child block, and the block is
+memoized on that mask.  Balls in trees and on the line are convex, so
+the geodesic from u to such an x never leaves the grown ball.  No words
+are stored.
 """
 
 from __future__ import annotations
@@ -52,11 +57,15 @@ class _IndexSpace:
         self.radius = -1
         self.step = array("i")
 
-    def grow(self, radius: int) -> None:
+    def grow(self, radius: int, step: Optional[array] = None) -> None:
+        """Reach B_radius; ``step`` is that ball's table when the caller
+        holds it already (a window's), so it is not built twice."""
         if radius > self.radius:
-            if self.degree == 2:
-                radius = max(radius, 2 * self.radius)
-            self.step = self.spec.step_table(radius)
+            if step is None:
+                if self.degree == 2:
+                    radius = max(radius, 2 * self.radius)
+                step = self.spec.step_table(radius)
+            self.step = step
             self.radius = radius
 
     def index(self, word) -> int:
@@ -84,13 +93,15 @@ class GreedyColoring:
         self.palette = spec.degree**k + 1
         self._space = space or _IndexSpace(spec)
         self._colors = array("i")
-        # B_k minus the identity as steps (p, a) in enumeration order:
-        # offset j is offset p times the letter with index a
+        # the colours of a (d - 1)-child block, by the mask of its parent
+        self._blocks: dict[int, array] = {}
+        # B_(k-1) minus the identity as steps (p, a) in enumeration
+        # order: offset j is offset p times the letter with index a
         self._ops: list[tuple[int, int]] = []
         if k > 0:
-            self._space.grow(k)
+            self._space.grow(k - 1)
             self._ops = offset_steps(self._space.step, spec.degree,
-                                     spec.ball_size(k))
+                                     spec.ball_size(k - 1))
 
     def color(self, word) -> int:
         return self.color_at(self._space.index(word))
@@ -102,30 +113,53 @@ class GreedyColoring:
             self.color_at(n - 1)
         return self._colors[:n]
 
+    def _block(self, used: int, size: int) -> array:
+        """Greedy colours of a child block whose parent's mask is
+        ``used``; siblings are at distance 2, so they compete for k >= 2."""
+        out = array("i")
+        for _ in range(size):
+            c = (~used & (used + 1)).bit_length() - 1
+            out.append(c)
+            if self.k >= 2:
+                used |= 1 << c
+        return out
+
     def color_at(self, i: int) -> int:
         """The color of the word with enumeration index ``i``; the index
-        space must already reach that word."""
+        space must already reach that word.  Whole child blocks are
+        colored, up to the one that holds ``i``."""
         if self.k == 0:
             return 1
         colors = self._colors
         if i < len(colors):
             return colors[i]
-        step = self._space.step
         d = self._space.degree
+        if not colors:
+            # the identity has no earlier vertex, and its children see
+            # only the identity
+            colors.append(1)
+            colors.extend(self._block(0b11, d))
+        step = self._space.step
         ops = self._ops
-        # every earlier index is colored first, so all competitors of v
-        # are known when v is reached; bit c of ``used`` marks color c
-        # (bit 0 is set so the lowest clear bit is a color >= 1)
-        for v in range(len(colors), i + 1):
-            nb = [v]
-            used = 1
+        blocks = self._blocks
+        # colors always end at a block boundary: the first child f of
+        # the next parent u; bit c of ``used`` marks color c (bit 0 is
+        # set so the lowest clear bit is a color >= 1)
+        f = len(colors)
+        for u in range((f - 2) // (d - 1), (i - 2) // (d - 1) + 1):
+            nb = [u]
+            used = 1 | 1 << colors[u]
             for p, a in ops:
                 x = nb[p]
                 x = step[x * d + a] if x >= 0 else -1
                 nb.append(x)
-                if -1 < x < v:
+                if -1 < x < f:
                     used |= 1 << colors[x]
-            colors.append((~used & (used + 1)).bit_length() - 1)
+            block = blocks.get(used)
+            if block is None:
+                block = blocks[used] = self._block(used, d - 1)
+            colors.extend(block)
+            f += d - 1
         return colors[i]
 
 
@@ -161,7 +195,7 @@ class ProperLabelRule:
         by ``pad``; each block of colour c is the precomputed padded
         indicator of c."""
         n = len(window)
-        self._space.grow(window.radius)
+        self._space.grow(window.radius, window.step)
         d = self.spec.degree
         zero, one = "0" + pad, "1" + pad
         rows: list[str] = [""] * n

@@ -400,6 +400,10 @@ def verify_axioms(z: LandscapeRule, window: Window,
         if not tall:
             violations.append(f"axiom 4: no vertex of height >= {m}")
             continue
+        if len(tall) == len(heights):
+            # every vertex is tall (m = 1): every distance is 0
+            constants.S[m] = 0
+            continue
         dist_tall = bfs_distances(window, tall)
         certified = [d for d, room in zip(dist_tall, slack)
                      if 0 <= d <= room]

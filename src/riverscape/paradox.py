@@ -450,7 +450,8 @@ def paradoxicalize_sequence(z0: LandscapeRule,
     The base rule is first padded so that all even label positions are
     free channels; each step doubles one target's realization and burns
     one channel per piece.  After the last step every earlier
-    certificate is re-verified against every later rule.
+    certificate is re-verified against every later rule; the diagonal
+    entry, a certificate against its own step's rule, is the step report.
     """
     t0 = ChannelLandscape(z0, window)
     rules: list[LandscapeRule] = [t0]
@@ -488,6 +489,9 @@ def paradoxicalize_sequence(z0: LandscapeRule,
             if k < a:
                 # rule predates the certificate's channels
                 row.append(None)
+            elif k == a:
+                # the step report verified this very pair
+                row.append(reports[a])
             else:
                 row.append(_verify(rules[k + 1], certificates[a]))
         matrix.append(row)

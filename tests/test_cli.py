@@ -195,6 +195,24 @@ class TestArtifactBytes:
                                    "c3c65f0c4c6cdf5e68d5488022d15838",
         }
 
+    def test_dense_b11_pipeline_bytes_pinned(self, tmp_path, capsys):
+        # every core vertex of B_11 as one target, heights 1..12: the
+        # largest pipeline the colour blocks and the matching run on
+        code = run(["paradoxicalize", "--group", "f2", "--radius", 11,
+                    "--target-heights", ",".join(map(str, range(1, 13))),
+                    "--out", tmp_path])
+        assert code == 0
+        assert "certificate 0: pass" in capsys.readouterr().out
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("certificates.json", "final_snapshot.json")
+        }
+        assert digests == {
+            "certificates.json": "58640dae577372279aae5faa9976834f"
+                                 "7446165e878705d3e13b0cfb41c011f9",
+            "final_snapshot.json": "580527066d7091aadadb3af4d2ae8533"
+                                   "2d4c0c5c00a3c6295bc8e019719e01e7",
+        }
 
     @pytest.mark.parametrize("group,landscape,radius,digest", [
         ("z", "ternary", 20000,

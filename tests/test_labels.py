@@ -1,4 +1,6 @@
+import inspect
 import random
+import types
 from functools import lru_cache
 
 import pytest
@@ -6,7 +8,9 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from riverscape import (FreeGroup, GreedyColoring, IntegerGroup,
-                        ProperLabelRule, ball, separation_index)
+                        ProperLabelRule, ball, labels, separation_index)
+from riverscape.groups import offset_steps
+from riverscape.labels import _IndexSpace
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -75,6 +79,58 @@ class WordGreedyColoring:
                 c += 1
             colors[w] = c
         return colors[word]
+
+
+def index_loop_colors(spec, k, radius):
+    """Oracle: the per-index greedy loop.  Every index v of B_radius is
+    colored against each earlier index reached along the offsets of B_k,
+    with no use of the tree's child blocks."""
+    d = spec.degree
+    step = spec.step_table(max(radius, k))
+    ops = offset_steps(step, d, spec.ball_size(k))
+    colors = []
+    for v in range(spec.ball_size(radius)):
+        nb = [v]
+        used = set()
+        for p, a in ops:
+            x = nb[p]
+            x = step[x * d + a] if x >= 0 else -1
+            nb.append(x)
+            if 0 <= x < v:
+                used.add(colors[x])
+        c = 1
+        while c in used:
+            c += 1
+        colors.append(c)
+    return colors
+
+
+def source_mutant(module, old, new):
+    """A copy of ``module`` loaded in memory from its source, with the
+    one occurrence of ``old`` replaced by ``new``."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, old
+    mutant = types.ModuleType(module.__name__)
+    mutant.__package__ = module.__package__
+    exec(compile(source.replace(old, new), module.__file__, "exec"),
+         mutant.__dict__)
+    return mutant
+
+
+def window_colors(module, spec, k, radius):
+    """The colors of B_radius from ``module``'s ``GreedyColoring``."""
+    space = module._IndexSpace(spec)
+    space.grow(radius)
+    return list(module.GreedyColoring(spec, k, space)
+                .colors(spec.ball_size(radius)))
+
+
+def block_aligned(spec, i):
+    """Whether index i is the identity or the first of a child block:
+    the identity's children start at 1, vertex u's at (d - 1)u + 2; on
+    Z the only index inside a block is 2."""
+    d = spec.degree
+    return i <= 1 or (i > d and (i - 2) % (d - 1) == 0)
 
 
 # the windows the oracle is compared on; it is built once per group on
@@ -204,6 +260,75 @@ class TestAgainstWordOracle:
             assert rule.label(w, s3) == expected, w
 
 
+# the largest window of each group with the powers k compared there
+BLOCK_CASES = [
+    pytest.param(spec, ORACLE_TOP[spec], k, id=f"{name}-k{k}")
+    for name, spec, top_k in (("F2", F2, 4), ("F3", F3, 4), ("Z", Z, 6))
+    for k in range(1, top_k + 1)
+]
+
+# each edit breaks one part of the block rule
+BLOCK_MUTATIONS = {
+    "no-bound-below-first-child": ("if -1 < x < f:", "if x > -1:"),
+    "no-sibling-competition": ("if self.k >= 2:", "if False:"),
+    "identity-block-of-d-minus-1": ("self._block(0b11, d)",
+                                    "self._block(0b11, d - 1)"),
+}
+
+
+class TestBlockRule:
+    @pytest.mark.parametrize("spec,radius,k", BLOCK_CASES)
+    def test_matches_index_loop_and_word_oracle(self, spec, radius, k):
+        colors = window_colors(labels, spec, k, radius)
+        assert colors == index_loop_colors(spec, k, radius)
+        expected = oracle_colors(spec, k)
+        words = ball(spec, radius).vertices
+        assert colors == [expected[w] for w in words]
+
+    @pytest.mark.parametrize("spec,radius", [
+        pytest.param(spec, ORACLE_TOP[spec], id=name)
+        for name, spec in (("F2", F2), ("F3", F3), ("Z", Z))
+    ])
+    @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_mid_block_indices_in_random_order(self, spec, radius, seed):
+        d = spec.degree
+        s3 = separation_index(spec, 3)
+        words = ball(spec, radius).vertices
+        indices = [i for i in range(len(words))
+                   if not block_aligned(spec, i)]
+        rng = random.Random(seed)
+        picked = rng.sample(indices, min(len(indices), 60))
+        space = _IndexSpace(spec)
+        space.grow(radius)
+        colorings = {k: GreedyColoring(spec, k, space) for k in (1, 2, 3)}
+        rule = ProperLabelRule(spec)
+        for i in picked:
+            w = words[i]
+            for k, coloring in colorings.items():
+                assert coloring.color_at(i) == oracle_colors(spec, k)[w], \
+                    (w, k)
+            expected = "".join(
+                "0" * (c - 1) + "1" + "0" * (d**k + 1 - c)
+                for k in (1, 2, 3) for c in [oracle_colors(spec, k)[w]]
+            )
+            assert rule.label(w, s3) == expected, w
+
+    @pytest.mark.parametrize("name", BLOCK_MUTATIONS)
+    def test_oracle_catches_mutation(self, name):
+        mutant = source_mutant(labels, *BLOCK_MUTATIONS[name])
+        caught = []
+        for k in (1, 2, 3, 4):
+            try:
+                colors = window_colors(mutant, F2, k, 5)
+            except IndexError:
+                caught.append(k)
+                continue
+            if colors != index_loop_colors(F2, k, 5):
+                caught.append(k)
+        assert caught, name
+
+
 class TestProperLabel:
     def test_prefix_monotone(self):
         rule = ProperLabelRule(F2)
@@ -228,6 +353,11 @@ class TestProperLabel:
             for v in win.vertices:
                 if u != v and F2.dist(u, v) <= 2:
                     assert labels[u] != labels[v]
+
+    def test_rows_reuse_the_window_step_table(self, win5):
+        rule = ProperLabelRule(F2)
+        rule.label_rows(win5, 22)
+        assert rule._space.step is win5.step
 
     def test_integer_separation(self):
         rule = ProperLabelRule(Z)

@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from functools import lru_cache
 
 import pytest
@@ -8,8 +9,11 @@ from riverscape import (AnchorSet, ChannelLandscape, FractalLandscape,
                         FreeGroup, IntegerGroup, LandscapeRule,
                         RiverLandscape, TernaryLandscape, ball, bfs_distances,
                         components_leq, double_word, is_ternary,
-                        ternary_height, undouble_word, verify_axioms)
+                        landscapes, ternary_height, undouble_word,
+                        verify_axioms)
 from riverscape.snapshots import snapshot_landscape
+
+from test_labels import source_mutant
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -195,6 +199,42 @@ class _Step(LandscapeRule):
 
     def height(self, word):
         return 3 if word > 0 else 1
+
+
+# verify_axioms with axiom 4 searched by BFS at every m, the m = 1
+# pass included
+ALWAYS_BFS = source_mutant(landscapes, "if len(tall) == len(heights):",
+                           "if False:")
+
+
+class TestAxiomFourShortcut:
+    @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
+    @given(radius=st.integers(0, 3000))
+    def test_ternary_report_equals_always_bfs(self, radius):
+        win = ball(Z, radius)
+        z = TernaryLandscape()
+        assert asdict(verify_axioms(z, win)) == \
+            asdict(ALWAYS_BFS.verify_axioms(z, win))
+
+    @pytest.mark.parametrize("radius", range(1, 9))
+    def test_river_report_equals_always_bfs(self, river, radius):
+        win = ball(F2, radius)
+        assert asdict(verify_axioms(river, win)) == \
+            asdict(ALWAYS_BFS.verify_axioms(river, win))
+
+    def test_no_bfs_when_every_vertex_is_tall(self, monkeypatch, river):
+        sources = []
+        real = landscapes.bfs_distances
+
+        def counting(win, starts):
+            sources.append(len(starts))
+            return real(win, starts)
+
+        monkeypatch.setattr(landscapes, "bfs_distances", counting)
+        win = ball(F2, 5)
+        report = verify_axioms(river, win)
+        assert report.constants.S[1] == 0
+        assert len(win) not in sources
 
 
 class TestAxiomFailures:

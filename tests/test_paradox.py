@@ -9,7 +9,7 @@ from riverscape import (ChannelAllocator, ChannelLandscape, FreeGroup,
                         extract_pieces, find_doubling,
                         paradoxicalize_sequence, realize,
                         trivial_certificate, verify_certificate)
-from riverscape.paradox import _HopcroftKarp
+from riverscape.paradox import _HopcroftKarp, _verify
 from riverscape.patterns import center_height_local_set, observed_patterns
 from riverscape.snapshots import bundle_pipeline
 
@@ -202,6 +202,14 @@ class TestCertificates:
     def test_matrix_lower_triangle_is_na(self, pipeline8):
         assert pipeline8.matrix[1][0] is None
         assert pipeline8.matrix[0][1] is not None
+
+    def test_matrix_diagonal_is_the_step_report(self, pipeline8):
+        # the diagonal pair (rule of step a, certificate a) is the one
+        # the step report verified; re-verifying it gives the same report
+        rules, certs = pipeline8.rules, pipeline8.certificates
+        for a, report in enumerate(pipeline8.reports):
+            assert pipeline8.matrix[a][a] is report
+            assert _verify(rules[a + 1], certs[a]) == report
 
     def test_pieces_disjoint_and_cover_twice(self, pipeline8, win8):
         cert = pipeline8.certificates[0]
