@@ -11,6 +11,12 @@ What the checker shares with construction is window enumeration
 (``ball``, the step table, core sizes) and the row-level
 :func:`~riverscape.patterns.pattern_scan`, which is checked against
 word-level θ.  It shares no rule, channel, matcher or relabeling code.
+:meth:`Snapshot.scan` memoizes the scan per ``(m, s, core radius)`` for
+the life of the snapshot.  A loaded bundle therefore scans each distinct
+(pattern radius, prefix) pair once.  In a pipeline, rules that share
+rows share one snapshot, and a rule's snapshot hands a scan at a
+shorter prefix to the rule's snapshot there (``shorter``), so the
+verifier reuses the scans that construction made.
 
 Verification runs in window-index space: T and every piece are index
 sets read off the scan, "inside the core of radius r" is an index below
@@ -26,9 +32,9 @@ check builds no word.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
-from typing import Optional
+from typing import Callable, Optional
 
 from .groups import GroupSpec, Window, ball, letter_index
 from .patterns import LocalSetSpec, PatternBall, pattern_scan
@@ -95,6 +101,31 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _strings(value, what: str) -> list:
+    """``value`` when it is a JSON array of strings; otherwise a
+    ``ValueError`` naming ``what`` and the first offending entry."""
+    _expect(value, list, what)
+    for i, item in enumerate(value):
+        if type(item) is not str:
+            raise ValueError(
+                f"{what}: entry {i} is {type(item).__name__}, not a string")
+    return value
+
+
+def bundle_certificates(payload) -> list:
+    """The certificates of a certificate file: a bundle's
+    ``certificates`` array, a bare array, or one certificate object."""
+    if isinstance(payload, dict):
+        if "certificates" not in payload:
+            return [payload]
+        return _expect(payload["certificates"], list,
+                       "bundle field 'certificates'")
+    if not isinstance(payload, list):
+        raise ValueError(f"certificate file must be an object or an array, "
+                         f"not {type(payload).__name__}")
+    return payload
+
+
 def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
     """Parse a serialized certificate; a missing or wrong-typed field, or
     translators and pieces that do not number p + q, are a
@@ -109,9 +140,14 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
         if ref["group"] != spec.to_dict():
             raise ValueError(
                 "certificate group does not match the given group")
+        target = _expect(obj["target"], dict, "certificate field 'target'")
+        _strings(target["patterns"], "target field 'patterns'")
+        pieces = _expect(obj["pieces"], list, "certificate field 'pieces'")
+        for i, pats in enumerate(pieces):
+            _strings(pats, f"certificate field 'pieces': piece {i}")
         cert = DoublingCertificate(
             m=int(obj["m"]),
-            target=LocalSetSpec.from_dict(obj["target"]),
+            target=LocalSetSpec.from_dict(target),
             l=int(obj["l"]),
             prefix_len=int(obj["prefixLen"]),
             translators=tuple(
@@ -119,10 +155,10 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
             ),
             p=int(obj["p"]),
             q=int(obj["q"]),
-            pieces_vertices=tuple(frozenset() for _ in obj["pieces"]),
+            pieces_vertices=tuple(frozenset() for _ in pieces),
             piece_patterns=tuple(
                 frozenset(PatternBall.deserialize(s) for s in pats)
-                for pats in obj["pieces"]
+                for pats in pieces
             ),
             channel_positions=tuple(int(c) for c in obj["channelPositions"]),
             window_group=ref["group"],
@@ -168,12 +204,23 @@ class CertificateReport:
 @dataclass(frozen=True)
 class Snapshot:
     """The height and the first ``prefix_len`` label bits of every window
-    vertex, index-aligned with the window."""
+    vertex, index-aligned with the window.
+
+    The rows are never mutated after the snapshot is built: callers must
+    not mutate them, nor the scans :meth:`scan` returns, which it keeps
+    for the life of the snapshot.  ``shorter``, when given, returns the
+    snapshot its owner keeps for a shorter prefix, whose scans
+    :meth:`scan` then reuses.
+    """
 
     window: Window
     heights: list[int]
     labels: list[str]
     prefix_len: int
+    shorter: Optional[Callable[[int], "Snapshot"]] = field(
+        default=None, compare=False, repr=False)
+    _scans: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def rows(self, s: int) -> tuple[list[str], list[int]]:
         """Label prefixes of length s and heights, for
@@ -187,11 +234,25 @@ class Snapshot:
             else [bits[:s] for bits in self.labels]
         return labels, self.heights
 
+    def scan(self, m: int, s: int, core_radius: Optional[int] = None
+             ) -> tuple[list[int], list[PatternBall]]:
+        """:func:`~riverscape.patterns.pattern_scan` of the rows at prefix
+        s, computed once per ``(m, s, core_radius)`` and kept."""
+        if s < self.prefix_len and self.shorter is not None:
+            return self.shorter(s).scan(m, s, core_radius)
+        key = (m, s, core_radius)
+        got = self._scans.get(key)
+        if got is None:
+            got = pattern_scan(self.rows(s), self.window, m, s, core_radius)
+            self._scans[key] = got
+        return got
+
 
 def load_snapshot(obj: dict) -> Snapshot:
-    """Parse a snapshot; a missing or wrong-typed field, or heights and
-    labels that do not fit the window and the prefix length, are a
-    ``ValueError`` naming the field."""
+    """Parse a snapshot; a missing or wrong-typed field, a height that
+    is not an integer, a label that is not a string of ``labelPrefixLen``
+    0s and 1s, or rows that do not number the window's vertices, are a
+    ``ValueError`` naming the field and the row."""
     _expect(obj, dict, "snapshot")
     if obj.get("schema") != SNAPSHOT_SCHEMA:
         raise ValueError(f"unsupported snapshot schema: {obj.get('schema')!r}")
@@ -213,12 +274,29 @@ def load_snapshot(obj: dict) -> Snapshot:
                 f"snapshot field {name!r} has {len(rows)} entries, the "
                 f"window of radius {radius} has {len(window)} vertices"
             )
-    for i, bits in enumerate(labels):
-        if len(bits) != prefix_len:
-            raise ValueError(
-                f"snapshot field 'labels': label {i} has {len(bits)} bits, "
-                f"'labelPrefixLen' is {prefix_len}"
-            )
+    # each check runs over the distinct values; a row is located only
+    # when one fails
+    if set(map(type, heights)) - {int}:
+        i = next(i for i, h in enumerate(heights) if type(h) is not int)
+        raise ValueError(
+            f"snapshot field 'heights': height {i} is "
+            f"{type(heights[i]).__name__}, not an integer")
+    if set(map(type, labels)) - {str}:
+        i = next(i for i, bits in enumerate(labels) if type(bits) is not str)
+        raise ValueError(
+            f"snapshot field 'labels': label {i} is "
+            f"{type(labels[i]).__name__}, not a string")
+    if set(map(len, labels)) - {prefix_len}:
+        i = next(i for i, bits in enumerate(labels) if len(bits) != prefix_len)
+        raise ValueError(
+            f"snapshot field 'labels': label {i} has {len(labels[i])} bits, "
+            f"'labelPrefixLen' is {prefix_len}")
+    bad = {bits for bits in set(labels) if bits.strip("01")}
+    if bad:
+        i = next(i for i, bits in enumerate(labels) if bits in bad)
+        raise ValueError(
+            f"snapshot field 'labels': label {i} is {labels[i]!r}, not a "
+            f"string of 0s and 1s")
     return Snapshot(window, heights, labels, prefix_len)
 
 
@@ -259,14 +337,12 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
             f"window radius {window.radius}"
         )
     target = cert.target
-    ids, patterns = pattern_scan(snapshot.rows(target.prefix_len), window,
-                                 target.m, target.prefix_len)
+    ids, patterns = snapshot.scan(target.m, target.prefix_len)
     T = _select(ids, patterns, target.patterns)
     if cert.trivial:
         pieces: list[list[int]] = [[] for _ in cert.piece_patterns]
     else:
-        ids, patterns = pattern_scan(snapshot.rows(cert.prefix_len), window,
-                                     cert.l, cert.prefix_len)
+        ids, patterns = snapshot.scan(cert.l, cert.prefix_len)
         pieces = [_select(ids, patterns, pats)
                   for pats in cert.piece_patterns]
     clauses: list[ClauseResult] = []

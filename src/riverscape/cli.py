@@ -11,7 +11,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .checking import check_certificate_dict, load_snapshot
+from .checking import (bundle_certificates, check_certificate_dict,
+                       load_snapshot)
 from .groups import (DEFAULT_VERTEX_BUDGET, BudgetExceededError, FreeGroup,
                      GroupSpec, IntegerGroup, ball)
 from .labels import separation_index
@@ -192,10 +193,8 @@ def cmd_paradoxicalize(args) -> int:
 def cmd_check(args) -> int:
     snapshot = load_snapshot(load_json(args.snapshot))
     payload = load_json(args.certificate)
-    certs = payload.get("certificates", [payload]) \
-        if isinstance(payload, dict) else payload
     all_pass = True
-    for i, cert_obj in enumerate(certs):
+    for i, cert_obj in enumerate(bundle_certificates(payload)):
         report = check_certificate_dict(snapshot, cert_obj)
         status = "pass" if report.passed else "FAIL"
         print(f"certificate {i}: {status}")

@@ -32,6 +32,7 @@ from typing import Optional
 
 from .groups import FreeGroup, GroupSpec, IntegerGroup, Window, bfs_distances
 from .labels import ProperLabelRule
+from .patterns import PatternBall, pattern_scan
 
 
 class LandscapeRule:
@@ -70,6 +71,16 @@ class LandscapeRule:
         :meth:`window_heights`."""
         return (self.label_rule.label_rows(window, s),
                 self.window_heights(window))
+
+    def scan(self, window: Window, m: int, s: int,
+             core_radius: Optional[int] = None
+             ) -> tuple[list[int], list[PatternBall]]:
+        """:func:`~riverscape.patterns.pattern_scan` of
+        :meth:`window_rows` at prefix s; every construction scan
+        (``realize``, ``observed_patterns``, ``relabel``) goes through
+        this hook, which a rule that keeps its rows may memoize."""
+        return pattern_scan(self.window_rows(window, s), window, m, s,
+                            core_radius)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,17 @@ appear only as translators.
 One :class:`ChannelLandscape` per pipeline carries the labels: the base
 labels spread to odd positions, read from the colour arrays as one row
 per window vertex, and a channel write sets bits in the rows of a new
-rule that shares the heights.  Relabeling scans patterns with
-:func:`~riverscape.patterns.pattern_scan` over those rows, and every
-step report and matrix entry hands the same rows, at the certificate's
-prefix, to :func:`riverscape.checking.verify_certificate`, the verifier
-``riverscape check`` runs on snapshot files.
+rule that shares the heights.  A rule keeps one
+:class:`~riverscape.checking.Snapshot` per prefix length, and a derived
+rule with no channel at or below that prefix shares its parent's very
+snapshot.  Every scan goes through it: the targets' ``realize`` and
+``observed_patterns``, relabeling's piece scan, and every step report
+and matrix entry, which hands the rule's snapshot at the certificate's
+prefix to :func:`riverscape.checking.verify_certificate`, the verifier
+``riverscape check`` runs on snapshot files.  A snapshot memoizes its
+scans and hands a scan below its prefix to the rule's snapshot at that
+prefix, so a pattern scanned once, by construction or by a verifier, is
+not scanned again for any rule that shares those rows.
 
 All tie-breaking is enumeration-order; there is no randomness anywhere,
 so reruns produce byte-identical certificates.
@@ -36,7 +42,7 @@ from .checking import (CertificateReport, DoublingCertificate, Snapshot,
                        verify_certificate)
 from .groups import Window
 from .landscapes import LandscapeRule
-from .patterns import LocalSetSpec, pattern_scan, realize
+from .patterns import LocalSetSpec, PatternBall, realize
 
 
 # ---------------------------------------------------------------------------
@@ -50,11 +56,15 @@ class ChannelLandscape(LandscapeRule):
     base channel survives any number of even-position writes.  The rule
     holds the base, the window, one heights list shared by every rule
     derived from it, and the channels it writes (position -> member
-    window indices).  Label rows are materialized once per prefix length:
-    the first rule reads them from the base's colour arrays
+    window indices).  Label rows are materialized once per prefix length,
+    in a :class:`~riverscape.checking.Snapshot` with the heights: the
+    first rule reads them from the base's colour arrays
     (``label_rule.padded_rows``), a derived rule copies its parent's rows
-    and sets its own member bits, or shares them when none of its
-    channels lies inside the prefix.  The base's labels are those of its
+    and sets its own member bits, or shares its parent's snapshot when
+    none of its channels lies inside the prefix.  The snapshot memoizes
+    the scans made over its rows (:meth:`scan`), so rules that share the
+    rows share the scans, and hands a scan at a shorter prefix to the
+    rule's snapshot there.  The base's labels are those of its
     ``label_rule``.  Asked about another window, or a word outside its
     own, the rule raises ``ValueError``.
     """
@@ -75,7 +85,7 @@ class ChannelLandscape(LandscapeRule):
         else:
             self.heights = parent.heights
             self.positions = parent.positions | frozenset(self.channels)
-        self._rows: dict[int, list[str]] = {}
+        self._snapshots: dict[int, Snapshot] = {}
 
     def with_channels(self, channels: dict) -> "ChannelLandscape":
         """A new rule with ``members`` flagged at each even position
@@ -91,24 +101,32 @@ class ChannelLandscape(LandscapeRule):
             {pos: sorted(members) for pos, members in channels.items()},
         )
 
+    def snapshot(self, s: int) -> Snapshot:
+        """The heights and the first s label bits of every window vertex,
+        with the scans made over them; the parent's very snapshot when
+        none of this rule's channels lies at or below s."""
+        snap = self._snapshots.get(s)
+        if snap is None:
+            own = [pos for pos in self.channels if pos <= s]
+            if self.parent is not None and not own:
+                snap = self.parent.snapshot(s)
+            else:
+                rows = self.label_rule.padded_rows(self.window, s) \
+                    if self.parent is None \
+                    else list(self.parent.label_rows(s))
+                for pos in own:
+                    for i in self.channels[pos]:
+                        row = rows[i]
+                        rows[i] = row[:pos - 1] + "1" + row[pos:]
+                snap = Snapshot(self.window, self.heights, rows, s,
+                                shorter=self.snapshot)
+            self._snapshots[s] = snap
+        return snap
+
     def label_rows(self, s: int) -> list[str]:
         """The first s bits of every window vertex's label, in window
-        order."""
-        rows = self._rows.get(s)
-        if rows is None:
-            own = [pos for pos in self.channels if pos <= s]
-            if self.parent is None:
-                rows = self.label_rule.padded_rows(self.window, s)
-            elif not own:
-                rows = self.parent.label_rows(s)
-            else:
-                rows = list(self.parent.label_rows(s))
-            for pos in own:
-                for i in self.channels[pos]:
-                    row = rows[i]
-                    rows[i] = row[:pos - 1] + "1" + row[pos:]
-            self._rows[s] = rows
-        return rows
+        order; callers must not mutate it."""
+        return self.snapshot(s).labels
 
     def _check_window(self, window: Window) -> None:
         if (window.spec, window.radius) != (self.spec, self.window.radius):
@@ -125,6 +143,12 @@ class ChannelLandscape(LandscapeRule):
                     ) -> tuple[list[str], list[int]]:
         self._check_window(window)
         return self.label_rows(s), self.heights
+
+    def scan(self, window: Window, m: int, s: int,
+             core_radius: Optional[int] = None
+             ) -> tuple[list[int], list[PatternBall]]:
+        self._check_window(window)
+        return self.snapshot(s).scan(m, s, core_radius)
 
     def height(self, word) -> int:
         return self.heights[self.window.index_of(word)]
@@ -153,13 +177,18 @@ class ChannelAllocator:
 # deterministic Hopcroft-Karp matching
 
 class _HopcroftKarp:
-    """Maximum bipartite matching, deterministic in adjacency order."""
+    """Maximum bipartite matching, deterministic in adjacency order.
 
-    INF = float("inf")
+    ``dist`` holds each left vertex's BFS layer.  ``INF`` marks a vertex
+    off every layer: an integer above every layer plus one, since each
+    layer holds a left vertex of its own and so layers stay below
+    ``n_left``.
+    """
 
     def __init__(self, adjacency: list[list[int]], n_right: int):
         self.adj = adjacency
         self.n_left = len(adjacency)
+        self.INF = self.n_left + 1
         self.n_right = n_right
         self.match_left = [-1] * self.n_left
         self.match_right = [-1] * n_right
@@ -188,7 +217,7 @@ class _HopcroftKarp:
                 w = self.match_right[v]
                 if w == -1:
                     found = True
-                elif self.dist[w] is self.INF:
+                elif self.dist[w] == self.INF:
                     self.dist[w] = self.dist[u] + 1
                     queue.append(w)
         return found
@@ -393,8 +422,7 @@ def relabel(z: ChannelLandscape, cert: DoublingCertificate, m_prime: int,
     z_prime = z.with_channels(dict(zip(positions, cert.pieces_vertices)))
     prefix_len = positions[-1]
     allocator.floor = max(allocator.floor, prefix_len)
-    ids, patterns = pattern_scan(z_prime.window_rows(window, prefix_len),
-                                 window, cert.l, prefix_len)
+    ids, patterns = z_prime.scan(window, cert.l, prefix_len)
     n_core = len(ids)
     piece_patterns = [
         frozenset(patterns[ids[i]] for i in members if i < n_core)
@@ -436,8 +464,7 @@ def _verify(rule: ChannelLandscape, cert: DoublingCertificate
             ) -> CertificateReport:
     """Verify ``cert`` on the rule's rows at the prefix it reads."""
     s = max(cert.prefix_len, cert.target.prefix_len)
-    snapshot = Snapshot(rule.window, rule.heights, rule.label_rows(s), s)
-    return verify_certificate(snapshot, cert)
+    return verify_certificate(rule.snapshot(s), cert)
 
 
 def paradoxicalize_sequence(z0: LandscapeRule,

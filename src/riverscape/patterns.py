@@ -16,16 +16,25 @@ the window's offset tables (compositions of its step table), and a
 equals θ at every core vertex.  Scans answer in window indices:
 :func:`realize` returns the core indices of a local set, and no word is
 built.
+
+:func:`pattern_scan` is the one scan implementation.  ``realize`` and
+``observed_patterns`` reach it through the rule's ``scan`` hook: a plain
+rule scans its ``window_rows`` afresh, while a channel rule hands the
+scan to the :class:`~riverscape.checking.Snapshot` that owns its rows at
+that prefix, which memoizes it, so each distinct scan of a pipeline
+runs once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .groups import GroupSpec, Window, ball
-from .landscapes import LandscapeRule
+
+if TYPE_CHECKING:
+    from .landscapes import LandscapeRule
 
 _BALL_CACHE: dict = {}
 
@@ -177,8 +186,7 @@ def _intern(items: list) -> tuple[list, list[int]]:
 def realize(T: LocalSetSpec, z: LandscapeRule, window: Window,
             core_radius: Optional[int] = None) -> list[int]:
     """The core indices whose pattern lies in T, ascending."""
-    ids, patterns = pattern_scan(z.window_rows(window, T.prefix_len), window,
-                                 T.m, T.prefix_len, core_radius)
+    ids, patterns = z.scan(window, T.m, T.prefix_len, core_radius)
     wanted = {j for j, pat in enumerate(patterns) if pat in T.patterns}
     return list(compress(range(len(ids)), map(wanted.__contains__, ids)))
 
@@ -190,8 +198,7 @@ def observed_patterns(z: LandscapeRule, window: Window, m: int,
     the patterns in order of first occurrence."""
     if prefix_len is None:
         prefix_len = m
-    ids, patterns = pattern_scan(z.window_rows(window, prefix_len), window,
-                                 m, prefix_len, core_radius)
+    ids, patterns = z.scan(window, m, prefix_len, core_radius)
     sites: list[list[int]] = [[] for _ in patterns]
     for i, j in enumerate(ids):
         sites[j].append(i)

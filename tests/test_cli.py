@@ -340,6 +340,78 @@ class TestCheck:
         assert capsys.readouterr().err == \
             "error: snapshot field 'windowRef' must be an object, not list\n"
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.__setitem__("heights",
+                                     list(map(str, doc["heights"]))),
+         "'heights': height 0 is str, not an integer"),
+        (lambda doc: doc.__setitem__("heights",
+                                     list(map(float, doc["heights"]))),
+         "'heights': height 0 is float, not an integer"),
+        (lambda doc: doc["heights"].__setitem__(5, None),
+         "'heights': height 5 is NoneType, not an integer"),
+        (lambda doc: doc["heights"].__setitem__(6, True),
+         "'heights': height 6 is bool, not an integer"),
+        (lambda doc: doc.__setitem__("labels",
+                                     list(map(list, doc["labels"]))),
+         "'labels': label 0 is list, not a string"),
+        (lambda doc: doc["labels"].__setitem__(9, "2" * 14),
+         f"'labels': label 9 is {'2' * 14!r}, not a string of 0s and 1s"),
+    ], ids=["string-heights", "float-heights", "null-height", "bool-height",
+            "array-labels", "ternary-label"])
+    def test_wrong_typed_rows_are_input_errors(self, bundle_dir, tmp_path,
+                                               capsys, edit, message):
+        # such rows used to pass (string or float heights), or to fail as
+        # a verification failure (a null height) or a traceback (arrays)
+        doc = load_json(bundle_dir / "final_snapshot.json")
+        assert doc["labelPrefixLen"] == 14
+        edit(doc)
+        bad = tmp_path / "bad_snapshot.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check", "--snapshot", bad,
+                    "--certificate", bundle_dir / "certificates.json"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: snapshot field {message}\n"
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.__setitem__("certificates", 5),
+         "bundle field 'certificates' must be an array, not int"),
+        (lambda doc: doc["certificates"][0].__setitem__("target", [1]),
+         "certificate field 'target' must be an object, not list"),
+        (lambda doc: doc["certificates"][0]["target"].__setitem__(
+            "patterns", "1|1|0:1"),
+         "target field 'patterns' must be an array, not str"),
+        (lambda doc: doc["certificates"][0]["target"]["patterns"].insert(
+            0, [1]),
+         "target field 'patterns': entry 0 is list, not a string"),
+        (lambda doc: doc["certificates"][0]["pieces"][1].insert(0, 7),
+         "certificate field 'pieces': piece 1: entry 0 is int, not a "
+         "string"),
+    ], ids=["certificates-number", "target-array", "patterns-string",
+            "pattern-array", "piece-number"])
+    def test_malformed_bundle_is_input_error(self, bundle_dir, tmp_path,
+                                             capsys, edit, message):
+        doc = load_json(bundle_dir / "certificates.json")
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check",
+                    "--snapshot", bundle_dir / "final_snapshot.json",
+                    "--certificate", bad])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_certificate_file_of_the_wrong_type_is_input_error(
+            self, bundle_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("5")
+        code = run(["check",
+                    "--snapshot", bundle_dir / "final_snapshot.json",
+                    "--certificate", bad])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: certificate file must be an object or an array, not int\n"
+
     def test_missing_file(self, bundle_dir):
         assert run(["check", "--snapshot", "/nonexistent.json",
                     "--certificate",

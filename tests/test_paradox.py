@@ -6,14 +6,15 @@ import pytest
 from riverscape import (ChannelAllocator, ChannelLandscape, FreeGroup,
                         IntegerGroup, LocalSetSpec, PatternBall,
                         RiverLandscape, Snapshot, ball, certificate_from_dict,
-                        extract_pieces, find_doubling,
-                        paradoxicalize_sequence, realize,
+                        check_certificate_dict, checking, extract_pieces,
+                        find_doubling, landscapes, load_snapshot, paradox,
+                        paradoxicalize_sequence, patterns, realize,
                         trivial_certificate, verify_certificate)
 from riverscape.paradox import _HopcroftKarp, _verify
 from riverscape.patterns import center_height_local_set, observed_patterns
 from riverscape.snapshots import bundle_pipeline
 
-from test_labels import project_even, project_odd
+from test_labels import project_even, project_odd, source_mutant
 from test_landscapes import river_points
 
 F2 = FreeGroup(2)
@@ -146,6 +147,13 @@ class TestMatcher:
         matcher = _HopcroftKarp(adjacency, n)
         assert matcher.solve() == n
         assert sorted(matcher.match_left) == list(range(n))
+
+    def test_layers_are_integers(self):
+        # the unreached-layer sentinel is an integer compared by value
+        adjacency = [[0, 1], [0], [2], []]
+        matcher = _HopcroftKarp(adjacency, 3)
+        assert matcher.solve() == 3
+        assert all(type(d) is int for d in matcher.dist)
 
     def test_matching_is_injective(self, river, win8):
         T = river_points(river, win8)
@@ -332,3 +340,125 @@ class TestDeterminism:
         assert hashlib.sha256(data).hexdigest() == (
             "00af71adf322a78ff30e54a74ef2142158e603064df5fd1eea585293b9bd36e3"
         )
+
+
+def counted_scans(monkeypatch):
+    """Record the (m, s, core radius) of every ``pattern_scan`` call,
+    through the checker's snapshots and the rules' default hook alike."""
+    calls = []
+    real = patterns.pattern_scan
+
+    def counting(rows, window, m, prefix_len, core_radius=None):
+        calls.append((m, prefix_len, core_radius))
+        return real(rows, window, m, prefix_len, core_radius)
+
+    monkeypatch.setattr(checking, "pattern_scan", counting)
+    monkeypatch.setattr(landscapes, "pattern_scan", counting)
+    return calls
+
+
+def heights_pipeline(win):
+    """The CLI's ``--target-heights "1;2;3"`` pipeline on the river."""
+    return paradoxicalize_sequence(RiverLandscape(F2), [
+        height_target({h}) for h in (1, 2, 3)], win)
+
+
+@pytest.fixture(scope="module")
+def pipeline8_3(win8):
+    return heights_pipeline(win8)
+
+
+# a channel rule that shares its parent's snapshot, and the scans made
+# over it, even when it writes a channel at or below the prefix
+SHARED_PAST_CHANNELS = source_mutant(
+    paradox, "if self.parent is not None and not own:",
+    "if self.parent is not None:")
+
+
+class TestScanMemo:
+    """Each distinct scan runs once per pipeline: a rule keeps one
+    snapshot per prefix, shares its parent's when it writes no channel
+    at or below that prefix, and the snapshot memoizes its scans and
+    hands a scan at a shorter prefix to the rule's snapshot there."""
+
+    def test_memoized_scans_equal_fresh_scans(self, pipeline8_3, win8):
+        snapshots = []
+        for rule in pipeline8_3.rules:
+            for snap in rule._snapshots.values():
+                if not any(snap is seen for seen in snapshots):
+                    snapshots.append(snap)
+        scans = [(snap, key, got) for snap in snapshots
+                 for key, got in snap._scans.items()]
+        assert len(scans) == 4
+        for snap, (m, s, core_radius), got in scans:
+            assert got == patterns.pattern_scan(
+                snap.rows(s), win8, m, s, core_radius)
+
+    def test_scans_counted_in_the_pipeline_and_its_check(self, win8,
+                                                         monkeypatch):
+        calls = counted_scans(monkeypatch)
+        result = heights_pipeline(win8)
+        assert result.matrix_all_pass()
+        prefixes = [c.prefix_len for c in result.certificates]
+        # one scan of the targets' pattern (prefix 1, the same rows for
+        # every rule) and one per relabeling, reused by its step report
+        # and every later matrix entry: 4, against 21 with no memo
+        assert calls == [(1, 1, None)] + [(2, s, None) for s in prefixes]
+        bundle = bundle_pipeline(result, win8)
+        del calls[:]
+        snapshot = load_snapshot(bundle["finalSnapshot"])
+        for cert in bundle["certificates"]:
+            assert check_certificate_dict(snapshot, cert).passed
+        assert calls == [(1, 1, None)] + [(2, s, None) for s in prefixes]
+
+    def test_shorter_prefix_scans_equal_fresh_scans(self, pipeline8_3,
+                                                    win8):
+        # a scan below a snapshot's prefix is the rule's scan at that
+        # prefix, channels of the rule and of its ancestors included
+        s_max = pipeline8_3.certificates[-1].prefix_len
+        for rule in pipeline8_3.rules:
+            snap = rule.snapshot(s_max)
+            for s in (1, 2, 3, 15, s_max - 1):
+                assert snap.scan(1, s) == patterns.pattern_scan(
+                    snap.rows(s), win8, 1, s)
+
+    def test_shared_rows_share_the_snapshot(self, pipeline8_3):
+        first, later = pipeline8_3.rules[1], pipeline8_3.rules[-1]
+        s = pipeline8_3.certificates[0].prefix_len
+        assert later.snapshot(s) is first.snapshot(s)
+        assert later.label_rows(1) is pipeline8_3.initial_rule.label_rows(1)
+        assert later.snapshot(s + 2) is not first.snapshot(s + 2)
+
+    def test_snapshot_equality_ignores_the_memo(self, win8):
+        rule = ChannelLandscape(RiverLandscape(F2), win8)
+        snap = rule.snapshot(3)
+        fresh = rule_snapshot(rule, win8, 3)
+        snap.scan(1, 3)
+        assert snap == fresh and repr(snap) == repr(fresh)
+        assert snap.scan(1, 3) is snap.scan(1, 3)
+
+    @pytest.mark.parametrize("module,passes", [(paradox, False),
+                                               (SHARED_PAST_CHANNELS, True)],
+                             ids=["channel-rule", "memo-shared-past-channel"])
+    def test_channel_below_a_prefix_gets_a_fresh_scan(
+            self, pipeline8_3, monkeypatch, module, passes):
+        # a derived rule that writes piece 1's vertices into piece 0's
+        # channel, at or below certificate 0's prefix: its rows differ
+        # there, so its matrix entry for certificate 0 must scan afresh
+        # and fail; a memo shared past that channel would pass it
+        final, cert = pipeline8_3.final_rule, pipeline8_3.certificates[0]
+        assert _verify(final, cert).passed
+        bad = module.ChannelLandscape(
+            final.base, final.window, final,
+            {cert.channel_positions[0]: sorted(cert.pieces_vertices[1])})
+        calls = counted_scans(monkeypatch)
+        report = _verify(bad, cert)
+        assert report.passed is passes
+        if passes:
+            assert calls == []
+        else:
+            assert calls == [(2, cert.prefix_len, None)]
+            assert bad.snapshot(cert.prefix_len) \
+                != final.snapshot(cert.prefix_len)
+            assert [c.name for c in report.clauses if not c.passed] \
+                == ["phi-cover", "psi-cover"]
