@@ -37,7 +37,7 @@ from itertools import compress
 from typing import Callable, Optional
 
 from .groups import GroupSpec, Window, ball, letter_index
-from .patterns import LocalSetSpec, PatternBall, pattern_scan
+from .patterns import LocalSetSpec, PatternBall, json_int, pattern_scan
 from .snapshots import SNAPSHOT_SCHEMA
 
 
@@ -145,27 +145,41 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
         pieces = _expect(obj["pieces"], list, "certificate field 'pieces'")
         for i, pats in enumerate(pieces):
             _strings(pats, f"certificate field 'pieces': piece {i}")
+        channels = _expect(obj["channelPositions"], list,
+                           "certificate field 'channelPositions'")
+        for i, c in enumerate(channels):
+            json_int(c, f"certificate field 'channelPositions': entry {i}")
+        trivial = obj.get("trivial", False)
+        if type(trivial) is not bool:
+            raise ValueError(f"certificate field 'trivial' must be a "
+                             f"boolean, not {type(trivial).__name__}")
+
+        def integer(name: str, default=None) -> int:
+            value = obj[name] if default is None else obj.get(name, default)
+            return json_int(value, f"certificate field {name!r}")
+
         cert = DoublingCertificate(
-            m=int(obj["m"]),
+            m=integer("m"),
             target=LocalSetSpec.from_dict(target),
-            l=int(obj["l"]),
-            prefix_len=int(obj["prefixLen"]),
+            l=integer("l"),
+            prefix_len=integer("prefixLen"),
             translators=tuple(
                 spec.word_from_json(t) for t in obj["translators"]
             ),
-            p=int(obj["p"]),
-            q=int(obj["q"]),
+            p=integer("p"),
+            q=integer("q"),
             pieces_vertices=tuple(frozenset() for _ in pieces),
             piece_patterns=tuple(
                 frozenset(PatternBall.deserialize(s) for s in pats)
                 for pats in pieces
             ),
-            channel_positions=tuple(int(c) for c in obj["channelPositions"]),
+            channel_positions=tuple(channels),
             window_group=ref["group"],
-            window_radius=int(ref["radius"]),
-            core_radius=int(obj["coreRadius"]),
-            K=int(obj.get("displacementBound", 0)),
-            trivial=bool(obj.get("trivial", False)),
+            window_radius=json_int(ref["radius"],
+                                   "certificate field 'windowRef.radius'"),
+            core_radius=integer("coreRadius"),
+            K=integer("displacementBound", 0),
+            trivial=trivial,
         )
     except KeyError as exc:
         raise ValueError(
@@ -260,8 +274,9 @@ def load_snapshot(obj: dict) -> Snapshot:
         ref = _expect(obj["windowRef"], dict, "snapshot field 'windowRef'")
         spec = GroupSpec.from_dict(
             _expect(ref["group"], dict, "snapshot field 'group'"))
-        radius = int(ref["radius"])
-        prefix_len = int(obj["labelPrefixLen"])
+        radius = json_int(ref["radius"], "snapshot field 'radius'")
+        prefix_len = json_int(obj["labelPrefixLen"],
+                              "snapshot field 'labelPrefixLen'")
         heights = _expect(obj["heights"], list, "snapshot field 'heights'")
         labels = _expect(obj["labels"], list, "snapshot field 'labels'")
     except KeyError as exc:

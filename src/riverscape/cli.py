@@ -132,7 +132,7 @@ def cmd_amenability(args) -> int:
     out = _outdir(args)
     rows = defect_table(z, window, m_values)
     names = [" ".join(map(str, w))
-             for w in window.vertices[:window.core_size(window.radius - 1)]]
+             for w in spec.ball_words(window.radius - 1, window.step)]
     tails: dict = {}
     violated = 0
     # no field needs quoting, so each line is the one csv.writer writes
@@ -192,9 +192,11 @@ def cmd_paradoxicalize(args) -> int:
 
 def cmd_check(args) -> int:
     snapshot = load_snapshot(load_json(args.snapshot))
-    payload = load_json(args.certificate)
+    # keep only the certificates: a bundle's copy of the final snapshot
+    # is freed before verification
+    certificates = bundle_certificates(load_json(args.certificate))
     all_pass = True
-    for i, cert_obj in enumerate(bundle_certificates(payload)):
+    for i, cert_obj in enumerate(certificates):
         report = check_certificate_dict(snapshot, cert_obj)
         status = "pass" if report.passed else "FAIL"
         print(f"certificate {i}: {status}")

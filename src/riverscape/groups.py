@@ -11,8 +11,11 @@ tie-breaking and serialization: words sorted by length, then
 lexicographically by letter, with letter order ``+1 < -1 < +2 < -2 < ...``.
 
 A window B_R(G, e) is its step table: vertex ids are enumeration
-indices, and a neighbour is one table read.  Words are a view built on
-first use, for printing and for the word-level oracles; a word is
+indices, and a neighbour is one table read.  Window-scale state is held
+as typed int32 arrays (the step table, its letter columns, the offset
+tables).  Words are built only at the edges: transiently where a
+word-level rule is evaluated (``ball_words``), and as a view cached on
+first use for printing and for the word-level oracles.  A word is
 ranked arithmetically (``index_of``), never through a lookup table.
 """
 
@@ -362,10 +365,14 @@ class Window:
     Vertices are the indices 0 .. len - 1 in enumeration order, vertex 0
     the identity; the neighbours of vertex i are the non-negative
     entries of ``step[i * degree:(i + 1) * degree]``, in letter order
-    (:meth:`letter_columns` splits them by letter).  The words are a view built on first use, for the places that print
-    or multiply words.  A window is determined by its group and radius,
-    so code that must know whether two windows agree compares
-    ``(spec, radius)``.
+    (:meth:`letter_columns` splits them by letter).  The offset tables
+    are int32 arrays composed on the step table.  :attr:`vertices`, the
+    words, is a view cached on first use for the places that print or
+    multiply words (witness strings, CSV names, the word-level oracles);
+    pipeline code that reads each word once walks
+    ``spec.ball_words(radius, step)`` instead, so the words are not kept.
+    A window is determined by its group and radius, so code that must
+    know whether two windows agree compares ``(spec, radius)``.
     """
 
     spec: GroupSpec
@@ -379,7 +386,8 @@ class Window:
 
     @cached_property
     def vertices(self) -> tuple:
-        """The words of the window, in index order."""
+        """The words of the window, in index order, built on first use
+        and kept; no doubling pipeline step reads them."""
         return tuple(self.spec.ball_words(self.radius, self.step))
 
     def letter_columns(self) -> list[array]:
@@ -410,13 +418,14 @@ class Window:
         """Vertex indices with word length <= core_radius."""
         return list(range(self.core_size(core_radius)))
 
-    def offset_tables(self, m: int) -> list[list[int]]:
+    def offset_tables(self, m: int) -> list[array]:
         """Where the offsets of B_m(e) take the core of radius R - m.
 
         ``tables[j][v]`` is the index of vertex v times offset j (offsets
         in enumeration order), for every v < ``core_size(R - m)``; each
-        table composes one step onto an earlier one, and no product
-        leaves the window.
+        table is an int32 array that composes one letter column onto an
+        earlier table, and no product leaves the window.  The tables are
+        kept per m; callers must not mutate them.
         """
         tables = self._offset_tables.get(m)
         if tables is None:
@@ -425,11 +434,15 @@ class Window:
                     f"offset radius {m} does not fit the window radius "
                     f"{self.radius}"
                 )
-            step = self.step
-            d = self.spec.degree
-            tables = [list(range(self.core_size(self.radius - m)))]
-            for p, a in offset_steps(step, d, self.spec.ball_size(m)):
-                tables.append([step[x * d + a] for x in tables[p]])
+            n = self.core_size(self.radius - m)
+            columns = self.letter_columns()
+            tables = [array("i", range(n))]
+            for p, a in offset_steps(self.step, self.spec.degree,
+                                     self.spec.ball_size(m)):
+                # composed onto the identity table, a column is its head;
+                # a list built by map fills an array faster than map does
+                tables.append(columns[a][:n] if p == 0 else array(
+                    "i", list(map(columns[a].__getitem__, tables[p]))))
             self._offset_tables[m] = tables
         return tables
 

@@ -62,7 +62,9 @@ class LandscapeRule:
         return heights
 
     def _compute_heights(self, window: Window) -> list[int]:
-        return [self.height(w) for w in window.vertices]
+        # the words are walked once and dropped, not cached on the window
+        return list(map(self.height,
+                        self.spec.ball_words(window.radius, window.step)))
 
     def window_rows(self, window: Window, s: int
                     ) -> tuple[list[str], list[int]]:

@@ -361,8 +361,9 @@ def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
         return trivial_certificate(target, window)
     spec = window.spec
     tables = window.offset_tables(search.K - 1)
-    # offset j of B_(K-1) is window word j
-    inverses = [spec.inverse(delta) for delta in window.vertices[:len(tables)]]
+    # offset j of B_(K-1) is window word j; only those words are built
+    inverses = [spec.inverse(delta)
+                for delta in spec.ball_words(search.K - 1, window.step)]
     phi_pieces: dict = {}
     psi_pieces: dict = {}
     for assignment, pieces in ((search.phi, phi_pieces),

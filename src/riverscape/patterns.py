@@ -95,6 +95,15 @@ def theta(z: LandscapeRule, gamma, m: int,
     return PatternBall(m, prefix_len, tuple(entries))
 
 
+def json_int(value, what: str) -> int:
+    """``value`` when it is a JSON integer (an ``int``, not a ``bool``);
+    otherwise a ``ValueError`` naming ``what``."""
+    if type(value) is not int:
+        raise ValueError(
+            f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class LocalSetSpec:
     """A local set: the preimage of a finite set of radius-m patterns."""
@@ -129,8 +138,10 @@ class LocalSetSpec:
             patterns = frozenset(
                 PatternBall.deserialize(s) for s in obj["patterns"]
             )
-            return LocalSetSpec(int(obj["m"]), int(obj["prefixLen"]),
-                                patterns)
+            return LocalSetSpec(
+                json_int(obj["m"], "local set field 'm'"),
+                json_int(obj["prefixLen"], "local set field 'prefixLen'"),
+                patterns)
         except KeyError as exc:
             raise ValueError(
                 f"local set is missing the field {exc.args[0]!r}") from None
@@ -162,9 +173,11 @@ def pattern_scan(rows: tuple[list[str], list[int]], window: Window, m: int,
             f"the window radius {window.radius}"
         )
     labels, heights = rows
-    pairs = list(zip(labels, heights))
-    cells, cell = _intern(pairs)
-    gather = cell.__getitem__
+    # the (label, height) cells are zipped twice rather than kept as one
+    # list of pairs per window vertex
+    cells = list(dict.fromkeys(zip(labels, heights)))
+    position = {pair: i for i, pair in enumerate(cells)}
+    gather = list(map(position.__getitem__, zip(labels, heights))).__getitem__
     tables = window.offset_tables(m)
     # the first column runs over the core only, so zip stops there
     keys = list(zip(map(gather, range(window.core_size(core_radius))),

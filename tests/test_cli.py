@@ -401,6 +401,80 @@ class TestCheck:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["windowRef"].__setitem__("radius", 8.7),
+         "'radius' must be an integer, not float"),
+        (lambda doc: doc["windowRef"].__setitem__("radius", True),
+         "'radius' must be an integer, not bool"),
+        (lambda doc: doc.__setitem__("labelPrefixLen", "14"),
+         "'labelPrefixLen' must be an integer, not str"),
+    ], ids=["float-radius", "bool-radius", "string-prefix-len"])
+    def test_snapshot_scalars_are_strict(self, bundle_dir, tmp_path, capsys,
+                                         edit, message):
+        # such scalars used to be coerced with int(): 8.7 read as 8
+        doc = load_json(bundle_dir / "final_snapshot.json")
+        assert doc["windowRef"]["radius"] == 8
+        assert doc["labelPrefixLen"] == 14
+        edit(doc)
+        bad = tmp_path / "bad_snapshot.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check", "--snapshot", bad,
+                    "--certificate", bundle_dir / "certificates.json"])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: snapshot field {message}\n"
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("m", 1.0, "certificate field 'm' must be an integer, not float"),
+        ("l", "2", "certificate field 'l' must be an integer, not str"),
+        ("prefixLen", 14.0,
+         "certificate field 'prefixLen' must be an integer, not float"),
+        ("p", "1", "certificate field 'p' must be an integer, not str"),
+        ("q", 1.0, "certificate field 'q' must be an integer, not float"),
+        ("coreRadius", True,
+         "certificate field 'coreRadius' must be an integer, not bool"),
+        ("windowRef.radius", 8.0,
+         "certificate field 'windowRef.radius' must be an integer, "
+         "not float"),
+        ("displacementBound", "3",
+         "certificate field 'displacementBound' must be an integer, "
+         "not str"),
+        ("channelPositions.0", "15",
+         "certificate field 'channelPositions': entry 0 must be an "
+         "integer, not str"),
+        ("trivial", "false",
+         "certificate field 'trivial' must be a boolean, not str"),
+        ("trivial", 0,
+         "certificate field 'trivial' must be a boolean, not int"),
+        ("target.m", "1",
+         "local set field 'm' must be an integer, not str"),
+        ("target.prefixLen", 1.0,
+         "local set field 'prefixLen' must be an integer, not float"),
+    ], ids=["float-m", "string-l", "float-prefix-len", "string-p",
+            "float-q", "bool-core-radius", "float-window-radius",
+            "string-displacement-bound", "string-channel",
+            "string-trivial", "int-trivial", "string-target-m",
+            "float-target-prefix-len"])
+    def test_certificate_scalars_are_strict(self, bundle_dir, tmp_path,
+                                            capsys, field, value, message):
+        # such scalars used to be coerced: int() read "1" and 1.0 as 1,
+        # and bool("false") is True, which emptied the pieces
+        doc = load_json(bundle_dir / "certificates.json")
+        cert = doc["certificates"][0]
+        assert cert["trivial"] is False and cert["channelPositions"]
+        parent, _, key = field.rpartition(".")
+        if parent == "channelPositions":
+            cert[parent][int(key)] = value
+        else:
+            (cert[parent] if parent else cert)[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check",
+                    "--snapshot", bundle_dir / "final_snapshot.json",
+                    "--certificate", bad])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_certificate_file_of_the_wrong_type_is_input_error(
             self, bundle_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"

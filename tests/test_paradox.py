@@ -1,5 +1,7 @@
 import hashlib
 import json
+import tracemalloc
+from array import array
 
 import pytest
 
@@ -462,3 +464,41 @@ class TestScanMemo:
                 != final.snapshot(cert.prefix_len)
             assert [c.name for c in report.clauses if not c.passed] \
                 == ["phi-cover", "psi-cover"]
+
+
+@pytest.fixture(scope="module")
+def dense9():
+    """The dense B_9 pipeline (every core vertex, heights 1..10) on a
+    window of its own, with its tracemalloc peak in bytes."""
+    win = ball(F2, 9)
+    tracemalloc.start()
+    try:
+        result = paradoxicalize_sequence(
+            RiverLandscape(F2), [height_target(range(1, 11))], win)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.passed for r in result.reports] == [True]
+    return win, result, peak
+
+
+class TestMemoryShape:
+    """Window-scale state stays compact: offset tables are int32 arrays
+    and no pipeline step keeps the window's words."""
+
+    def test_words_not_kept(self, dense9):
+        win, _, _ = dense9
+        assert "vertices" not in win.__dict__
+
+    def test_offset_tables_are_int32_arrays(self, dense9):
+        win, result, _ = dense9
+        cert = result.certificates[0]
+        for m in {cert.target.m, cert.l, cert.K - 1}:
+            tables = win.offset_tables(m)
+            assert all(type(t) is array and t.typecode == "i"
+                       for t in tables)
+
+    def test_traced_peak(self, dense9):
+        # about 19.5 MiB with list tables, the cached word tuple and a
+        # list of (label, height) pairs per scan; about 10.2 MiB without
+        assert dense9[2] < 14 * 2**20
