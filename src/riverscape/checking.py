@@ -24,9 +24,14 @@ sets read off the scan, "inside the core of radius r" is an index below
 letters on the window's step table.  A step that leaves the window
 means the translate lies outside it, hence outside the core, because
 balls in trees and on the line are convex.  Words appear only in the
-witness strings, built from the window's word view when a clause
-fails, and a witness names the enumeration-least offender; a passing
-check builds no word.
+witness strings, each spelled arithmetically (``window.word_at``)
+when a clause fails, and a witness names the enumeration-least
+offender; a passing check builds no word.
+
+:func:`load_snapshot` keeps one string per distinct label row, and
+every row references it.  It counts the rows against the claimed
+radius before building the window, and the row count is the window's
+vertex budget, so any snapshot whose rows fit in memory can be read.
 """
 
 from __future__ import annotations
@@ -244,9 +249,13 @@ class Snapshot:
                 f"prefix {s} exceeds snapshot prefix length "
                 f"{self.prefix_len}"
             )
-        labels = self.labels if s == self.prefix_len \
-            else [bits[:s] for bits in self.labels]
-        return labels, self.heights
+        if s == self.prefix_len:
+            return self.labels, self.heights
+        # each distinct row is cut once, and equal cuts are one string
+        cuts: dict[str, str] = {}
+        cut = {bits: cuts.setdefault(bits[:s], bits[:s])
+               for bits in set(self.labels)}
+        return list(map(cut.__getitem__, self.labels)), self.heights
 
     def scan(self, m: int, s: int, core_radius: Optional[int] = None
              ) -> tuple[list[int], list[PatternBall]]:
@@ -282,13 +291,22 @@ def load_snapshot(obj: dict) -> Snapshot:
     except KeyError as exc:
         raise ValueError(
             f"snapshot is missing the field {exc.args[0]!r}") from None
-    window = ball(spec, radius)
+    if radius < 0:
+        raise ValueError(f"snapshot field 'radius' is {radius}, not "
+                         f"non-negative")
+    # the rows are counted before any window is built, and their count
+    # is the window's budget; |B_r| > r, so a radius at or above the
+    # row count is a mismatch without computing the ball size
+    size = spec.ball_size(radius) if radius < len(heights) else None
     for name, rows in (("heights", heights), ("labels", labels)):
-        if len(rows) != len(window):
+        if len(rows) != size:
+            vertices = size if size is not None and size <= len(heights) \
+                else f"more than {len(heights)}"
             raise ValueError(
                 f"snapshot field {name!r} has {len(rows)} entries, the "
-                f"window of radius {radius} has {len(window)} vertices"
+                f"window of radius {radius} has {vertices} vertices"
             )
+    window = ball(spec, radius, budget=size)
     # each check runs over the distinct values; a row is located only
     # when one fails
     if set(map(type, heights)) - {int}:
@@ -306,13 +324,17 @@ def load_snapshot(obj: dict) -> Snapshot:
         raise ValueError(
             f"snapshot field 'labels': label {i} has {len(labels[i])} bits, "
             f"'labelPrefixLen' is {prefix_len}")
-    bad = {bits for bits in set(labels) if bits.strip("01")}
+    distinct = set(labels)
+    bad = {bits for bits in distinct if bits.strip("01")}
     if bad:
         i = next(i for i, bits in enumerate(labels) if bits in bad)
         raise ValueError(
             f"snapshot field 'labels': label {i} is {labels[i]!r}, not a "
             f"string of 0s and 1s")
-    return Snapshot(window, heights, labels, prefix_len)
+    # every row references the one parsed string of its value
+    canonical = {bits: bits for bits in distinct}
+    return Snapshot(window, heights, list(map(canonical.__getitem__, labels)),
+                    prefix_len)
 
 
 def check_certificate_dict(snapshot: Snapshot, cert_obj: dict
@@ -364,7 +386,7 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
 
     # clause 1: pieces inside the target set
     in_T = set(T)
-    witness = next((f"piece {i} vertex {window.vertices[y]!r} "
+    witness = next((f"piece {i} vertex {window.word_at(y)!r} "
                     f"outside target"
                     for i, members in enumerate(pieces)
                     for y in members if y not in in_T), None)
@@ -376,7 +398,7 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
     for i, members in enumerate(pieces):
         for y in members:
             if y in seen:
-                witness = (f"vertex {window.vertices[y]!r} in pieces "
+                witness = (f"vertex {window.word_at(y)!r} in pieces "
                            f"{seen[y]} and {i}")
                 break
             seen[y] = i
@@ -401,9 +423,9 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
         missing = T_core - covered
         if extra:
             witness = (f"translated piece point "
-                       f"{window.vertices[min(extra)]!r} not in target core")
+                       f"{window.word_at(min(extra))!r} not in target core")
         elif missing:
-            witness = (f"target vertex {window.vertices[min(missing)]!r} "
+            witness = (f"target vertex {window.word_at(min(missing))!r} "
                        f"not covered")
         clauses.append(ClauseResult(name, witness is None, witness))
 

@@ -14,9 +14,10 @@ A window B_R(G, e) is its step table: vertex ids are enumeration
 indices, and a neighbour is one table read.  Window-scale state is held
 as typed int32 arrays (the step table, its letter columns, the offset
 tables).  Words are built only at the edges: transiently where a
-word-level rule is evaluated (``ball_words``), and as a view cached on
-first use for printing and for the word-level oracles.  A word is
-ranked arithmetically (``index_of``), never through a lookup table.
+word-level rule is evaluated (``ball_words``), one at a time where a
+few are printed (``word_at``), and as a view cached on first use for
+the word-level oracles.  A word is ranked and unranked arithmetically
+(``index_of``, ``word_at``), never through a lookup table.
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ class GroupSpec:
     def index_of(self, u) -> int:
         """The position of ``u`` in the enumeration order, computed
         arithmetically (no ball is built)."""
+        raise NotImplementedError
+
+    def word_at(self, i: int):
+        """The word with enumeration index ``i``, computed arithmetically
+        (the inverse of :meth:`index_of`)."""
         raise NotImplementedError
 
     def step_table(self, radius: int) -> array:
@@ -229,6 +235,29 @@ class FreeGroup(GroupSpec):
             prev = a
         return self.ball_size(len(u) - 1) + r
 
+    def word_at(self, i: int) -> tuple[int, ...]:
+        if i == 0:
+            return ()
+        length = 1
+        while self.ball_size(length) <= i:
+            length += 1
+        r = i - self.ball_size(length - 1)
+        d1 = self.degree - 1
+        digits = []
+        for _ in range(length - 1):
+            r, digit = divmod(r, d1)
+            digits.append(digit)
+        # r is now the first letter's index; each later digit skips the
+        # inverse of its predecessor
+        letters = self.letters()
+        out = [letters[r]]
+        prev = r
+        for digit in reversed(digits):
+            a = digit + (digit >= (prev ^ 1))
+            out.append(letters[a])
+            prev = a
+        return tuple(out)
+
     def step_table(self, radius: int) -> array:
         d = self.degree
         n = self.ball_size(radius)
@@ -312,6 +341,9 @@ class IntegerGroup(GroupSpec):
     def index_of(self, u: int) -> int:
         return 2 * u - 1 if u > 0 else -2 * u
 
+    def word_at(self, i: int) -> int:
+        return (i + 1) // 2 if i % 2 else -(i // 2)
+
     def step_table(self, radius: int) -> array:
         # u > 0 sits at index 2u - 1 and -u at 2u, so each step moves two
         # indices away from or towards 0; filled by strided slices
@@ -366,11 +398,13 @@ class Window:
     the identity; the neighbours of vertex i are the non-negative
     entries of ``step[i * degree:(i + 1) * degree]``, in letter order
     (:meth:`letter_columns` splits them by letter).  The offset tables
-    are int32 arrays composed on the step table.  :attr:`vertices`, the
-    words, is a view cached on first use for the places that print or
-    multiply words (witness strings, CSV names, the word-level oracles);
-    pipeline code that reads each word once walks
-    ``spec.ball_words(radius, step)`` instead, so the words are not kept.
+    are int32 arrays composed on the step table.  :meth:`word_at` spells
+    one vertex's word arithmetically, for the places that print or
+    multiply a few words (witness strings, violation messages, the
+    height-1 words of the axiom check).  :attr:`vertices`, every word,
+    is a view cached on first use for the word-level oracles; pipeline
+    code that reads each word once walks ``spec.ball_words(radius,
+    step)`` instead, so the words are not kept.
     A window is determined by its group and radius, so code that must
     know whether two windows agree compares ``(spec, radius)``.
     """
@@ -387,8 +421,16 @@ class Window:
     @cached_property
     def vertices(self) -> tuple:
         """The words of the window, in index order, built on first use
-        and kept; no doubling pipeline step reads them."""
+        and kept; no pipeline step, build or check reads them."""
         return tuple(self.spec.ball_words(self.radius, self.step))
+
+    def word_at(self, i: int):
+        """The word of vertex ``i``, spelled arithmetically and not kept;
+        an index outside the window is a ``ValueError``."""
+        if not 0 <= i < len(self):
+            raise ValueError(f"index {i} outside the window of "
+                             f"{len(self)} vertices")
+        return self.spec.word_at(i)
 
     def letter_columns(self) -> list[array]:
         """The step table split by letter: ``columns[a][i]`` is the

@@ -190,28 +190,36 @@ class ProperLabelRule:
         return self._rows(window, s, "0")
 
     def _rows(self, window: Window, s: int, pad: str) -> list[str]:
-        """Label rows read block by block from the colour arrays (a
-        window index is an enumeration index), every label bit followed
-        by ``pad``; each block of colour c is the precomputed padded
-        indicator of c."""
+        """Label rows read from the colour arrays (a window index is an
+        enumeration index), every label bit followed by ``pad``.  A row
+        is built once per distinct colour tuple, from the precomputed
+        padded indicator of each colour, and equal rows are one string
+        that every vertex holding it references."""
         n = len(window)
+        if s <= 0:
+            return [""] * n
         self._space.grow(window.radius, window.step)
         d = self.spec.degree
         zero, one = "0" + pad, "1" + pad
-        rows: list[str] = [""] * n
+        blocks: list[list[str]] = []
         have = 0
         k = 1
         while have < s:
             block_len = d**k + 1
-            blocks = [""] + [
+            blocks.append([""] + [
                 zero * (c - 1) + one + zero * (block_len - c)
                 for c in range(1, block_len + 1)
-            ]
-            part = map(blocks.__getitem__, self._coloring(k).colors(n))
-            rows = list(map(str.__add__, rows, part))
-            have += len(blocks[1])
+            ])
+            have += len(blocks[-1][1])
             k += 1
-        return [row[:s] for row in rows]
+        colours = [self._coloring(k).colors(n)
+                   for k in range(1, len(blocks) + 1)]
+        canonical: dict[str, str] = {}
+        row_of: dict[tuple, str] = {}
+        for key in dict.fromkeys(zip(*colours)):
+            row = "".join(map(list.__getitem__, blocks, key))[:s]
+            row_of[key] = canonical.setdefault(row, row)
+        return list(map(row_of.__getitem__, zip(*colours)))
 
     def label(self, word, s: int) -> str:
         """The first s bits of the label of ``word``."""

@@ -26,6 +26,7 @@ sublevel-set components (the hilly certificate).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
@@ -328,13 +329,13 @@ class AxiomReport:
     uncertified: int = 0
 
 
-def _slack(window: Window) -> list[int]:
+def _slack(window: Window) -> array:
     """R - |w| for every window index, read off the sphere boundaries
-    (enumeration sorts by length)."""
+    (enumeration sorts by length), as an int32 array."""
     R = window.radius
-    slack: list[int] = []
-    for r in range(R + 1):
-        slack += [R - r] * (window.core_size(r) - len(slack))
+    slack = array("i")
+    for r, size in enumerate(map(window.spec.ball_size, range(R + 1))):
+        slack += array("i", (R - r,)) * (size - len(slack))
     return slack
 
 
@@ -347,7 +348,10 @@ def verify_axioms(z: LandscapeRule, window: Window,
     window (value <= R - |vertex|); in a tree or on the line such values
     are exact distances in the full group.  Vertices whose value cannot
     be certified are excluded from the constants and counted in
-    ``uncertified``.
+    ``uncertified``.  Nothing is kept per vertex beyond the heights, an
+    int32 slack array and one BFS distance list at a time; words are
+    spelled (``window.word_at``) only for the height-1 vertices and for
+    violations.
     """
     spec = window.spec
     heights = z.window_heights(window)
@@ -359,7 +363,7 @@ def verify_axioms(z: LandscapeRule, window: Window,
     for i, h in enumerate(heights):
         if h < 1:
             violations.append(
-                f"height {h} < 1 at {window.vertices[i]!r}"
+                f"height {h} < 1 at {window.word_at(i)!r}"
             )
 
     # axiom 1: slope <= 1 across every window edge
@@ -368,7 +372,7 @@ def verify_axioms(z: LandscapeRule, window: Window,
             if j > i and abs(heights[i] - heights[j]) > 1:
                 violations.append(
                     f"axiom 1: |{heights[i]} - {heights[j]}| > 1 between "
-                    f"{window.vertices[i]!r} and {window.vertices[j]!r}"
+                    f"{window.word_at(i)!r} and {window.word_at(j)!r}"
                 )
 
     max_height = max(heights)
@@ -388,10 +392,11 @@ def verify_axioms(z: LandscapeRule, window: Window,
                 uncertified += 1
                 continue
             M[h] = max(M.get(h, 0), d)
+        del dist_h1
 
     # axiom 3: height-1 density
     if h1:
-        h1_words = [window.vertices[i] for i in h1]
+        h1_words = [window.word_at(i) for i in h1]
         l_cap = min(density_max, len(h1_words) - 1)
         for i, w in zip(h1, h1_words):
             dists = sorted(spec.dist(w, v) for v in h1_words if v != w)
@@ -409,7 +414,7 @@ def verify_axioms(z: LandscapeRule, window: Window,
     if m_max is None:
         m_max = max(2, max_height)
     for m in range(1, m_max + 1):
-        tall = [i for i, h in enumerate(heights) if h >= m]
+        tall = array("i", [i for i, h in enumerate(heights) if h >= m])
         if not tall:
             violations.append(f"axiom 4: no vertex of height >= {m}")
             continue
@@ -418,11 +423,17 @@ def verify_axioms(z: LandscapeRule, window: Window,
             constants.S[m] = 0
             continue
         dist_tall = bfs_distances(window, tall)
-        certified = [d for d, room in zip(dist_tall, slack)
-                     if 0 <= d <= room]
-        uncertified += len(heights) - len(certified)
+        certified = 0
+        farthest = -1
+        for d, room in zip(dist_tall, slack):
+            if 0 <= d <= room:
+                certified += 1
+                if d > farthest:
+                    farthest = d
+        del dist_tall
+        uncertified += len(heights) - certified
         if certified:
-            constants.S[m] = max(certified)
+            constants.S[m] = farthest
 
     return AxiomReport(
         passed=not violations,

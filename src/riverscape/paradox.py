@@ -60,8 +60,9 @@ class ChannelLandscape(LandscapeRule):
     in a :class:`~riverscape.checking.Snapshot` with the heights: the
     first rule reads them from the base's colour arrays
     (``label_rule.padded_rows``), a derived rule copies its parent's rows
-    and sets its own member bits, or shares its parent's snapshot when
-    none of its channels lies inside the prefix.  The snapshot memoizes
+    and sets its own member bits, once per distinct row, or shares its
+    parent's snapshot when none of its channels lies inside the prefix.
+    Equal rows are one shared string.  The snapshot memoizes
     the scans made over its rows (:meth:`scan`), so rules that share the
     rows share the scans, and hands a scan at a shorter prefix to the
     rule's snapshot there.  The base's labels are those of its
@@ -115,9 +116,16 @@ class ChannelLandscape(LandscapeRule):
                     if self.parent is None \
                     else list(self.parent.label_rows(s))
                 for pos in own:
+                    # each distinct row is written once; a written row
+                    # maps to itself, so a repeated member keeps it
+                    written: dict[str, str] = {}
                     for i in self.channels[pos]:
                         row = rows[i]
-                        rows[i] = row[:pos - 1] + "1" + row[pos:]
+                        new = written.get(row)
+                        if new is None:
+                            new = row[:pos - 1] + "1" + row[pos:]
+                            written[row] = written[new] = new
+                        rows[i] = new
                 snap = Snapshot(self.window, self.heights, rows, s,
                                 shorter=self.snapshot)
             self._snapshots[s] = snap

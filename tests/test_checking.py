@@ -230,8 +230,8 @@ class TestClauseMutations:
 
 class TestWordView:
     """The checker works on window indices: a passing check builds no
-    word, and a failing one names its offender through the window's
-    word view."""
+    word, and a failing one spells only its offender (``word_at``),
+    never the window's word tuple."""
 
     def test_passing_check_builds_no_word(self, bundle, tmp_path,
                                           monkeypatch):
@@ -257,7 +257,7 @@ class TestWordView:
         out = capsys.readouterr().out.splitlines()
         assert f"  clause phi-cover: target vertex {least!r} not covered" \
             in out
-        assert built == [R]
+        assert built == []
 
 
 class TestVerifier:
@@ -322,6 +322,91 @@ class TestVerifier:
                 want.append(None)
         assert [c.witness for c in report.clauses[1:]] == want
         assert report.clauses[0].passed
+
+
+def line_snapshot(radius: int, rows: int) -> dict:
+    """A snapshot of B_radius(Z) claiming ``rows`` rows, every vertex at
+    height 1 with the label ``"1"``."""
+    return {
+        "schema": "riverscape.snapshot/1",
+        "provenance": "ternary",
+        "windowRef": {"group": Z.to_dict(), "radius": radius},
+        "labelPrefixLen": 1,
+        "heights": [1] * rows,
+        "labels": ["1"] * rows,
+    }
+
+
+class TestSnapshotSize:
+    """A snapshot's own row count is the window's vertex budget, and the
+    rows are counted before any window is built."""
+
+    def test_check_reads_a_window_past_the_default_budget(self, tmp_path,
+                                                          capsys):
+        # B_250001(Z) has 500,003 vertices, above the default budget of
+        # 500,000; ``check`` used to exit 3 on it
+        snap = line_snapshot(250_001, 500_003)
+        assert len(snap["labels"]) > riverscape.groups.DEFAULT_VERTEX_BUDGET
+        loaded = load_snapshot(snap)
+        assert len(loaded.window) == 500_003
+        target = LocalSetSpec(1, 1, frozenset())
+        cert = trivial_certificate(target, loaded.window).to_dict()
+        assert run_check(snap, cert, tmp_path) == 0
+        assert capsys.readouterr().out == "certificate 0: pass\n"
+
+    @pytest.mark.parametrize("spec,radius,rows,vertices", [
+        (Z, 10**12, 3, "more than 3"),
+        (F2, 10**6, 3, "more than 3"),
+        (F2, 3, 40, "more than 40"),
+        (F2, 3, 60, "53"),
+        (F2, 2, 18, "17"),
+        (F2, 9000, 9001, "more than 9001"),
+    ])
+    def test_row_count_mismatch_builds_nothing(self, monkeypatch, spec,
+                                               radius, rows, vertices):
+        def no_table(self, radius):
+            raise AssertionError("a window was built for a mismatched file")
+
+        monkeypatch.setattr(type(spec), "step_table", no_table)
+        snap = line_snapshot(radius, rows)
+        snap["windowRef"]["group"] = spec.to_dict()
+        with pytest.raises(ValueError, match=(
+                f"'heights' has {rows} entries, the window of radius "
+                f"{radius} has {vertices} vertices")):
+            load_snapshot(snap)
+
+    def test_short_labels_name_the_window_size(self):
+        snap = line_snapshot(3, 7)
+        snap["labels"].pop()
+        with pytest.raises(ValueError, match=(
+                "'labels' has 6 entries, the window of radius 3 has 7 "
+                "vertices")):
+            load_snapshot(snap)
+
+    def test_negative_radius_is_input_error(self):
+        with pytest.raises(ValueError, match="'radius' is -1"):
+            load_snapshot(line_snapshot(-1, 1))
+
+
+class TestSharedRows:
+    """A loaded or truncated snapshot keeps one string per distinct
+    label row, which every vertex holding it references."""
+
+    def test_loaded_rows_are_shared(self, bundle):
+        snap, _ = bundle
+        # the JSON parser makes one string per row
+        assert len(set(map(id, snap["labels"]))) == len(snap["labels"])
+        loaded = load_snapshot(snap)
+        rows = loaded.labels
+        assert rows == snap["labels"]
+        assert len(set(map(id, rows))) == len(set(rows)) < len(rows)
+
+    def test_truncated_rows_are_shared(self, bundle):
+        loaded = load_snapshot(bundle[0])
+        for s in range(loaded.prefix_len):
+            rows = loaded.rows(s)[0]
+            assert rows == [bits[:s] for bits in loaded.labels]
+            assert len(set(map(id, rows))) == len(set(rows))
 
 
 class TestImports:

@@ -185,6 +185,24 @@ class TestIndexSpace:
                     assert win.vertices[j] == \
                         spec.mul(win.vertices[i], off)
 
+    @pytest.mark.parametrize("spec,radius",
+                             [(F2, r) for r in range(7)]
+                             + [(F3, r) for r in range(5)]
+                             + [(Z, r) for r in range(51)])
+    def test_word_at_inverts_index_of(self, spec, radius):
+        # the word tuple stays as the oracle of the arithmetic view
+        win = ball(spec, radius)
+        assert [win.word_at(i) for i in range(len(win))] \
+            == list(win.vertices)
+        for i in (-1, len(win)):
+            with pytest.raises(ValueError):
+                win.word_at(i)
+
+    def test_word_at_keeps_no_words(self):
+        win = ball(F2, 4)
+        assert win.word_at(len(win) - 1) == (-2, -2, -2, -2)
+        assert "vertices" not in win.__dict__
+
     def test_offset_radius_past_the_window(self):
         with pytest.raises(ValueError):
             ball(F2, 2).offset_tables(3)

@@ -354,6 +354,28 @@ class TestProperLabel:
                 if u != v and F2.dist(u, v) <= 2:
                     assert labels[u] != labels[v]
 
+    @pytest.mark.parametrize("spec,radius", [(F2, 7), (F3, 4), (Z, 300)])
+    def test_rows_are_shared_per_value(self, spec, radius):
+        # one string per distinct row, referenced by every vertex that
+        # holds it; the rows equal the word-level labels
+        win = ball(spec, radius)
+        rule = ProperLabelRule(spec)
+        for s in (1, 3, 14, 40, 74):
+            width = (s + 1) // 2
+            padded = rule.padded_rows(win, s)
+            plain = rule.label_rows(win, s)
+            for rows in (padded, plain):
+                assert len(set(map(id, rows))) == len(set(rows)) < len(rows)
+            assert plain == [rule.label(w, s) for w in win.vertices]
+            assert padded == [
+                interleave(rule.label(w, width), "0" * width)[:s]
+                for w in win.vertices]
+
+    def test_prefix_zero_rows_are_empty(self, win5):
+        rule = ProperLabelRule(F2)
+        assert rule.padded_rows(win5, 0) == [""] * len(win5)
+        assert rule.label_rows(win5, 0) == [""] * len(win5)
+
     def test_rows_reuse_the_window_step_table(self, win5):
         rule = ProperLabelRule(F2)
         rule.label_rows(win5, 22)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 from functools import lru_cache
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from riverscape import cli
 from riverscape import (AnchorSet, ChannelLandscape, FractalLandscape,
                         FreeGroup, IntegerGroup, LandscapeRule,
                         RiverLandscape, TernaryLandscape, ball, bfs_distances,
@@ -397,3 +399,43 @@ class TestWindowRows:
         labels, heights = z.window_rows(win, s)
         assert labels == [z.label(w, s) for w in win.vertices]
         assert heights == [z.height(w) for w in win.vertices]
+
+
+class TestAxiomMemory:
+    """The axiom check keeps nothing per vertex beyond the heights: no
+    word tuple, an int32 slack array, one BFS distance list at a time."""
+
+    def test_ternary_build_keeps_no_words(self, tmp_path, monkeypatch):
+        windows = []
+        real_ball = cli.ball
+
+        def keeping_ball(*args, **kwargs):
+            windows.append(real_ball(*args, **kwargs))
+            return windows[-1]
+
+        monkeypatch.setattr(cli, "ball", keeping_ball)
+        assert cli.main(["build", "--group", "z", "--landscape", "ternary",
+                         "--radius", "3000", "--out", str(tmp_path)]) == 0
+        [win] = windows
+        assert "vertices" not in win.__dict__
+
+    def test_violations_name_their_words(self):
+        report = verify_axioms(_Step(Z), ball(Z, 10))
+        assert report.violations == ["axiom 1: |1 - 3| > 1 between 0 and 1"]
+
+    def test_traced_peak(self):
+        # B_20000(Z), heights computed before tracing: about 6.7 MiB with
+        # the cached word tuple, a list slack and a list of tall indices;
+        # about 2.5 MiB without
+        win = ball(Z, 20_000)
+        z = TernaryLandscape()
+        z.window_heights(win)
+        tracemalloc.start()
+        try:
+            report = verify_axioms(z, win)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert "vertices" not in win.__dict__
+        assert peak < 4 * 2**20

@@ -75,6 +75,30 @@ class TestChannels:
         assert padded.label((), 4)[3] == "0"
         assert z.heights is padded.heights
 
+    def test_channel_rows_are_shared_per_value(self, pipeline8_3):
+        # after every relabel equal rows are one string, and the bits
+        # are those of the word-level padded labels plus the members'
+        result = pipeline8_3
+        base = result.initial_rule
+        for rule, cert in zip(result.rules[1:], result.certificates):
+            s = cert.prefix_len
+            rows = rule.label_rows(s)
+            assert len(set(map(id, rows))) == len(set(rows)) < len(rows)
+            members = dict(zip(cert.channel_positions,
+                               cert.pieces_vertices))
+            padded = base.label_rows(s)
+            for pos, vertices in members.items():
+                assert {i for i, row in enumerate(rows)
+                        if row[pos - 1] == "1"} == set(vertices)
+            assert [project_odd(row) for row in rows] \
+                == [project_odd(row) for row in padded]
+
+    def test_repeated_member_keeps_one_row(self, river, win5):
+        z = ChannelLandscape(river, win5).with_channels({4: [0, 7, 0]})
+        rows = z.label_rows(6)
+        assert len(set(map(id, rows))) == len(set(rows))
+        assert [i for i, row in enumerate(rows) if row[3] == "1"] == [0, 7]
+
     def test_words_outside_the_window(self, river):
         # the rule answers only for the window it was compiled against
         z = ChannelLandscape(river, ball(F2, 2)).with_channels({2: [0]})
