@@ -14,9 +14,9 @@ from .landscapes import (AnchorSet, AxiomReport, ComponentReport,
                          StructureConstants, TernaryLandscape, components_leq,
                          double_word, is_ternary, ternary_height,
                          undouble_word, verify_axioms)
-from .paradox import (ChannelAllocator, ChannelLandscape, DoublingSearch,
-                      PipelineResult, extract_pieces, find_doubling,
-                      paradoxicalize_sequence, relabel, trivial_certificate)
+from .paradox import (ChannelLandscape, DoublingSearch, PipelineResult,
+                      extract_pieces, find_doubling, paradoxicalize_sequence,
+                      relabel, trivial_certificate)
 from .patterns import (LocalSetSpec, PatternBall, center_height_local_set,
                        observed_patterns, offset_ball, pattern_scan, realize,
                        theta)

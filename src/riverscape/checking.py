@@ -11,7 +11,7 @@ What the checker shares with construction is window enumeration
 (``ball``, the step table, core sizes) and the row-level
 :func:`~riverscape.patterns.pattern_scan`, which is checked against
 word-level θ.  It shares no rule, channel, matcher or relabeling code.
-:meth:`Snapshot.scan` memoizes the scan per ``(m, s, core radius)`` for
+:meth:`Snapshot.scan` memoizes the scan per ``(m, s)`` for
 the life of the snapshot.  A loaded bundle therefore scans each distinct
 (pattern radius, prefix) pair once.  In a pipeline, rules that share
 rows share one snapshot, and a rule's snapshot hands a scan at a
@@ -117,6 +117,15 @@ def _strings(value, what: str) -> list:
     return value
 
 
+def _ints(value, what: str) -> list:
+    """``value`` when it is a JSON array of integers; otherwise a
+    ``ValueError`` naming ``what`` and the first offending entry."""
+    _expect(value, list, what)
+    for i, item in enumerate(value):
+        json_int(item, f"{what}: entry {i}")
+    return value
+
+
 def bundle_certificates(payload) -> list:
     """The certificates of a certificate file: a bundle's
     ``certificates`` array, a bare array, or one certificate object."""
@@ -150,10 +159,12 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
         pieces = _expect(obj["pieces"], list, "certificate field 'pieces'")
         for i, pats in enumerate(pieces):
             _strings(pats, f"certificate field 'pieces': piece {i}")
-        channels = _expect(obj["channelPositions"], list,
-                           "certificate field 'channelPositions'")
-        for i, c in enumerate(channels):
-            json_int(c, f"certificate field 'channelPositions': entry {i}")
+        translators = _expect(obj["translators"], list,
+                              "certificate field 'translators'")
+        for i, t in enumerate(translators):
+            _ints(t, f"certificate field 'translators': translator {i}")
+        channels = _ints(obj["channelPositions"],
+                         "certificate field 'channelPositions'")
         trivial = obj.get("trivial", False)
         if type(trivial) is not bool:
             raise ValueError(f"certificate field 'trivial' must be a "
@@ -169,8 +180,7 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
             l=integer("l"),
             prefix_len=integer("prefixLen"),
             translators=tuple(
-                spec.word_from_json(t) for t in obj["translators"]
-            ),
+                spec.word_from_json(t) for t in translators),
             p=integer("p"),
             q=integer("q"),
             pieces_vertices=tuple(frozenset() for _ in pieces),
@@ -257,16 +267,15 @@ class Snapshot:
                for bits in set(self.labels)}
         return list(map(cut.__getitem__, self.labels)), self.heights
 
-    def scan(self, m: int, s: int, core_radius: Optional[int] = None
-             ) -> tuple[list[int], list[PatternBall]]:
+    def scan(self, m: int, s: int) -> tuple[list[int], list[PatternBall]]:
         """:func:`~riverscape.patterns.pattern_scan` of the rows at prefix
-        s, computed once per ``(m, s, core_radius)`` and kept."""
+        s, computed once per ``(m, s)`` and kept."""
         if s < self.prefix_len and self.shorter is not None:
-            return self.shorter(s).scan(m, s, core_radius)
-        key = (m, s, core_radius)
+            return self.shorter(s).scan(m, s)
+        key = (m, s)
         got = self._scans.get(key)
         if got is None:
-            got = pattern_scan(self.rows(s), self.window, m, s, core_radius)
+            got = pattern_scan(self.rows(s), self.window, m, s)
             self._scans[key] = got
         return got
 
@@ -281,8 +290,9 @@ def load_snapshot(obj: dict) -> Snapshot:
         raise ValueError(f"unsupported snapshot schema: {obj.get('schema')!r}")
     try:
         ref = _expect(obj["windowRef"], dict, "snapshot field 'windowRef'")
-        spec = GroupSpec.from_dict(
-            _expect(ref["group"], dict, "snapshot field 'group'"))
+        group = _expect(ref["group"], dict, "snapshot field 'group'")
+        json_int(group["rank"], "snapshot field 'rank'")
+        spec = GroupSpec.from_dict(group)
         radius = json_int(ref["radius"], "snapshot field 'radius'")
         prefix_len = json_int(obj["labelPrefixLen"],
                               "snapshot field 'labelPrefixLen'")

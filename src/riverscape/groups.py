@@ -456,10 +456,6 @@ class Window:
             return 0
         return self.spec.ball_size(min(core_radius, self.radius))
 
-    def core_indices(self, core_radius: int) -> list[int]:
-        """Vertex indices with word length <= core_radius."""
-        return list(range(self.core_size(core_radius)))
-
     def offset_tables(self, m: int) -> list[array]:
         """Where the offsets of B_m(e) take the core of radius R - m.
 

@@ -22,7 +22,8 @@ the steps of ``GroupSpec.step_table``) and bounded by ``x < f(u)``,
 decides the colours of u's whole child block, and the block is
 memoized on that mask.  Balls in trees and on the line are convex, so
 the geodesic from u to such an x never leaves the grown ball.  No words
-are stored.
+are stored, and no label is cached per word: :meth:`ProperLabelRule.label`
+reads the colour arrays on each call.
 """
 
 from __future__ import annotations
@@ -170,7 +171,6 @@ class ProperLabelRule:
         self.spec = spec
         self._space = _IndexSpace(spec)
         self._colorings: dict[int, GreedyColoring] = {}
-        self._cache: dict = {}
 
     def _coloring(self, k: int) -> GreedyColoring:
         coloring = self._colorings.get(k)
@@ -222,12 +222,11 @@ class ProperLabelRule:
         return list(map(row_of.__getitem__, zip(*colours)))
 
     def label(self, word, s: int) -> str:
-        """The first s bits of the label of ``word``."""
+        """The first s bits of the label of ``word``, read from the
+        colour arrays on each call; the word-level oracle of
+        :meth:`label_rows`."""
         if s < 0:
             raise ValueError("prefix length must be non-negative")
-        cached = self._cache.get(word, "")
-        if len(cached) >= s:
-            return cached[:s]
         d = self.spec.degree
         i = self._space.index(word)
         parts: list[str] = []
@@ -239,6 +238,4 @@ class ProperLabelRule:
             parts.append("0" * (c - 1) + "1" + "0" * (block_len - c))
             have += block_len
             k += 1
-        full = "".join(parts)
-        self._cache[word] = full
-        return full[:s]
+        return "".join(parts)[:s]

@@ -75,15 +75,13 @@ class LandscapeRule:
         return (self.label_rule.label_rows(window, s),
                 self.window_heights(window))
 
-    def scan(self, window: Window, m: int, s: int,
-             core_radius: Optional[int] = None
+    def scan(self, window: Window, m: int, s: int
              ) -> tuple[list[int], list[PatternBall]]:
         """:func:`~riverscape.patterns.pattern_scan` of
         :meth:`window_rows` at prefix s; every construction scan
         (``realize``, ``observed_patterns``, ``relabel``) goes through
         this hook, which a rule that keeps its rows may memoize."""
-        return pattern_scan(self.window_rows(window, s), window, m, s,
-                            core_radius)
+        return pattern_scan(self.window_rows(window, s), window, m, s)
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +327,9 @@ class AxiomReport:
     uncertified: int = 0
 
 
+DENSITY_MAX = 8
+
+
 def _slack(window: Window) -> array:
     """R - |w| for every window index, read off the sphere boundaries
     (enumeration sorts by length), as an int32 array."""
@@ -339,10 +340,11 @@ def _slack(window: Window) -> array:
     return slack
 
 
-def verify_axioms(z: LandscapeRule, window: Window,
-                  m_max: Optional[int] = None,
-                  density_max: int = 8) -> AxiomReport:
+def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
     """Check the four landscape axioms on the window, empirically.
+
+    Axiom 3 reads the distances to the nearest ``DENSITY_MAX`` other
+    height-1 vertices, and axiom 4 runs m = 1 .. max(2, max height).
 
     A BFS value at a vertex is trusted only when it fits inside the
     window (value <= R - |vertex|); in a tree or on the line such values
@@ -397,7 +399,7 @@ def verify_axioms(z: LandscapeRule, window: Window,
     # axiom 3: height-1 density
     if h1:
         h1_words = [window.word_at(i) for i in h1]
-        l_cap = min(density_max, len(h1_words) - 1)
+        l_cap = min(DENSITY_MAX, len(h1_words) - 1)
         for i, w in zip(h1, h1_words):
             dists = sorted(spec.dist(w, v) for v in h1_words if v != w)
             for l in range(1, l_cap + 1):
@@ -411,9 +413,7 @@ def verify_axioms(z: LandscapeRule, window: Window,
             violations.append("axiom 3: fewer than two height-1 vertices")
 
     # axiom 4: visibility of high ground
-    if m_max is None:
-        m_max = max(2, max_height)
-    for m in range(1, m_max + 1):
+    for m in range(1, max(2, max_height) + 1):
         tall = array("i", [i for i, h in enumerate(heights) if h >= m])
         if not tall:
             violations.append(f"axiom 4: no vertex of height >= {m}")

@@ -4,9 +4,11 @@ The flow realizes a local set on a window, finds two injective
 bounded-displacement self-maps with disjoint images by deterministic
 bipartite matching, groups the images by their translator words, writes
 per-piece membership bits into fresh even label positions, and verifies
-the two covering identities exactly on a stated core.  Certificates
-survive later steps because every later relabeling only touches even
-positions above the earlier prefix ceiling.
+the two covering identities exactly on a stated core.  The positions
+are worked out from the rule and the target (:func:`relabel`), so no
+allocator state is kept.  Certificates survive later steps because
+every later relabeling only touches even positions above the earlier
+prefix ceiling.
 
 The flow runs on window indices: the realization, the matching, the
 maps and the pieces are index sets, and a translator is read off the
@@ -152,33 +154,16 @@ class ChannelLandscape(LandscapeRule):
         self._check_window(window)
         return self.label_rows(s), self.heights
 
-    def scan(self, window: Window, m: int, s: int,
-             core_radius: Optional[int] = None
+    def scan(self, window: Window, m: int, s: int
              ) -> tuple[list[int], list[PatternBall]]:
         self._check_window(window)
-        return self.snapshot(s).scan(m, s, core_radius)
+        return self.snapshot(s).scan(m, s)
 
     def height(self, word) -> int:
         return self.heights[self.window.index_of(word)]
 
     def label(self, word, s: int) -> str:
         return self.label_rows(s)[self.window.index_of(word)]
-
-
-class ChannelAllocator:
-    """Monotone allocator of consecutive even label positions."""
-
-    def __init__(self, floor: int = 0):
-        self.floor = floor
-
-    def allocate(self, count: int, above: int = 0) -> tuple[int, ...]:
-        start = max(self.floor, above) + 1
-        if start % 2 != 0:
-            start += 1
-        positions = tuple(start + 2 * i for i in range(count))
-        if positions:
-            self.floor = positions[-1]
-        return positions
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +260,10 @@ class DoublingSearch:
     attempts: list[tuple[int, float]] = field(default_factory=list)
 
 
-def find_doubling(T: Sequence[int], window: Window, K_start: int = 2,
+def find_doubling(T: Sequence[int], window: Window,
                   k_ceiling: int = 8) -> DoublingSearch:
-    """Sweep displacement bounds until a saturating doubling is matched.
+    """Sweep displacement bounds K = 2 .. ``k_ceiling`` until a
+    saturating doubling is matched.
 
     ``T`` holds window indices, ascending; ``phi`` and ``psi`` map each
     core index of T to an index of T.  Never claims non-existence: an
@@ -298,7 +284,7 @@ def find_doubling(T: Sequence[int], window: Window, K_start: int = 2,
     right_pos = {t: j for j, t in enumerate(right)}
     best_fraction = 0.0
     attempts: list[tuple[int, float]] = []
-    for K in range(K_start, k_ceiling + 1):
+    for K in range(2, k_ceiling + 1):
         core = right[:bisect_left(right, window.core_size(R - K))]
         if not core:
             continue
@@ -308,8 +294,9 @@ def find_doubling(T: Sequence[int], window: Window, K_start: int = 2,
             [right_pos[y] for y in reach if y in right_pos]
             for reach in zip(*columns)
         ]
-        adjacency = per_vertex + [list(r) for r in per_vertex]
-        matcher = _HopcroftKarp(adjacency, len(right))
+        # the psi half shares the phi half's lists; the matcher only
+        # reads them
+        matcher = _HopcroftKarp(per_vertex + per_vertex, len(right))
         size = matcher.solve()
         fraction = size / (2 * len(core))
         attempts.append((K, fraction))
@@ -409,28 +396,25 @@ def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
     )
 
 
-def relabel(z: ChannelLandscape, cert: DoublingCertificate, m_prime: int,
-            allocator: Optional[ChannelAllocator] = None
+def relabel(z: ChannelLandscape, cert: DoublingCertificate
             ) -> tuple[ChannelLandscape, DoublingCertificate]:
     """Write piece membership bits into fresh even channels.
 
-    The channels lie above ``m_prime``, the certificate's radius and the
-    target's label prefix, so the bits never change the patterns that
-    define the target.  Returns the new rule and the certificate
-    completed with its pattern sets, computed on the rule's window; a
-    trivial certificate is returned as it is.
+    The channels are the consecutive even positions from the first one
+    above the rule's channels, the certificate's radius and the target's
+    label prefix, so the bits never change the patterns that define the
+    target or an earlier piece.  Returns the new rule and the
+    certificate completed with its pattern sets, computed on the rule's
+    window; a trivial certificate is returned as it is.
     """
     if cert.trivial:
         return z, cert
     window = z.window
-    if allocator is None:
-        allocator = ChannelAllocator()
-    count = cert.p + cert.q
-    m_prime = max(m_prime, cert.m, cert.target.prefix_len)
-    positions = allocator.allocate(count, above=m_prime)
+    floor = max(max(z.positions, default=0), cert.m, cert.target.prefix_len)
+    start = floor + 2 - floor % 2
+    positions = tuple(range(start, start + 2 * (cert.p + cert.q), 2))
     z_prime = z.with_channels(dict(zip(positions, cert.pieces_vertices)))
     prefix_len = positions[-1]
-    allocator.floor = max(allocator.floor, prefix_len)
     ids, patterns = z_prime.scan(window, cert.l, prefix_len)
     n_core = len(ids)
     piece_patterns = [
@@ -451,12 +435,15 @@ def relabel(z: ChannelLandscape, cert: DoublingCertificate, m_prime: int,
 
 @dataclass
 class PipelineResult:
-    initial_rule: LandscapeRule
     rules: list[LandscapeRule]
     certificates: list[DoublingCertificate]
     reports: list[CertificateReport]
     matrix: list[list[Optional[CertificateReport]]]
     halted: Optional[str] = None
+
+    @property
+    def initial_rule(self) -> LandscapeRule:
+        return self.rules[0]
 
     @property
     def final_rule(self) -> LandscapeRule:
@@ -479,7 +466,6 @@ def _verify(rule: ChannelLandscape, cert: DoublingCertificate
 def paradoxicalize_sequence(z0: LandscapeRule,
                             targets: Sequence[LocalSetSpec],
                             window: Window,
-                            K_start: int = 2,
                             k_ceiling: int = 8) -> PipelineResult:
     """Run the step-by-step paradoxicalization over the given targets.
 
@@ -493,7 +479,6 @@ def paradoxicalize_sequence(z0: LandscapeRule,
     rules: list[LandscapeRule] = [t0]
     certificates: list[DoublingCertificate] = []
     reports: list[CertificateReport] = []
-    allocator = ChannelAllocator()
     halted = None
     current = t0
     for target_spec in targets:
@@ -502,8 +487,7 @@ def paradoxicalize_sequence(z0: LandscapeRule,
         target = target_spec(current, window) if callable(target_spec) \
             else target_spec
         T = realize(target, current, window)
-        search = find_doubling(T, window, K_start=K_start,
-                               k_ceiling=k_ceiling)
+        search = find_doubling(T, window, k_ceiling=k_ceiling)
         if not search.saturated:
             halted = (
                 f"matching inconclusive for target m={target.m}: best "
@@ -512,8 +496,7 @@ def paradoxicalize_sequence(z0: LandscapeRule,
             )
             break
         cert = extract_pieces(search, target, window)
-        m_prime = max(target.m, allocator.floor)
-        current, cert = relabel(current, cert, m_prime, allocator)
+        current, cert = relabel(current, cert)
         rules.append(current)
         certificates.append(cert)
         reports.append(_verify(current, cert))
@@ -532,7 +515,6 @@ def paradoxicalize_sequence(z0: LandscapeRule,
                 row.append(_verify(rules[k + 1], certificates[a]))
         matrix.append(row)
     return PipelineResult(
-        initial_rule=t0,
         rules=rules,
         certificates=certificates,
         reports=reports,

@@ -13,7 +13,8 @@ scan reads one label row and one height per vertex (a rule's
 height) pair is interned as a cell id, the cell ids are gathered along
 the window's offset tables (compositions of its step table), and a
 :class:`PatternBall` is built once per distinct pattern.  The result
-equals θ at every core vertex.  Scans answer in window indices:
+equals θ at every core vertex; the core of a radius-m scan is always
+the ball of radius R - m.  Scans answer in window indices:
 :func:`realize` returns the core indices of a local set, and no word is
 built.
 
@@ -148,14 +149,14 @@ class LocalSetSpec:
 
 
 def pattern_scan(rows: tuple[list[str], list[int]], window: Window, m: int,
-                 prefix_len: int, core_radius: Optional[int] = None
-                 ) -> tuple[list[int], list[PatternBall]]:
+                 prefix_len: int) -> tuple[list[int], list[PatternBall]]:
     """The pattern of every core vertex, compiled against the window.
 
     ``rows`` is ``(labels, heights)``: the label prefix of length
     ``prefix_len`` and the height of every window vertex, in window
-    order (a rule's ``window_rows``, or a snapshot's rows).  The core of
-    radius r is the first ``window.core_size(r)`` indices.  Returns
+    order (a rule's ``window_rows``, or a snapshot's rows).  The core is
+    the ball of radius R - m, the first ``window.core_size(R - m)``
+    indices, where every pattern fits inside the window.  Returns
     ``(ids, patterns)``: core vertex v has the pattern
     ``patterns[ids[v]]``, which equals ``theta(z, window.vertices[v], m,
     prefix_len)`` for the rule z the rows were read from; ``patterns``
@@ -163,15 +164,8 @@ def pattern_scan(rows: tuple[list[str], list[int]], window: Window, m: int,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if core_radius is None:
-        core_radius = window.radius - m
-    if core_radius < 0:
+    if m > window.radius:
         raise ValueError("window too small for the pattern radius")
-    if core_radius + m > window.radius:
-        raise ValueError(
-            f"core radius {core_radius} plus pattern radius {m} exceeds "
-            f"the window radius {window.radius}"
-        )
     labels, heights = rows
     # the (label, height) cells are zipped twice rather than kept as one
     # list of pairs per window vertex
@@ -180,7 +174,7 @@ def pattern_scan(rows: tuple[list[str], list[int]], window: Window, m: int,
     gather = list(map(position.__getitem__, zip(labels, heights))).__getitem__
     tables = window.offset_tables(m)
     # the first column runs over the core only, so zip stops there
-    keys = list(zip(map(gather, range(window.core_size(core_radius))),
+    keys = list(zip(map(gather, range(window.core_size(window.radius - m))),
                     *(map(gather, t) for t in tables[1:])))
     distinct, ids = _intern(keys)
     patterns = [PatternBall(m, prefix_len, tuple(map(cells.__getitem__, key)))
@@ -196,22 +190,20 @@ def _intern(items: list) -> tuple[list, list[int]]:
     return distinct, list(map(position.__getitem__, items))
 
 
-def realize(T: LocalSetSpec, z: LandscapeRule, window: Window,
-            core_radius: Optional[int] = None) -> list[int]:
+def realize(T: LocalSetSpec, z: LandscapeRule, window: Window) -> list[int]:
     """The core indices whose pattern lies in T, ascending."""
-    ids, patterns = z.scan(window, T.m, T.prefix_len, core_radius)
+    ids, patterns = z.scan(window, T.m, T.prefix_len)
     wanted = {j for j, pat in enumerate(patterns) if pat in T.patterns}
     return list(compress(range(len(ids)), map(wanted.__contains__, ids)))
 
 
 def observed_patterns(z: LandscapeRule, window: Window, m: int,
-                      prefix_len: Optional[int] = None,
-                      core_radius: Optional[int] = None) -> dict:
+                      prefix_len: Optional[int] = None) -> dict:
     """Map pattern -> the ascending core indices where it occurs, with
     the patterns in order of first occurrence."""
     if prefix_len is None:
         prefix_len = m
-    ids, patterns = z.scan(window, m, prefix_len, core_radius)
+    ids, patterns = z.scan(window, m, prefix_len)
     sites: list[list[int]] = [[] for _ in patterns]
     for i, j in enumerate(ids):
         sites[j].append(i)
@@ -222,9 +214,9 @@ def center_height_local_set(z: LandscapeRule, window: Window, m: int,
                             heights: Iterable[int],
                             prefix_len: Optional[int] = None) -> LocalSetSpec:
     """The local set of all observed patterns with a given center height."""
+    if prefix_len is None:
+        prefix_len = m
     wanted = set(heights)
     occ = observed_patterns(z, window, m, prefix_len)
-    pats = frozenset(p for p in occ if p.center_height in wanted)
-    some = next(iter(pats), None)
-    plen = some.prefix_len if some is not None else (prefix_len or m)
-    return LocalSetSpec(m, plen, pats)
+    return LocalSetSpec(m, prefix_len, frozenset(
+        p for p in occ if p.center_height in wanted))

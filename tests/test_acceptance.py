@@ -88,7 +88,7 @@ def test_criterion_04_symdiff_inequality(river, win10, kappa20):
     start = time.time()
     checked = 0
     step, d = win10.step, F2.degree
-    for i in win10.core_indices(win10.radius - 1):
+    for i in range(win10.core_size(win10.radius - 1)):
         g = win10.vertices[i]
         lg = kappa20[g]
         bound = 2 * river.height(g) * 2  # 2 (d+1) C with d = H-1, C = 2

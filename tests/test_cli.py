@@ -387,10 +387,26 @@ class TestCheck:
         (lambda doc: doc["certificates"][0]["pieces"][1].insert(0, 7),
          "certificate field 'pieces': piece 1: entry 0 is int, not a "
          "string"),
+        (lambda doc: doc["certificates"][0].__setitem__("translators", 5),
+         "certificate field 'translators' must be an array, not int"),
+        (lambda doc: doc["certificates"][0]["translators"].__setitem__(1, 7),
+         "certificate field 'translators': translator 1 must be an array, "
+         "not int"),
+        (lambda doc: doc["certificates"][0]["translators"].__setitem__(
+            0, ["1"]),
+         "certificate field 'translators': translator 0: entry 0 must be "
+         "an integer, not str"),
+        (lambda doc: doc["certificates"][0]["translators"].__setitem__(
+            0, [True]),
+         "certificate field 'translators': translator 0: entry 0 must be "
+         "an integer, not bool"),
     ], ids=["certificates-number", "target-array", "patterns-string",
-            "pattern-array", "piece-number"])
+            "pattern-array", "piece-number", "translators-number",
+            "translator-number", "string-letter", "bool-letter"])
     def test_malformed_bundle_is_input_error(self, bundle_dir, tmp_path,
                                              capsys, edit, message):
+        # malformed translators used to raise a TypeError, or to be read
+        # as letter 1 ("1" and true) and fail verification
         doc = load_json(bundle_dir / "certificates.json")
         edit(doc)
         bad = tmp_path / "bad.json"
@@ -408,10 +424,18 @@ class TestCheck:
          "'radius' must be an integer, not bool"),
         (lambda doc: doc.__setitem__("labelPrefixLen", "14"),
          "'labelPrefixLen' must be an integer, not str"),
-    ], ids=["float-radius", "bool-radius", "string-prefix-len"])
+        (lambda doc: doc["windowRef"]["group"].__setitem__("rank", "2"),
+         "'rank' must be an integer, not str"),
+        (lambda doc: doc["windowRef"]["group"].__setitem__("rank", 2.0),
+         "'rank' must be an integer, not float"),
+        (lambda doc: doc["windowRef"]["group"].__setitem__("rank", True),
+         "'rank' must be an integer, not bool"),
+    ], ids=["float-radius", "bool-radius", "string-prefix-len",
+            "string-rank", "float-rank", "bool-rank"])
     def test_snapshot_scalars_are_strict(self, bundle_dir, tmp_path, capsys,
                                          edit, message):
-        # such scalars used to be coerced with int(): 8.7 read as 8
+        # such scalars used to be coerced with int(): 8.7 read as 8, and
+        # a rank of true built F_1
         doc = load_json(bundle_dir / "final_snapshot.json")
         assert doc["windowRef"]["radius"] == 8
         assert doc["labelPrefixLen"] == 14

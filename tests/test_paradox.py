@@ -2,16 +2,17 @@ import hashlib
 import json
 import tracemalloc
 from array import array
+from dataclasses import replace
 
 import pytest
 
-from riverscape import (ChannelAllocator, ChannelLandscape, FreeGroup,
-                        IntegerGroup, LocalSetSpec, PatternBall,
-                        RiverLandscape, Snapshot, ball, certificate_from_dict,
-                        check_certificate_dict, checking, extract_pieces,
-                        find_doubling, landscapes, load_snapshot, paradox,
-                        paradoxicalize_sequence, patterns, realize,
-                        trivial_certificate, verify_certificate)
+from riverscape import (ChannelLandscape, FreeGroup, IntegerGroup,
+                        LocalSetSpec, PatternBall, RiverLandscape, Snapshot,
+                        ball, certificate_from_dict, check_certificate_dict,
+                        checking, extract_pieces, find_doubling, landscapes,
+                        load_snapshot, paradox, paradoxicalize_sequence,
+                        patterns, realize, relabel, trivial_certificate,
+                        verify_certificate)
 from riverscape.paradox import _HopcroftKarp, _verify
 from riverscape.patterns import center_height_local_set, observed_patterns
 from riverscape.snapshots import bundle_pipeline
@@ -119,13 +120,23 @@ class TestChannels:
         with pytest.raises(ValueError):
             base.with_channels({6: []}).with_channels({4: [0]})
 
-    def test_allocator_monotone_and_even(self):
-        alloc = ChannelAllocator()
-        first = alloc.allocate(3, above=5)
-        assert first == (6, 8, 10)
-        second = alloc.allocate(2, above=1)
-        assert second == (12, 14)
-        assert alloc.floor == 14
+    def test_relabel_channels_start_above_the_rule(self, river, win5):
+        # the first even position above the rule's channels and the
+        # certificate's radius, then every second position
+        z = ChannelLandscape(river, win5).with_channels({4: [0], 6: [1]})
+
+        def cert(m):
+            return replace(
+                trivial_certificate(LocalSetSpec(1, 1, frozenset()), win5),
+                trivial=False, m=m, p=1, q=2,
+                pieces_vertices=(frozenset({0}), frozenset({2}),
+                                 frozenset({3})))
+
+        z_high, high = relabel(z, cert(9))
+        assert high.channel_positions == (10, 12, 14)
+        assert high.prefix_len == 14
+        assert z_high.positions == {4, 6, 10, 12, 14}
+        assert relabel(z, cert(1))[1].channel_positions == (8, 10, 12)
 
 
 class TestMatcher:
@@ -369,14 +380,14 @@ class TestDeterminism:
 
 
 def counted_scans(monkeypatch):
-    """Record the (m, s, core radius) of every ``pattern_scan`` call,
-    through the checker's snapshots and the rules' default hook alike."""
+    """Record the (m, s) of every ``pattern_scan`` call, through the
+    checker's snapshots and the rules' default hook alike."""
     calls = []
     real = patterns.pattern_scan
 
-    def counting(rows, window, m, prefix_len, core_radius=None):
-        calls.append((m, prefix_len, core_radius))
-        return real(rows, window, m, prefix_len, core_radius)
+    def counting(rows, window, m, prefix_len):
+        calls.append((m, prefix_len))
+        return real(rows, window, m, prefix_len)
 
     monkeypatch.setattr(checking, "pattern_scan", counting)
     monkeypatch.setattr(landscapes, "pattern_scan", counting)
@@ -416,9 +427,8 @@ class TestScanMemo:
         scans = [(snap, key, got) for snap in snapshots
                  for key, got in snap._scans.items()]
         assert len(scans) == 4
-        for snap, (m, s, core_radius), got in scans:
-            assert got == patterns.pattern_scan(
-                snap.rows(s), win8, m, s, core_radius)
+        for snap, (m, s), got in scans:
+            assert got == patterns.pattern_scan(snap.rows(s), win8, m, s)
 
     def test_scans_counted_in_the_pipeline_and_its_check(self, win8,
                                                          monkeypatch):
@@ -429,13 +439,13 @@ class TestScanMemo:
         # one scan of the targets' pattern (prefix 1, the same rows for
         # every rule) and one per relabeling, reused by its step report
         # and every later matrix entry: 4, against 21 with no memo
-        assert calls == [(1, 1, None)] + [(2, s, None) for s in prefixes]
+        assert calls == [(1, 1)] + [(2, s) for s in prefixes]
         bundle = bundle_pipeline(result, win8)
         del calls[:]
         snapshot = load_snapshot(bundle["finalSnapshot"])
         for cert in bundle["certificates"]:
             assert check_certificate_dict(snapshot, cert).passed
-        assert calls == [(1, 1, None)] + [(2, s, None) for s in prefixes]
+        assert calls == [(1, 1)] + [(2, s) for s in prefixes]
 
     def test_shorter_prefix_scans_equal_fresh_scans(self, pipeline8_3,
                                                     win8):
@@ -483,7 +493,7 @@ class TestScanMemo:
         if passes:
             assert calls == []
         else:
-            assert calls == [(2, cert.prefix_len, None)]
+            assert calls == [(2, cert.prefix_len)]
             assert bad.snapshot(cert.prefix_len) \
                 != final.snapshot(cert.prefix_len)
             assert [c.name for c in report.clauses if not c.passed] \

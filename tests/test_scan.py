@@ -14,10 +14,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from riverscape import (ChannelAllocator, ChannelLandscape, FreeGroup,
-                        IntegerGroup, LocalSetSpec, RiverLandscape,
-                        TernaryLandscape, ball, observed_patterns, realize,
-                        relabel, theta, trivial_certificate)
+from riverscape import (ChannelLandscape, FreeGroup, IntegerGroup,
+                        LocalSetSpec, RiverLandscape, TernaryLandscape, ball,
+                        observed_patterns, realize, relabel, theta,
+                        trivial_certificate)
 from riverscape.landscapes import LandscapeRule
 
 from test_labels import interleave
@@ -220,8 +220,7 @@ class TestScanAgainstTheta:
             trivial_certificate(LocalSetSpec(l, 1, frozenset()), win),
             trivial=False, p=1, q=len(pieces) - 1, pieces_vertices=pieces,
         )
-        allocator = ChannelAllocator(floor=max(z.positions, default=0))
-        z2, cert2 = relabel(z, cert, 1, allocator)
+        z2, cert2 = relabel(z, cert)
         word_pieces = [frozenset(win.vertices[i] for i in members)
                        for members in pieces]
         written = RelabeledLandscape(oracle, dict(zip(
@@ -238,11 +237,6 @@ class TestScanAgainstTheta:
 
 
 class TestScanBounds:
-    def test_core_past_the_window_rejected(self, river):
-        win = window(F2, 3)
-        with pytest.raises(ValueError):
-            observed_patterns(river, win, 1, core_radius=3)
-
     def test_plain_rules_scan_from_colour_arrays(self, river):
         # a rule with no channel machinery is scanned through its colour
         # arrays and window heights and still agrees with theta
