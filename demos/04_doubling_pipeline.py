@@ -9,7 +9,7 @@ through the same verifier the pipeline runs on its own rows.
 from riverscape import FreeGroup, RiverLandscape, ball, paradoxicalize_sequence
 from riverscape.checking import check_certificate_dict, load_snapshot
 from riverscape.patterns import center_height_local_set
-from riverscape.snapshots import bundle_pipeline
+from riverscape.snapshots import bundle_pipeline, final_snapshot
 
 
 def height_target(heights):
@@ -38,9 +38,8 @@ def main():
                  for e in row]
         print(f"  cert {a}: {cells}")
 
-    bundle = bundle_pipeline(result, win)
-    snapshot = load_snapshot(bundle["finalSnapshot"])
-    for i, cert_obj in enumerate(bundle["certificates"]):
+    snapshot = load_snapshot(final_snapshot(result, win))
+    for i, cert_obj in enumerate(bundle_pipeline(result)["certificates"]):
         report = check_certificate_dict(snapshot, cert_obj)
         print(f"independent snapshot check of certificate {i}: "
               f"{report.passed}")

@@ -20,8 +20,8 @@ from .paradox import (ChannelLandscape, DoublingSearch, PipelineResult,
 from .patterns import (LocalSetSpec, PatternBall, center_height_local_set,
                        observed_patterns, offset_ball, pattern_scan, realize,
                        theta)
-from .snapshots import (bundle_pipeline, dump_json, load_json,
-                        snapshot_landscape)
+from .snapshots import (bundle_pipeline, dump_json, final_snapshot,
+                        load_json, snapshot_landscape)
 from .witness import (CodeBlock, CodeBudgetError, CodeFormatError,
                       block_subset, decode_witness, defect, defect_bound,
                       defect_table, encode_blocks, encode_witness, kappa,

@@ -16,7 +16,8 @@ the life of the snapshot.  A loaded bundle therefore scans each distinct
 (pattern radius, prefix) pair once.  In a pipeline, rules that share
 rows share one snapshot, and a rule's snapshot hands a scan at a
 shorter prefix to the rule's snapshot there (``shorter``), so the
-verifier reuses the scans that construction made.
+verifier reuses the scans that construction made.  Every rule hands
+out its rows as a snapshot (``LandscapeRule.snapshot``).
 
 Verification runs in window-index space: T and every piece are index
 sets read off the scan, "inside the core of radius r" is an index below
@@ -32,6 +33,9 @@ offender; a passing check builds no word.
 every row references it.  It counts the rows against the claimed
 radius before building the window, and the row count is the window's
 vertex budget, so any snapshot whose rows fit in memory can be read.
+The file schemas are defined here, beside their readers: a certificate
+file is a ``riverscape.bundle/2`` object, which does not embed the
+snapshot, and any other schema or shape is an input error.
 """
 
 from __future__ import annotations
@@ -42,8 +46,11 @@ from itertools import compress
 from typing import Callable, Optional
 
 from .groups import GroupSpec, Window, ball, letter_index
-from .patterns import LocalSetSpec, PatternBall, json_int, pattern_scan
-from .snapshots import SNAPSHOT_SCHEMA
+from .patterns import (LocalSetSpec, PatternBall, json_expect, json_int,
+                       json_strings, pattern_scan)
+
+SNAPSHOT_SCHEMA = "riverscape.snapshot/1"
+BUNDLE_SCHEMA = "riverscape.bundle/2"
 
 
 @dataclass(frozen=True)
@@ -97,70 +104,53 @@ class DoublingCertificate:
         }
 
 
-def _expect(value, kind: type, what: str):
-    """``value`` when it is a JSON object (``dict``) or array (``list``)
-    as ``kind`` asks; otherwise a ``ValueError`` naming ``what``."""
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "an array"
-        raise ValueError(f"{what} must be {name}, not {type(value).__name__}")
-    return value
-
-
-def _strings(value, what: str) -> list:
-    """``value`` when it is a JSON array of strings; otherwise a
-    ``ValueError`` naming ``what`` and the first offending entry."""
-    _expect(value, list, what)
-    for i, item in enumerate(value):
-        if type(item) is not str:
-            raise ValueError(
-                f"{what}: entry {i} is {type(item).__name__}, not a string")
-    return value
-
-
 def _ints(value, what: str) -> list:
     """``value`` when it is a JSON array of integers; otherwise a
     ``ValueError`` naming ``what`` and the first offending entry."""
-    _expect(value, list, what)
+    json_expect(value, list, what)
     for i, item in enumerate(value):
         json_int(item, f"{what}: entry {i}")
     return value
 
 
 def bundle_certificates(payload) -> list:
-    """The certificates of a certificate file: a bundle's
-    ``certificates`` array, a bare array, or one certificate object."""
-    if isinstance(payload, dict):
-        if "certificates" not in payload:
-            return [payload]
-        return _expect(payload["certificates"], list,
+    """The ``certificates`` array of a ``riverscape.bundle/2`` object; any
+    other file is a ``ValueError`` naming the schema."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"certificate file must be a {BUNDLE_SCHEMA} "
+                         f"object, not {type(payload).__name__}")
+    if payload.get("schema") != BUNDLE_SCHEMA:
+        raise ValueError(f"unsupported bundle schema: "
+                         f"{payload.get('schema')!r}, not {BUNDLE_SCHEMA!r}")
+    if "certificates" not in payload:
+        raise ValueError("bundle is missing the field 'certificates'")
+    return json_expect(payload["certificates"], list,
                        "bundle field 'certificates'")
-    if not isinstance(payload, list):
-        raise ValueError(f"certificate file must be an object or an array, "
-                         f"not {type(payload).__name__}")
-    return payload
 
 
 def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
     """Parse a serialized certificate; a missing or wrong-typed field, or
     translators and pieces that do not number p + q, are a
     ``ValueError``."""
-    _expect(obj, dict, "certificate")
+    json_expect(obj, dict, "certificate")
     if obj.get("schema") != "riverscape.certificate/1":
         raise ValueError(
             f"unsupported certificate schema: {obj.get('schema')!r}"
         )
     try:
-        ref = _expect(obj["windowRef"], dict, "certificate field 'windowRef'")
+        ref = json_expect(obj["windowRef"], dict,
+                          "certificate field 'windowRef'")
         if ref["group"] != spec.to_dict():
             raise ValueError(
                 "certificate group does not match the given group")
-        target = _expect(obj["target"], dict, "certificate field 'target'")
-        _strings(target["patterns"], "target field 'patterns'")
-        pieces = _expect(obj["pieces"], list, "certificate field 'pieces'")
+        target = json_expect(obj["target"], dict,
+                             "certificate field 'target'")
+        pieces = json_expect(obj["pieces"], list,
+                             "certificate field 'pieces'")
         for i, pats in enumerate(pieces):
-            _strings(pats, f"certificate field 'pieces': piece {i}")
-        translators = _expect(obj["translators"], list,
-                              "certificate field 'translators'")
+            json_strings(pats, f"certificate field 'pieces': piece {i}")
+        translators = json_expect(obj["translators"], list,
+                                  "certificate field 'translators'")
         for i, t in enumerate(translators):
             _ints(t, f"certificate field 'translators': translator {i}")
         channels = _ints(obj["channelPositions"],
@@ -285,19 +275,21 @@ def load_snapshot(obj: dict) -> Snapshot:
     is not an integer, a label that is not a string of ``labelPrefixLen``
     0s and 1s, or rows that do not number the window's vertices, are a
     ``ValueError`` naming the field and the row."""
-    _expect(obj, dict, "snapshot")
+    json_expect(obj, dict, "snapshot")
     if obj.get("schema") != SNAPSHOT_SCHEMA:
         raise ValueError(f"unsupported snapshot schema: {obj.get('schema')!r}")
     try:
-        ref = _expect(obj["windowRef"], dict, "snapshot field 'windowRef'")
-        group = _expect(ref["group"], dict, "snapshot field 'group'")
+        ref = json_expect(obj["windowRef"], dict,
+                          "snapshot field 'windowRef'")
+        group = json_expect(ref["group"], dict, "snapshot field 'group'")
         json_int(group["rank"], "snapshot field 'rank'")
         spec = GroupSpec.from_dict(group)
         radius = json_int(ref["radius"], "snapshot field 'radius'")
         prefix_len = json_int(obj["labelPrefixLen"],
                               "snapshot field 'labelPrefixLen'")
-        heights = _expect(obj["heights"], list, "snapshot field 'heights'")
-        labels = _expect(obj["labels"], list, "snapshot field 'labels'")
+        heights = json_expect(obj["heights"], list,
+                              "snapshot field 'heights'")
+        labels = json_expect(obj["labels"], list, "snapshot field 'labels'")
     except KeyError as exc:
         raise ValueError(
             f"snapshot is missing the field {exc.args[0]!r}") from None

@@ -19,8 +19,9 @@ from .labels import separation_index
 from .landscapes import (AnchorSet, FractalLandscape, RiverLandscape,
                          TernaryLandscape, components_leq, verify_axioms)
 from .paradox import paradoxicalize_sequence
-from .patterns import LocalSetSpec, center_height_local_set
-from .snapshots import bundle_pipeline, dump_json, load_json, snapshot_landscape
+from .patterns import LocalSetSpec, center_height_local_set, json_expect
+from .snapshots import (bundle_pipeline, dump_json, final_snapshot,
+                        load_json, snapshot_landscape)
 from .witness import defect_table
 
 EXIT_OK = 0
@@ -156,10 +157,8 @@ def cmd_paradoxicalize(args) -> int:
     window = ball(spec, args.radius, budget=args.budget_vertices)
     targets = []
     if args.targets:
-        payload = load_json(args.targets)
-        if not isinstance(payload, list):
-            raise InputError("targets file must hold a JSON list")
-        targets.extend(LocalSetSpec.from_dict(t) for t in payload)
+        targets.extend(map(LocalSetSpec.from_dict, json_expect(
+            load_json(args.targets), list, "targets file")))
     if args.target_heights:
         for item in args.target_heights.split(";"):
             heights = frozenset(int(x) for x in item.split(",") if x)
@@ -175,9 +174,8 @@ def cmd_paradoxicalize(args) -> int:
     result = paradoxicalize_sequence(z, targets, window,
                                      k_ceiling=args.k_ceiling)
     out = _outdir(args)
-    bundle = bundle_pipeline(result, window)
-    dump_json(bundle, out / "certificates.json")
-    dump_json(bundle["finalSnapshot"], out / "final_snapshot.json")
+    dump_json(bundle_pipeline(result), out / "certificates.json")
+    dump_json(final_snapshot(result, window), out / "final_snapshot.json")
     for i, report in enumerate(result.reports):
         print(f"certificate {i}: {'pass' if report.passed else 'FAIL'}")
     if result.halted:
@@ -192,8 +190,6 @@ def cmd_paradoxicalize(args) -> int:
 
 def cmd_check(args) -> int:
     snapshot = load_snapshot(load_json(args.snapshot))
-    # keep only the certificates: a bundle's copy of the final snapshot
-    # is freed before verification
     certificates = bundle_certificates(load_json(args.certificate))
     all_pass = True
     for i, cert_obj in enumerate(certificates):

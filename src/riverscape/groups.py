@@ -141,6 +141,9 @@ class GroupSpec:
         if kind == "free":
             return FreeGroup(int(obj["rank"]))
         if kind == "integers":
+            if obj["rank"] != 1:
+                raise ValueError(f"group field 'rank' is {obj['rank']!r}; "
+                                 f"the integers have rank 1")
             return IntegerGroup()
         raise ValueError(f"unknown group kind: {kind!r}")
 

@@ -12,12 +12,12 @@ Three height rules are shipped:
 Heights are read once per window: ``LandscapeRule.window_heights``
 returns every window vertex's height in window order, computed once per
 (group, radius) and kept by the rule, and every window-wide reader
-(``window_rows``, the axioms, the components, the channel rule) goes
-through it.  The ternary rule paints its heights instead of evaluating
-each integer: height 1 on the ternary n in 0..R, then for k = 1, 2, ...
-height 1 + k on every unpainted n within 10^k of a ternary multiple of
-10^k, spread to the window indices of n and -n.  ``height`` and
-``label`` stay as the word-level oracles.
+(the rule's ``snapshot``, the axioms, the components, the channel rule)
+goes through it.  The ternary rule paints its heights instead of
+evaluating each integer: height 1 on the ternary n in 0..R, then for
+k = 1, 2, ... height 1 + k on every unpainted n within 10^k of a
+ternary multiple of 10^k, spread to the window indices of n and -n.
+``height`` and ``label`` stay as the word-level oracles.
 
 ``verify_axioms`` certifies the four landscape axioms on a window and
 reports the empirical structure constants; ``components_leq`` measures
@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
+from .checking import Snapshot
 from .groups import FreeGroup, GroupSpec, IntegerGroup, Window, bfs_distances
 from .labels import ProperLabelRule
-from .patterns import PatternBall, pattern_scan
 
 
 class LandscapeRule:
@@ -67,21 +67,13 @@ class LandscapeRule:
         return list(map(self.height,
                         self.spec.ball_words(window.radius, window.step)))
 
-    def window_rows(self, window: Window, s: int
-                    ) -> tuple[list[str], list[int]]:
-        """Index-aligned label prefixes of length s and heights of every
-        window vertex: labels from the colour arrays, heights from
-        :meth:`window_heights`."""
-        return (self.label_rule.label_rows(window, s),
-                self.window_heights(window))
-
-    def scan(self, window: Window, m: int, s: int
-             ) -> tuple[list[int], list[PatternBall]]:
-        """:func:`~riverscape.patterns.pattern_scan` of
-        :meth:`window_rows` at prefix s; every construction scan
-        (``realize``, ``observed_patterns``, ``relabel``) goes through
-        this hook, which a rule that keeps its rows may memoize."""
-        return pattern_scan(self.window_rows(window, s), window, m, s)
+    def snapshot(self, window: Window, s: int) -> Snapshot:
+        """The label prefixes of length s (from the colour arrays) and
+        the heights of every window vertex, built afresh on each call.
+        Every row and scan leaves a rule through this hook, which a rule
+        that keeps its rows overrides."""
+        return Snapshot(window, self.window_heights(window),
+                        self.label_rule.label_rows(window, s), s)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .checking import (CertificateReport, DoublingCertificate, Snapshot,
                        verify_certificate)
 from .groups import Window
 from .landscapes import LandscapeRule
-from .patterns import LocalSetSpec, PatternBall, realize
+from .patterns import LocalSetSpec, realize
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +64,10 @@ class ChannelLandscape(LandscapeRule):
     (``label_rule.padded_rows``), a derived rule copies its parent's rows
     and sets its own member bits, once per distinct row, or shares its
     parent's snapshot when none of its channels lies inside the prefix.
-    Equal rows are one shared string.  The snapshot memoizes
-    the scans made over its rows (:meth:`scan`), so rules that share the
-    rows share the scans, and hands a scan at a shorter prefix to the
-    rule's snapshot there.  The base's labels are those of its
+    Equal rows are one shared string.  :meth:`snapshot` hands out that
+    snapshot, which memoizes the scans made over its rows, so rules that
+    share the rows share the scans, and hands a scan at a shorter prefix
+    to the rule's snapshot there.  The base's labels are those of its
     ``label_rule``.  Asked about another window, or a word outside its
     own, the rule raises ``ValueError``.
     """
@@ -104,7 +104,12 @@ class ChannelLandscape(LandscapeRule):
             {pos: sorted(members) for pos, members in channels.items()},
         )
 
-    def snapshot(self, s: int) -> Snapshot:
+    def snapshot(self, window: Window, s: int) -> Snapshot:
+        """The rule's snapshot at prefix s, kept with its scans."""
+        self._check_window(window)
+        return self._snapshot(s)
+
+    def _snapshot(self, s: int) -> Snapshot:
         """The heights and the first s label bits of every window vertex,
         with the scans made over them; the parent's very snapshot when
         none of this rule's channels lies at or below s."""
@@ -112,11 +117,11 @@ class ChannelLandscape(LandscapeRule):
         if snap is None:
             own = [pos for pos in self.channels if pos <= s]
             if self.parent is not None and not own:
-                snap = self.parent.snapshot(s)
+                snap = self.parent._snapshot(s)
             else:
                 rows = self.label_rule.padded_rows(self.window, s) \
                     if self.parent is None \
-                    else list(self.parent.label_rows(s))
+                    else list(self.parent._snapshot(s).labels)
                 for pos in own:
                     # each distinct row is written once; a written row
                     # maps to itself, so a repeated member keeps it
@@ -129,14 +134,9 @@ class ChannelLandscape(LandscapeRule):
                             written[row] = written[new] = new
                         rows[i] = new
                 snap = Snapshot(self.window, self.heights, rows, s,
-                                shorter=self.snapshot)
+                                shorter=self._snapshot)
             self._snapshots[s] = snap
         return snap
-
-    def label_rows(self, s: int) -> list[str]:
-        """The first s bits of every window vertex's label, in window
-        order; callers must not mutate it."""
-        return self.snapshot(s).labels
 
     def _check_window(self, window: Window) -> None:
         if (window.spec, window.radius) != (self.spec, self.window.radius):
@@ -149,21 +149,11 @@ class ChannelLandscape(LandscapeRule):
         self._check_window(window)
         return self.heights
 
-    def window_rows(self, window: Window, s: int
-                    ) -> tuple[list[str], list[int]]:
-        self._check_window(window)
-        return self.label_rows(s), self.heights
-
-    def scan(self, window: Window, m: int, s: int
-             ) -> tuple[list[int], list[PatternBall]]:
-        self._check_window(window)
-        return self.snapshot(s).scan(m, s)
-
     def height(self, word) -> int:
         return self.heights[self.window.index_of(word)]
 
     def label(self, word, s: int) -> str:
-        return self.label_rows(s)[self.window.index_of(word)]
+        return self._snapshot(s).labels[self.window.index_of(word)]
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +399,13 @@ def relabel(z: ChannelLandscape, cert: DoublingCertificate
     """
     if cert.trivial:
         return z, cert
-    window = z.window
     floor = max(max(z.positions, default=0), cert.m, cert.target.prefix_len)
     start = floor + 2 - floor % 2
     positions = tuple(range(start, start + 2 * (cert.p + cert.q), 2))
     z_prime = z.with_channels(dict(zip(positions, cert.pieces_vertices)))
     prefix_len = positions[-1]
-    ids, patterns = z_prime.scan(window, cert.l, prefix_len)
+    ids, patterns = z_prime.snapshot(z.window, prefix_len).scan(
+        cert.l, prefix_len)
     n_core = len(ids)
     piece_patterns = [
         frozenset(patterns[ids[i]] for i in members if i < n_core)
@@ -460,7 +450,7 @@ def _verify(rule: ChannelLandscape, cert: DoublingCertificate
             ) -> CertificateReport:
     """Verify ``cert`` on the rule's rows at the prefix it reads."""
     s = max(cert.prefix_len, cert.target.prefix_len)
-    return verify_certificate(rule.snapshot(s), cert)
+    return verify_certificate(rule.snapshot(rule.window, s), cert)
 
 
 def paradoxicalize_sequence(z0: LandscapeRule,

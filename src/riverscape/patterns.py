@@ -8,22 +8,21 @@ bits at positions well past the radius without paying for huge balls.
 :func:`theta` reads one pattern word by word.  Window-wide scans
 (:func:`pattern_scan`, behind :func:`realize` and
 :func:`observed_patterns`) are compiled against the window instead: the
-scan reads one label row and one height per vertex (a rule's
-``window_rows``, or a snapshot's rows), each distinct (label prefix,
-height) pair is interned as a cell id, the cell ids are gathered along
-the window's offset tables (compositions of its step table), and a
-:class:`PatternBall` is built once per distinct pattern.  The result
-equals θ at every core vertex; the core of a radius-m scan is always
-the ball of radius R - m.  Scans answer in window indices:
-:func:`realize` returns the core indices of a local set, and no word is
-built.
+scan reads one label row and one height per vertex (a snapshot's
+rows), each distinct (label prefix, height) pair is interned as a cell
+id, the cell ids are gathered along the window's offset tables
+(compositions of its step table), and a :class:`PatternBall` is built
+once per distinct pattern.  The result equals θ at every core vertex;
+the core of a radius-m scan is always the ball of radius R - m.  Scans
+answer in window indices: :func:`realize` returns the core indices of a
+local set, and no word is built.
 
 :func:`pattern_scan` is the one scan implementation.  ``realize`` and
-``observed_patterns`` reach it through the rule's ``scan`` hook: a plain
-rule scans its ``window_rows`` afresh, while a channel rule hands the
-scan to the :class:`~riverscape.checking.Snapshot` that owns its rows at
-that prefix, which memoizes it, so each distinct scan of a pipeline
-runs once.
+``observed_patterns`` scan the :class:`~riverscape.checking.Snapshot`
+that the rule's ``snapshot`` hook hands out: a plain rule builds a
+fresh one on each call, while a channel rule hands out the snapshot
+that owns its rows at that prefix, which memoizes its scans, so each
+distinct scan of a pipeline runs once.
 """
 
 from __future__ import annotations
@@ -105,6 +104,26 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_expect(value, kind: type, what: str):
+    """``value`` when it is a JSON object (``dict``) or array (``list``)
+    as ``kind`` asks; otherwise a ``ValueError`` naming ``what``."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "an array"
+        raise ValueError(f"{what} must be {name}, not {type(value).__name__}")
+    return value
+
+
+def json_strings(value, what: str) -> list:
+    """``value`` when it is a JSON array of strings; otherwise a
+    ``ValueError`` naming ``what`` and the first offending entry."""
+    json_expect(value, list, what)
+    for i, item in enumerate(value):
+        if type(item) is not str:
+            raise ValueError(
+                f"{what}: entry {i} is {type(item).__name__}, not a string")
+    return value
+
+
 @dataclass(frozen=True)
 class LocalSetSpec:
     """A local set: the preimage of a finite set of radius-m patterns."""
@@ -131,14 +150,14 @@ class LocalSetSpec:
 
     @staticmethod
     def from_dict(obj: dict) -> "LocalSetSpec":
+        json_expect(obj, dict, "local set")
         if obj.get("schema") != "riverscape.localset/1":
             raise ValueError(
                 f"unsupported local set schema: {obj.get('schema')!r}"
             )
         try:
-            patterns = frozenset(
-                PatternBall.deserialize(s) for s in obj["patterns"]
-            )
+            patterns = frozenset(map(PatternBall.deserialize, json_strings(
+                obj["patterns"], "target field 'patterns'")))
             return LocalSetSpec(
                 json_int(obj["m"], "local set field 'm'"),
                 json_int(obj["prefixLen"], "local set field 'prefixLen'"),
@@ -154,13 +173,13 @@ def pattern_scan(rows: tuple[list[str], list[int]], window: Window, m: int,
 
     ``rows`` is ``(labels, heights)``: the label prefix of length
     ``prefix_len`` and the height of every window vertex, in window
-    order (a rule's ``window_rows``, or a snapshot's rows).  The core is
-    the ball of radius R - m, the first ``window.core_size(R - m)``
-    indices, where every pattern fits inside the window.  Returns
-    ``(ids, patterns)``: core vertex v has the pattern
-    ``patterns[ids[v]]``, which equals ``theta(z, window.vertices[v], m,
-    prefix_len)`` for the rule z the rows were read from; ``patterns``
-    holds the distinct ones in order of first occurrence.
+    order (a snapshot's rows).  The core is the ball of radius R - m,
+    the first ``window.core_size(R - m)`` indices, where every pattern
+    fits inside the window.  Returns ``(ids, patterns)``: core vertex v
+    has the pattern ``patterns[ids[v]]``, which equals ``theta(z,
+    window.vertices[v], m, prefix_len)`` for the rule z the rows were
+    read from; ``patterns`` holds the distinct ones in order of first
+    occurrence.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -192,7 +211,7 @@ def _intern(items: list) -> tuple[list, list[int]]:
 
 def realize(T: LocalSetSpec, z: LandscapeRule, window: Window) -> list[int]:
     """The core indices whose pattern lies in T, ascending."""
-    ids, patterns = z.scan(window, T.m, T.prefix_len)
+    ids, patterns = z.snapshot(window, T.prefix_len).scan(T.m, T.prefix_len)
     wanted = {j for j, pat in enumerate(patterns) if pat in T.patterns}
     return list(compress(range(len(ids)), map(wanted.__contains__, ids)))
 
@@ -203,7 +222,7 @@ def observed_patterns(z: LandscapeRule, window: Window, m: int,
     the patterns in order of first occurrence."""
     if prefix_len is None:
         prefix_len = m
-    ids, patterns = z.scan(window, m, prefix_len)
+    ids, patterns = z.snapshot(window, prefix_len).scan(m, prefix_len)
     sites: list[list[int]] = [[] for _ in patterns]
     for i, j in enumerate(ids):
         sites[j].append(i)

@@ -4,7 +4,10 @@ A landscape snapshot materializes heights and label prefixes for every
 window vertex, in enumeration order, so a checker can replay claims
 without any construction code.  Windows themselves are not embedded:
 the (group, radius) reference rebuilds the identical ball because the
-enumeration order is canonical.
+enumeration order is canonical.  A pipeline writes two files: the
+bundle (certificates, reports and the matrix) and the snapshot of its
+final rule (:func:`final_snapshot`), which the bundle does not repeat.
+The schemas live in :mod:`riverscape.checking`, beside their reader.
 """
 
 from __future__ import annotations
@@ -12,11 +15,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .checking import BUNDLE_SCHEMA, SNAPSHOT_SCHEMA
 from .groups import Window
 from .landscapes import LandscapeRule
-
-SNAPSHOT_SCHEMA = "riverscape.snapshot/1"
-BUNDLE_SCHEMA = "riverscape.bundle/1"
 
 
 def snapshot_landscape(z: LandscapeRule, window: Window,
@@ -24,7 +25,7 @@ def snapshot_landscape(z: LandscapeRule, window: Window,
     """Materialize heights and label prefixes over the whole window."""
     if prefix_len < 1:
         raise ValueError("prefix length must be >= 1")
-    labels, heights = z.window_rows(window, prefix_len)
+    snap = z.snapshot(window, prefix_len)
     return {
         "schema": SNAPSHOT_SCHEMA,
         "provenance": z.provenance,
@@ -33,12 +34,12 @@ def snapshot_landscape(z: LandscapeRule, window: Window,
             "radius": window.radius,
         },
         "labelPrefixLen": prefix_len,
-        "heights": heights,
-        "labels": labels,
+        "heights": snap.heights,
+        "labels": snap.labels,
     }
 
 
-def bundle_pipeline(result, window: Window) -> dict:
+def bundle_pipeline(result) -> dict:
     """Serialize a pipeline run: certificates, reports, and the matrix."""
     certs = []
     for cert, report in zip(result.certificates, result.reports):
@@ -49,18 +50,20 @@ def bundle_pipeline(result, window: Window) -> dict:
         [entry.to_dict() if entry is not None else None for entry in row]
         for row in result.matrix
     ]
-    prefix_len = max(
-        (c.prefix_len for c in result.certificates), default=1
-    )
     return {
         "schema": BUNDLE_SCHEMA,
         "certificates": certs,
         "matrix": matrix,
         "halted": result.halted,
-        "finalSnapshot": snapshot_landscape(
-            result.final_rule, window, prefix_len
-        ),
     }
+
+
+def final_snapshot(result, window: Window) -> dict:
+    """The snapshot of a pipeline's final rule at the longest prefix its
+    certificates read (1 when there are none)."""
+    prefix_len = max((c.prefix_len for c in result.certificates),
+                     default=1)
+    return snapshot_landscape(result.final_rule, window, prefix_len)
 
 
 def dump_json(obj: dict, path) -> None:

@@ -47,3 +47,12 @@ def zwin_small(zline):
 @pytest.fixture(scope="session")
 def zwin_large(zline):
     return ball(zline, 10000)
+
+
+def bundle_v1(bundle: dict, snapshot: dict) -> dict:
+    """The ``riverscape.bundle/1`` form of a ``/2`` bundle and the
+    parsed final snapshot it was written with: ``/1`` embedded that
+    snapshot as ``finalSnapshot``.  Through ``dump_json`` it reproduces
+    the ``/1`` files byte for byte, so the ``/1`` digests stay pinned."""
+    return {**bundle, "schema": "riverscape.bundle/1",
+            "finalSnapshot": snapshot}

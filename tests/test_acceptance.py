@@ -19,7 +19,7 @@ from riverscape import (CodeFormatError, FreeGroup, LocalSetSpec,
 from riverscape.groups import bfs_distances
 from riverscape.landscapes import LandscapeRule
 from riverscape.patterns import center_height_local_set, observed_patterns
-from riverscape.snapshots import bundle_pipeline
+from riverscape.snapshots import bundle_pipeline, final_snapshot
 
 from test_labels import project_odd
 from test_landscapes import brute_ternary_height
@@ -247,7 +247,8 @@ def test_criterion_10_reproducibility(win8):
             [height_target({1}), height_target({2})],
             win8,
         )
-        return json.dumps(bundle_pipeline(result, win8),
+        return json.dumps([bundle_pipeline(result),
+                           final_snapshot(result, win8)],
                           sort_keys=True).encode()
 
     first, second = run(), run()

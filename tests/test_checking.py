@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import riverscape.checking
+from riverscape.checking import BUNDLE_SCHEMA
 from riverscape import (FreeGroup, IntegerGroup, LocalSetSpec, PatternBall,
                         RiverLandscape, Snapshot, TernaryLandscape, ball,
                         check_certificate_dict, load_snapshot,
@@ -25,7 +26,7 @@ from riverscape import (FreeGroup, IntegerGroup, LocalSetSpec, PatternBall,
                         trivial_certificate, verify_certificate)
 from riverscape.cli import main
 from riverscape.patterns import center_height_local_set
-from riverscape.snapshots import bundle_pipeline
+from riverscape.snapshots import bundle_pipeline, final_snapshot
 
 F2 = FreeGroup(2)
 Z = IntegerGroup()
@@ -34,19 +35,20 @@ R = 8
 
 @lru_cache(maxsize=None)
 def bundle_text() -> str:
-    """The B_8 bundle doubling the river (height-1 target) as JSON."""
+    """The final snapshot and the bundle of the B_8 pipeline doubling
+    the river (height-1 target), as one JSON array."""
     win = ball(F2, R)
     result = paradoxicalize_sequence(RiverLandscape(F2), [
         lambda rule, w: center_height_local_set(rule, w, 1, {1},
                                                 prefix_len=1)
     ], win)
-    return json.dumps(bundle_pipeline(result, win))
+    return json.dumps([final_snapshot(result, win), bundle_pipeline(result)])
 
 
 @pytest.fixture
 def bundle():
-    doc = json.loads(bundle_text())
-    return doc["finalSnapshot"], doc["certificates"][0]
+    snap, doc = json.loads(bundle_text())
+    return snap, doc["certificates"][0]
 
 
 def occurrences(snap, m, s):
@@ -183,10 +185,12 @@ def failing_via_library(snap, cert):
 
 
 def run_check(snap, cert, tmp_path):
-    """``riverscape check`` on the two documents written to files."""
+    """``riverscape check`` on the snapshot and on a bundle holding the
+    one certificate, written to files."""
     snap_path, cert_path = tmp_path / "snap.json", tmp_path / "cert.json"
     snap_path.write_text(json.dumps(snap))
-    cert_path.write_text(json.dumps(cert))
+    cert_path.write_text(json.dumps({"schema": BUNDLE_SCHEMA,
+                                     "certificates": [cert]}))
     return main(["check", "--snapshot", str(snap_path),
                  "--certificate", str(cert_path)])
 
@@ -295,7 +299,7 @@ class TestVerifier:
         # with integer words, translates leaving the window included
         win = ball(Z, 400)
         rule = TernaryLandscape(Z)
-        labels, heights = rule.window_rows(win, 2)
+        snap = rule.snapshot(win, 2)
         ones = frozenset(pat for pat in observed_patterns(rule, win, 1, 2)
                          if pat.center_height == 1)
         target = LocalSetSpec(1, 2, ones)
@@ -305,7 +309,7 @@ class TestVerifier:
             trivial_certificate(target, win), trivial=False, l=1, p=1, q=1,
             translators=(n, -n), piece_patterns=(ones, ones),
             pieces_vertices=(frozenset(), frozenset()), core_radius=rc)
-        report = verify_certificate(Snapshot(win, heights, labels, 2), cert)
+        report = verify_certificate(snap, cert)
         core = {t for t in T if abs(t) <= rc}
         want = [f"vertex {T[0]!r} in pieces 0 and 1"]
         for shift in (n, -n):

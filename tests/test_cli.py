@@ -8,7 +8,9 @@ from riverscape import (ChannelLandscape, FreeGroup, RiverLandscape, ball,
                         checking)
 from riverscape.cli import main
 from riverscape.patterns import center_height_local_set
-from riverscape.snapshots import load_json
+from riverscape.snapshots import dump_json, load_json
+
+from conftest import bundle_v1
 
 
 F2 = FreeGroup(2)
@@ -129,7 +131,8 @@ def bundle_dir(tmp_path_factory):
 class TestParadoxicalize:
     def test_bundle_written(self, bundle_dir):
         doc = load_json(bundle_dir / "certificates.json")
-        assert doc["schema"] == "riverscape.bundle/1"
+        assert doc["schema"] == "riverscape.bundle/2"
+        assert "finalSnapshot" not in doc
         assert len(doc["certificates"]) == 1
         assert doc["certificates"][0]["verification"]["pass"]
         assert doc["halted"] is None
@@ -146,6 +149,26 @@ class TestParadoxicalize:
         code = run(["paradoxicalize", "--group", "f2", "--radius", 8,
                     "--targets", targets_file, "--out", tmp_path])
         assert code == 0
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda target: [5], "local set must be an object, not int"),
+        (lambda target: [{**target, "patterns": 5}],
+         "target field 'patterns' must be an array, not int"),
+        (lambda target: [{**target, "patterns": [5]}],
+         "target field 'patterns': entry 0 is int, not a string"),
+        (lambda target: target, "targets file must be an array, not dict"),
+    ], ids=["number", "patterns-number", "pattern-number", "one-target"])
+    def test_malformed_targets_are_input_errors(self, tmp_path, bundle_dir,
+                                                capsys, edit, message):
+        # the first three used to crash with a traceback
+        doc = load_json(bundle_dir / "certificates.json")
+        target = doc["certificates"][0]["target"]
+        targets_file = tmp_path / "targets.json"
+        targets_file.write_text(json.dumps(edit(target)))
+        code = run(["paradoxicalize", "--group", "f2", "--radius", 8,
+                    "--targets", targets_file, "--out", tmp_path / "out"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_channels_clear_a_long_target_prefix(self, tmp_path, capsys):
         # a target that reads 30 label bits at radius 1: channels written
@@ -177,6 +200,21 @@ def bundle3_dir(tmp_path_factory):
     return out
 
 
+def pipeline_digests(out):
+    """The sha256 of a pipeline's two files, and of the
+    ``riverscape.bundle/1`` file the pair converts to (``bundle1.json``),
+    whose digests were pinned before the bundle stopped embedding the
+    final snapshot."""
+    dump_json(bundle_v1(load_json(out / "certificates.json"),
+                        load_json(out / "final_snapshot.json")),
+              out / "bundle1.json")
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("certificates.json", "final_snapshot.json",
+                     "bundle1.json")
+    }
+
+
 class TestArtifactBytes:
     def test_paradoxicalize_bytes_pinned(self, tmp_path):
         # pinned so that a change which alters the bytes deterministically
@@ -184,15 +222,13 @@ class TestArtifactBytes:
         code = run(["paradoxicalize", "--group", "f2", "--radius", 8,
                     "--target-heights", "1;2", "--out", tmp_path])
         assert code == 0
-        digests = {
-            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("certificates.json", "final_snapshot.json")
-        }
-        assert digests == {
-            "certificates.json": "c6c09b0b906ced4a1a9542572b039e37"
-                                 "07ad2d8bf8205066bcf189550bdd0e1d",
+        assert pipeline_digests(tmp_path) == {
+            "certificates.json": "fcc2f761055744164494eda88116ea3b"
+                                 "d59521376e9d83fbab5775b86927994b",
             "final_snapshot.json": "dd6c5a1aedc38a6ba3d8b13a3b665aff"
                                    "c3c65f0c4c6cdf5e68d5488022d15838",
+            "bundle1.json": "c6c09b0b906ced4a1a9542572b039e37"
+                            "07ad2d8bf8205066bcf189550bdd0e1d",
         }
 
     def test_dense_b11_pipeline_bytes_pinned(self, tmp_path, capsys):
@@ -203,15 +239,13 @@ class TestArtifactBytes:
                     "--out", tmp_path])
         assert code == 0
         assert "certificate 0: pass" in capsys.readouterr().out
-        digests = {
-            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("certificates.json", "final_snapshot.json")
-        }
-        assert digests == {
-            "certificates.json": "58640dae577372279aae5faa9976834f"
-                                 "7446165e878705d3e13b0cfb41c011f9",
+        assert pipeline_digests(tmp_path) == {
+            "certificates.json": "9efcf3bf48a12d87f2bb7ce31a0a8e96"
+                                 "2545c84c3c3860e5314f395595cafb9f",
             "final_snapshot.json": "580527066d7091aadadb3af4d2ae8533"
                                    "2d4c0c5c00a3c6295bc8e019719e01e7",
+            "bundle1.json": "58640dae577372279aae5faa9976834f"
+                            "7446165e878705d3e13b0cfb41c011f9",
         }
 
     @pytest.mark.parametrize("group,landscape,radius,digest", [
@@ -320,7 +354,8 @@ class TestCheck:
     def test_certificate_of_the_wrong_type_is_input_error(
             self, bundle_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text("[1]")
+        bad.write_text(json.dumps({"schema": "riverscape.bundle/2",
+                                   "certificates": [1]}))
         code = run(["check",
                     "--snapshot", bundle_dir / "final_snapshot.json",
                     "--certificate", bad])
@@ -507,8 +542,53 @@ class TestCheck:
                     "--snapshot", bundle_dir / "final_snapshot.json",
                     "--certificate", bad])
         assert code == 2
+        assert capsys.readouterr().err == ("error: certificate file must "
+                                           "be a riverscape.bundle/2 "
+                                           "object, not int\n")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc, snap: bundle_v1(doc, snap),
+         "unsupported bundle schema: 'riverscape.bundle/1', not "
+         "'riverscape.bundle/2'"),
+        (lambda doc, snap: {**doc, "schema": "riverscape.bundle/9"},
+         "unsupported bundle schema: 'riverscape.bundle/9', not "
+         "'riverscape.bundle/2'"),
+        (lambda doc, snap: doc["certificates"],
+         "certificate file must be a riverscape.bundle/2 object, not list"),
+        (lambda doc, snap: doc["certificates"][0],
+         "unsupported bundle schema: 'riverscape.certificate/1', not "
+         "'riverscape.bundle/2'"),
+        (lambda doc, snap: {"schema": doc["schema"]},
+         "bundle is missing the field 'certificates'"),
+    ], ids=["bundle-1", "bundle-9", "bare-array", "one-certificate",
+            "no-certificates"])
+    def test_other_certificate_files_are_input_errors(
+            self, bundle_dir, tmp_path, capsys, edit, message):
+        # each of these used to pass; a /1 bundle embedded its snapshot
+        doc = load_json(bundle_dir / "certificates.json")
+        snap = load_json(bundle_dir / "final_snapshot.json")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(edit(doc, snap)))
+        code = run(["check",
+                    "--snapshot", bundle_dir / "final_snapshot.json",
+                    "--certificate", bad])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integers_of_another_rank_are_input_error(self, bundle_dir,
+                                                      tmp_path, capsys):
+        # a snapshot of Z claiming rank 7 used to load as Z
+        assert run(["build", "--group", "z", "--landscape", "ternary",
+                    "--radius", 30, "--out", tmp_path]) == 0
+        doc = load_json(tmp_path / "snapshot.json")
+        doc["windowRef"]["group"]["rank"] = 7
+        bad = tmp_path / "bad_snapshot.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check", "--snapshot", bad,
+                    "--certificate", bundle_dir / "certificates.json"])
+        assert code == 2
         assert capsys.readouterr().err == \
-            "error: certificate file must be an object or an array, not int\n"
+            "error: group field 'rank' is 7; the integers have rank 1\n"
 
     def test_missing_file(self, bundle_dir):
         assert run(["check", "--snapshot", "/nonexistent.json",

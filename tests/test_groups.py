@@ -281,3 +281,9 @@ class TestSerialization:
     def test_spec_round_trip(self):
         for spec in (F2, FreeGroup(3), Z):
             assert GroupSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("rank", [0, 2, 7])
+    def test_integers_of_another_rank_rejected(self, rank):
+        # such a group used to load as Z
+        with pytest.raises(ValueError, match=f"'rank' is {rank};"):
+            GroupSpec.from_dict({"kind": "integers", "rank": rank})

@@ -396,9 +396,9 @@ class TestWindowRows:
         win = ball(spec, radius)
         z = TernaryLandscape() if spec == Z else RiverLandscape(spec)
         s = data.draw(st.integers(1, 40))
-        labels, heights = z.window_rows(win, s)
-        assert labels == [z.label(w, s) for w in win.vertices]
-        assert heights == [z.height(w) for w in win.vertices]
+        snap = z.snapshot(win, s)
+        assert snap.labels == [z.label(w, s) for w in win.vertices]
+        assert snap.heights == [z.height(w) for w in win.vertices]
 
 
 class TestAxiomMemory:

@@ -9,14 +9,15 @@ import pytest
 from riverscape import (ChannelLandscape, FreeGroup, IntegerGroup,
                         LocalSetSpec, PatternBall, RiverLandscape, Snapshot,
                         ball, certificate_from_dict, check_certificate_dict,
-                        checking, extract_pieces, find_doubling, landscapes,
+                        checking, extract_pieces, find_doubling,
                         load_snapshot, paradox, paradoxicalize_sequence,
                         patterns, realize, relabel, trivial_certificate,
                         verify_certificate)
 from riverscape.paradox import _HopcroftKarp, _verify
 from riverscape.patterns import center_height_local_set, observed_patterns
-from riverscape.snapshots import bundle_pipeline
+from riverscape.snapshots import bundle_pipeline, final_snapshot
 
+from conftest import bundle_v1
 from test_labels import project_even, project_odd, source_mutant
 from test_landscapes import river_points
 
@@ -46,9 +47,10 @@ class _RecursiveHopcroftKarp(_HopcroftKarp):
 
 
 def rule_snapshot(rule, win, s):
-    """The rows of ``rule`` over ``win`` at prefix s, for the verifier."""
-    labels, heights = rule.window_rows(win, s)
-    return Snapshot(win, heights, labels, s)
+    """A fresh snapshot of the rows of ``rule`` over ``win`` at prefix
+    s, with no scan kept, for the verifier."""
+    snap = rule.snapshot(win, s)
+    return Snapshot(win, snap.heights, snap.labels, s)
 
 
 def full_core_target(rule, win):
@@ -83,11 +85,11 @@ class TestChannels:
         base = result.initial_rule
         for rule, cert in zip(result.rules[1:], result.certificates):
             s = cert.prefix_len
-            rows = rule.label_rows(s)
+            rows = rule.snapshot(rule.window, s).labels
             assert len(set(map(id, rows))) == len(set(rows)) < len(rows)
             members = dict(zip(cert.channel_positions,
                                cert.pieces_vertices))
-            padded = base.label_rows(s)
+            padded = base.snapshot(base.window, s).labels
             for pos, vertices in members.items():
                 assert {i for i, row in enumerate(rows)
                         if row[pos - 1] == "1"} == set(vertices)
@@ -96,7 +98,7 @@ class TestChannels:
 
     def test_repeated_member_keeps_one_row(self, river, win5):
         z = ChannelLandscape(river, win5).with_channels({4: [0, 7, 0]})
-        rows = z.label_rows(6)
+        rows = z.snapshot(win5, 6).labels
         assert len(set(map(id, rows))) == len(set(rows))
         assert [i for i, row in enumerate(rows) if row[3] == "1"] == [0, 7]
 
@@ -359,19 +361,22 @@ class TestDeterminism:
                 z, [height_target({1}), height_target({2})], win8
             )
             return json.dumps(
-                bundle_pipeline(result, win8), sort_keys=True
+                [bundle_pipeline(result), final_snapshot(result, win8)],
+                sort_keys=True
             )
 
         assert run() == run()
 
     def test_bundle_bytes_pinned(self, win8):
         # the criterion-10 bundle, pinned so that a change which alters
-        # the bytes deterministically still fails
+        # the bytes deterministically still fails; the pin is of its
+        # riverscape.bundle/1 form, which embedded the final snapshot
         result = paradoxicalize_sequence(
             RiverLandscape(F2), [height_target({1}), height_target({2})],
             win8,
         )
-        data = json.dumps(bundle_pipeline(result, win8),
+        data = json.dumps(bundle_v1(bundle_pipeline(result),
+                                    final_snapshot(result, win8)),
                           sort_keys=True).encode()
         assert len(data) == 660202
         assert hashlib.sha256(data).hexdigest() == (
@@ -380,8 +385,8 @@ class TestDeterminism:
 
 
 def counted_scans(monkeypatch):
-    """Record the (m, s) of every ``pattern_scan`` call, through the
-    checker's snapshots and the rules' default hook alike."""
+    """Record the (m, s) of every ``pattern_scan`` call; every scan, by
+    construction or by the checker, runs in ``Snapshot.scan``."""
     calls = []
     real = patterns.pattern_scan
 
@@ -390,7 +395,6 @@ def counted_scans(monkeypatch):
         return real(rows, window, m, prefix_len)
 
     monkeypatch.setattr(checking, "pattern_scan", counting)
-    monkeypatch.setattr(landscapes, "pattern_scan", counting)
     return calls
 
 
@@ -440,10 +444,9 @@ class TestScanMemo:
         # every rule) and one per relabeling, reused by its step report
         # and every later matrix entry: 4, against 21 with no memo
         assert calls == [(1, 1)] + [(2, s) for s in prefixes]
-        bundle = bundle_pipeline(result, win8)
         del calls[:]
-        snapshot = load_snapshot(bundle["finalSnapshot"])
-        for cert in bundle["certificates"]:
+        snapshot = load_snapshot(final_snapshot(result, win8))
+        for cert in bundle_pipeline(result)["certificates"]:
             assert check_certificate_dict(snapshot, cert).passed
         assert calls == [(1, 1)] + [(2, s) for s in prefixes]
 
@@ -453,7 +456,7 @@ class TestScanMemo:
         # prefix, channels of the rule and of its ancestors included
         s_max = pipeline8_3.certificates[-1].prefix_len
         for rule in pipeline8_3.rules:
-            snap = rule.snapshot(s_max)
+            snap = rule.snapshot(win8, s_max)
             for s in (1, 2, 3, 15, s_max - 1):
                 assert snap.scan(1, s) == patterns.pattern_scan(
                     snap.rows(s), win8, 1, s)
@@ -461,13 +464,15 @@ class TestScanMemo:
     def test_shared_rows_share_the_snapshot(self, pipeline8_3):
         first, later = pipeline8_3.rules[1], pipeline8_3.rules[-1]
         s = pipeline8_3.certificates[0].prefix_len
-        assert later.snapshot(s) is first.snapshot(s)
-        assert later.label_rows(1) is pipeline8_3.initial_rule.label_rows(1)
-        assert later.snapshot(s + 2) is not first.snapshot(s + 2)
+        win = first.window
+        assert later.snapshot(win, s) is first.snapshot(win, s)
+        assert later.snapshot(win, 1).labels \
+            is pipeline8_3.initial_rule.snapshot(win, 1).labels
+        assert later.snapshot(win, s + 2) is not first.snapshot(win, s + 2)
 
     def test_snapshot_equality_ignores_the_memo(self, win8):
         rule = ChannelLandscape(RiverLandscape(F2), win8)
-        snap = rule.snapshot(3)
+        snap = rule.snapshot(win8, 3)
         fresh = rule_snapshot(rule, win8, 3)
         snap.scan(1, 3)
         assert snap == fresh and repr(snap) == repr(fresh)
@@ -494,8 +499,8 @@ class TestScanMemo:
             assert calls == []
         else:
             assert calls == [(2, cert.prefix_len)]
-            assert bad.snapshot(cert.prefix_len) \
-                != final.snapshot(cert.prefix_len)
+            assert bad.snapshot(final.window, cert.prefix_len) \
+                != final.snapshot(final.window, cert.prefix_len)
             assert [c.name for c in report.clauses if not c.passed] \
                 == ["phi-cover", "psi-cover"]
 

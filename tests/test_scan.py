@@ -158,9 +158,9 @@ class TestChannelRows:
         writes = data.draw(channel_writes(len(win)))
         z, oracle = channel_rules(spec, radius, writes)
         s = data.draw(st.integers(1, 48))
-        labels, heights = z.window_rows(win, s)
-        assert labels == [oracle.label(w, s) for w in win.vertices]
-        assert heights == [oracle.height(w) for w in win.vertices]
+        snap = z.snapshot(win, s)
+        assert snap.labels == [oracle.label(w, s) for w in win.vertices]
+        assert snap.heights == [oracle.height(w) for w in win.vertices]
         w = win.vertices[data.draw(st.integers(0, len(win) - 1))]
         assert z.label(w, s) == oracle.label(w, s)
 
@@ -172,7 +172,7 @@ class TestChannelRows:
         for rule in (z.parent, z):
             for other in (window(spec, radius - 2), window(F2, 3)):
                 with pytest.raises(ValueError):
-                    rule.window_rows(other, 4)
+                    rule.snapshot(other, 4)
                 with pytest.raises(ValueError):
                     rule.window_heights(other)
 
@@ -231,7 +231,7 @@ class TestScanAgainstTheta:
                       for y in members if y in core)
             for members in word_pieces
         )
-        labels, _ = z2.window_rows(win, cert2.prefix_len)
+        labels = z2.snapshot(win, cert2.prefix_len).labels
         assert labels == [written.label(w, cert2.prefix_len)
                           for w in win.vertices]
 
