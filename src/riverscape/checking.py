@@ -147,8 +147,12 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
                              "certificate field 'target'")
         pieces = json_expect(obj["pieces"], list,
                              "certificate field 'pieces'")
+        piece_patterns = []
         for i, pats in enumerate(pieces):
-            json_strings(pats, f"certificate field 'pieces': piece {i}")
+            what = f"certificate field 'pieces': piece {i}"
+            piece_patterns.append(frozenset(
+                PatternBall.deserialize(s, what)
+                for s in json_strings(pats, what)))
         translators = json_expect(obj["translators"], list,
                                   "certificate field 'translators'")
         for i, t in enumerate(translators):
@@ -174,10 +178,7 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
             p=integer("p"),
             q=integer("q"),
             pieces_vertices=tuple(frozenset() for _ in pieces),
-            piece_patterns=tuple(
-                frozenset(PatternBall.deserialize(s) for s in pats)
-                for pats in pieces
-            ),
+            piece_patterns=tuple(piece_patterns),
             channel_positions=tuple(channels),
             window_group=ref["group"],
             window_radius=json_int(ref["radius"],

@@ -25,7 +25,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_VERTEX_BUDGET = 500_000
 
@@ -504,24 +504,41 @@ def ball(spec: GroupSpec, radius: int,
     return Window(spec, radius, spec.step_table(radius))
 
 
-def bfs_distances(window: Window, sources: Sequence[int]) -> list[int]:
-    """Graph distances from a source set inside the window (-1 = unreached)."""
-    dist = [-1] * len(window)
-    columns = window.letter_columns()
-    frontier = []
-    for s in sources:
-        if dist[s] == -1:
-            dist[s] = 0
-            frontier.append(s)
-    k = 0
-    while frontier:
-        k += 1
-        nxt = []
+def bfs_levels(columns: Sequence[array], frontier: Iterable[int],
+               seen: bytearray) -> Iterator[list[int]]:
+    """The BFS levels past ``frontier`` in the window whose letter
+    columns (:meth:`Window.letter_columns`) are ``columns``, each level
+    as a list: level k holds the unmarked vertices at distance k from
+    the frontier.
+
+    ``seen`` is a window-length bytearray marking vertices visited or
+    excluded; the caller marks the frontier, the walk marks each vertex
+    it reaches, and a marked vertex is never entered.  This is the one
+    graph walk: pre-marking the vertices outside a set walks inside it.
+    """
+    while True:
+        level = []
         for i in frontier:
             for column in columns:
                 j = column[i]
-                if j >= 0 and dist[j] == -1:
-                    dist[j] = k
-                    nxt.append(j)
-        frontier = nxt
+                if j >= 0 and not seen[j]:
+                    seen[j] = 1
+                    level.append(j)
+        if not level:
+            return
+        yield level
+        frontier = level
+
+
+def bfs_distances(window: Window, sources: Sequence[int]) -> list[int]:
+    """Graph distances from a source set inside the window (-1 = unreached)."""
+    dist = [-1] * len(window)
+    seen = bytearray(len(window))
+    for s in sources:
+        seen[s] = 1
+        dist[s] = 0
+    columns = window.letter_columns()
+    for k, level in enumerate(bfs_levels(columns, sources, seen), 1):
+        for j in level:
+            dist[j] = k
     return dist

@@ -21,18 +21,25 @@ ternary multiple of 10^k, spread to the window indices of n and -n.
 
 ``verify_axioms`` certifies the four landscape axioms on a window and
 reports the empirical structure constants; ``components_leq`` measures
-sublevel-set components (the hilly certificate).
+sublevel-set components (the hilly certificate).  Both search with the
+one level walk, :func:`~riverscape.groups.bfs_levels`, and do work in
+proportion to the sets they measure: axiom 4 and the components walk
+only the sublevel sets, the vertices outside them marked as seen before
+the walk starts, and a BFS level is certified inline against the ball
+sizes (indices sort by word length), with no per-vertex slack table.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, compress, product, repeat
+from operator import eq, ge, gt, sub
 from typing import Optional
 
 from .checking import Snapshot
-from .groups import FreeGroup, GroupSpec, IntegerGroup, Window, bfs_distances
+from .groups import FreeGroup, GroupSpec, IntegerGroup, Window, bfs_levels
 from .labels import ProperLabelRule
 
 
@@ -322,16 +329,6 @@ class AxiomReport:
 DENSITY_MAX = 8
 
 
-def _slack(window: Window) -> array:
-    """R - |w| for every window index, read off the sphere boundaries
-    (enumeration sorts by length), as an int32 array."""
-    R = window.radius
-    slack = array("i")
-    for r, size in enumerate(map(window.spec.ball_size, range(R + 1))):
-        slack += array("i", (R - r,)) * (size - len(slack))
-    return slack
-
-
 def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
     """Check the four landscape axioms on the window, empirically.
 
@@ -340,63 +337,91 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
 
     A BFS value at a vertex is trusted only when it fits inside the
     window (value <= R - |vertex|); in a tree or on the line such values
-    are exact distances in the full group.  Vertices whose value cannot
-    be certified are excluded from the constants and counted in
-    ``uncertified``.  Nothing is kept per vertex beyond the heights, an
-    int32 slack array and one BFS distance list at a time; words are
-    spelled (``window.word_at``) only for the height-1 vertices and for
-    violations.
+    are exact distances in the full group.  Indices sort by word length,
+    so a vertex j at BFS level k is certified exactly when
+    j < |B_(R - k)|, read from an int32 table of ball sizes.  Vertices
+    whose value cannot be certified are excluded from the constants and
+    counted in ``uncertified``.
+
+    Axiom 2 is one level walk (:func:`~riverscape.groups.bfs_levels`)
+    from the height-1 set.  Axiom 4 walks only the sublevel set
+    {h < m}: the tall vertices are marked as seen at distance 0, and the
+    walk starts from the low vertices with a tall neighbour, so its work
+    is in proportion to the sublevel set, not to the window.  Axiom 1 is
+    one signed pass per letter column.  Nothing is kept per vertex
+    beyond the heights and, for one walk at a time, a mark byte and the
+    int32 low set; words are spelled (``window.word_at``) only for the
+    height-1 vertices and for violations.
     """
     spec = window.spec
+    R = window.radius
+    n = len(window)
     heights = z.window_heights(window)
-    slack = _slack(window)
+    columns = window.letter_columns()
+    # |B_r| for r = 0..R: vertex i has |i| <= r exactly when i < sizes[r]
+    sizes = array("i", map(spec.ball_size, range(R + 1)))
     constants = StructureConstants()
     violations: list[str] = []
     uncertified = 0
 
-    for i, h in enumerate(heights):
-        if h < 1:
-            violations.append(
-                f"height {h} < 1 at {window.word_at(i)!r}"
-            )
-
-    # axiom 1: slope <= 1 across every window edge
-    for i, row in enumerate(zip(*window.letter_columns())):
-        for j in row:
-            if j > i and abs(heights[i] - heights[j]) > 1:
+    floor = min(heights)
+    if floor < 1:
+        for i, h in enumerate(heights):
+            if h < 1:
                 violations.append(
-                    f"axiom 1: |{heights[i]} - {heights[j]}| > 1 between "
-                    f"{window.word_at(i)!r} and {window.word_at(j)!r}"
+                    f"height {h} < 1 at {window.word_at(i)!r}"
                 )
 
+    # axiom 1: slope <= 1 across every window edge.  Each edge is read
+    # from both ends, so one signed pass per letter column finds a steep
+    # one; index -1 (no neighbour) reads a pad below every height.
+    padded = heights + [floor - 2]
+    if any(max(map(sub, map(padded.__getitem__, column), heights)) > 1
+           for column in columns):
+        for i, row in enumerate(zip(*columns)):
+            for j in row:
+                if j > i and abs(heights[i] - heights[j]) > 1:
+                    violations.append(
+                        f"axiom 1: |{heights[i]} - {heights[j]}| > 1 "
+                        f"between {window.word_at(i)!r} and "
+                        f"{window.word_at(j)!r}"
+                    )
+    del padded
+
     max_height = max(heights)
-    h1 = [i for i, h in enumerate(heights) if h == 1]
+    h1 = array("i", compress(range(n), map(eq, repeat(1), heights)))
 
     # axiom 2: bounded return to height 1
     if not h1:
         if max_height > 1:
             violations.append("axiom 2: no height-1 vertex in the window")
     else:
-        dist_h1 = bfs_distances(window, h1)
         M = constants.M
-        for h, d, room in zip(heights, dist_h1, slack):
-            if h == 1:
-                continue
-            if d < 0 or d > room:
-                uncertified += 1
-                continue
-            M[h] = max(M.get(h, 0), d)
-        del dist_h1
+        seen = bytearray(n)
+        for i in h1:
+            seen[i] = 1
+        certified = 0
+        for k, level in enumerate(bfs_levels(columns, h1, seen), 1):
+            if k > R:
+                # no vertex fits a level past R: the rest is uncertified
+                break
+            bound = sizes[R - k]
+            for j in level:
+                if j < bound:
+                    M[heights[j]] = k
+                    certified += 1
+        uncertified += n - len(h1) - certified
 
     # axiom 3: height-1 density
     if h1:
         h1_words = [window.word_at(i) for i in h1]
         l_cap = min(DENSITY_MAX, len(h1_words) - 1)
         for i, w in zip(h1, h1_words):
+            room = R - bisect_right(sizes, i)
             dists = sorted(spec.dist(w, v) for v in h1_words if v != w)
             for l in range(1, l_cap + 1):
                 d = dists[l - 1]
-                if d <= slack[i]:
+                if d <= room:
                     constants.N[l] = max(constants.N.get(l, 0), d)
                 else:
                     uncertified += 1
@@ -404,28 +429,39 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
         if l_cap < 1 and len(h1) > 0 and len(window) > 1:
             violations.append("axiom 3: fewer than two height-1 vertices")
 
-    # axiom 4: visibility of high ground
+    # axiom 4: visibility of high ground, walked over {h < m} only; the
+    # tall vertices sit at distance 0 and are certified
     for m in range(1, max(2, max_height) + 1):
-        tall = array("i", [i for i, h in enumerate(heights) if h >= m])
-        if not tall:
+        low = array("i", compress(range(n), map(gt, repeat(m), heights)))
+        if len(low) == n:
             violations.append(f"axiom 4: no vertex of height >= {m}")
             continue
-        if len(tall) == len(heights):
-            # every vertex is tall (m = 1): every distance is 0
-            constants.S[m] = 0
-            continue
-        dist_tall = bfs_distances(window, tall)
+        seen = bytearray(b"\1") * n
+        for j in low:
+            seen[j] = 0
+        # level 1: the low vertices with a tall neighbour; index -1 (no
+        # neighbour) reads the pad byte
+        tall = seen + b"\0"
+        near = []
+        for j in low:
+            for column in columns:
+                if tall[column[j]]:
+                    near.append(j)
+                    break
+        for j in near:
+            seen[j] = 1
         certified = 0
-        farthest = -1
-        for d, room in zip(dist_tall, slack):
-            if 0 <= d <= room:
-                certified += 1
-                if d > farthest:
-                    farthest = d
-        del dist_tall
-        uncertified += len(heights) - certified
-        if certified:
-            constants.S[m] = farthest
+        farthest = 0
+        for k, level in enumerate(
+                chain((near,), bfs_levels(columns, near, seen)), 1):
+            if k > R:
+                break
+            c = sum(map(sizes[R - k].__gt__, level))
+            if c:
+                certified += c
+                farthest = k
+        uncertified += len(low) - certified
+        constants.S[m] = farthest
 
     return AxiomReport(
         passed=not violations,
@@ -454,34 +490,30 @@ def components_leq(z: LandscapeRule, window: Window, n: int) -> ComponentReport:
         raise ValueError("n must be >= 1")
     # the boundary sphere is the last block of indices
     boundary = window.core_size(window.radius - 1)
-    member = [h <= n for h in z.window_heights(window)]
-    seen = [False] * len(window)
+    heights = z.window_heights(window)
     columns = window.letter_columns()
+    members = array("i", compress(range(len(window)),
+                                  map(ge, repeat(n), heights)))
+    # non-members are pre-marked, so each walk stays in the sublevel set
+    seen = bytearray(b"\1") * len(window)
+    for start in members:
+        seen[start] = 0
     sizes: list[int] = []
     interior_sizes: list[int] = []
     truncated = 0
-    for start, ok in enumerate(member):
-        if not ok or seen[start]:
+    for start in members:
+        if seen[start]:
             continue
-        comp = [start]
-        seen[start] = True
-        touches_boundary = start >= boundary
-        head = 0
-        while head < len(comp):
-            i = comp[head]
-            head += 1
-            for column in columns:
-                j = column[i]
-                if j >= 0 and member[j] and not seen[j]:
-                    seen[j] = True
-                    comp.append(j)
-                    if j >= boundary:
-                        touches_boundary = True
-        sizes.append(len(comp))
-        if touches_boundary:
+        seen[start] = 1
+        size, top = 1, start
+        for level in bfs_levels(columns, (start,), seen):
+            size += len(level)
+            top = max(top, *level)
+        sizes.append(size)
+        if top >= boundary:
             truncated += 1
         else:
-            interior_sizes.append(len(comp))
+            interior_sizes.append(size)
     return ComponentReport(
         n=n,
         sizes=sizes,

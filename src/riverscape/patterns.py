@@ -70,14 +70,22 @@ class PatternBall:
         return f"{self.m}|{self.prefix_len}|{body}"
 
     @staticmethod
-    def deserialize(text: str) -> "PatternBall":
-        m_str, p_str, body = text.split("|", 2)
-        entries = []
-        if body:
-            for item in body.split(";"):
-                bits, h = item.rsplit(":", 1)
-                entries.append((bits, int(h)))
-        return PatternBall(int(m_str), int(p_str), tuple(entries))
+    def deserialize(text: str, what: str) -> "PatternBall":
+        """The pattern that :meth:`serialize` wrote as ``text``; a
+        malformed one is a ``ValueError`` naming ``what`` (the field it
+        was read from) and quoting ``text``."""
+        try:
+            m_str, p_str, body = text.split("|", 2)
+            entries = []
+            if body:
+                for item in body.split(";"):
+                    bits, h = item.rsplit(":", 1)
+                    entries.append((bits, int(h)))
+            return PatternBall(int(m_str), int(p_str), tuple(entries))
+        except ValueError:
+            raise ValueError(
+                f"{what}: pattern {text!r} is not of the form "
+                f"'m|prefixLen|bits:height;...'") from None
 
 
 def theta(z: LandscapeRule, gamma, m: int,
@@ -156,8 +164,10 @@ class LocalSetSpec:
                 f"unsupported local set schema: {obj.get('schema')!r}"
             )
         try:
-            patterns = frozenset(map(PatternBall.deserialize, json_strings(
-                obj["patterns"], "target field 'patterns'")))
+            what = "target field 'patterns'"
+            patterns = frozenset(PatternBall.deserialize(text, what)
+                                 for text in json_strings(obj["patterns"],
+                                                          what))
             return LocalSetSpec(
                 json_int(obj["m"], "local set field 'm'"),
                 json_int(obj["prefixLen"], "local set field 'prefixLen'"),

@@ -129,7 +129,7 @@ def drop_pattern(family):
             else (cert["p"], cert["p"] + cert["q"])
         for i in range(lo, hi):
             for text in cert["pieces"][i]:
-                pat = PatternBall.deserialize(text)
+                pat = PatternBall.deserialize(text, f"piece {i}")
                 if any(in_core(cert, F2.mul(y, translators[i]))
                        for y in occ[pat]):
                     cert["pieces"][i].remove(text)

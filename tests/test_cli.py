@@ -157,10 +157,18 @@ class TestParadoxicalize:
         (lambda target: [{**target, "patterns": [5]}],
          "target field 'patterns': entry 0 is int, not a string"),
         (lambda target: target, "targets file must be an array, not dict"),
-    ], ids=["number", "patterns-number", "pattern-number", "one-target"])
+        (lambda target: [{**target, "patterns": ["zzz"]}],
+         "target field 'patterns': pattern 'zzz' is not of the form "
+         "'m|prefixLen|bits:height;...'"),
+        (lambda target: [{**target, "patterns": ["1|x|0:1"]}],
+         "target field 'patterns': pattern '1|x|0:1' is not of the form "
+         "'m|prefixLen|bits:height;...'"),
+    ], ids=["number", "patterns-number", "pattern-number", "one-target",
+            "pattern-no-fields", "pattern-prefix-not-int"])
     def test_malformed_targets_are_input_errors(self, tmp_path, bundle_dir,
                                                 capsys, edit, message):
-        # the first three used to crash with a traceback
+        # the first three used to crash with a traceback; the last two
+        # named neither the field nor the pattern
         doc = load_json(bundle_dir / "certificates.json")
         target = doc["certificates"][0]["target"]
         targets_file = tmp_path / "targets.json"
@@ -422,6 +430,10 @@ class TestCheck:
         (lambda doc: doc["certificates"][0]["pieces"][1].insert(0, 7),
          "certificate field 'pieces': piece 1: entry 0 is int, not a "
          "string"),
+        (lambda doc: doc["certificates"][0]["pieces"][1].insert(
+            0, "1|1|0:1;"),
+         "certificate field 'pieces': piece 1: pattern '1|1|0:1;' is not of "
+         "the form 'm|prefixLen|bits:height;...'"),
         (lambda doc: doc["certificates"][0].__setitem__("translators", 5),
          "certificate field 'translators' must be an array, not int"),
         (lambda doc: doc["certificates"][0]["translators"].__setitem__(1, 7),
@@ -436,7 +448,8 @@ class TestCheck:
          "certificate field 'translators': translator 0: entry 0 must be "
          "an integer, not bool"),
     ], ids=["certificates-number", "target-array", "patterns-string",
-            "pattern-array", "piece-number", "translators-number",
+            "pattern-array", "piece-number", "piece-empty-entry",
+            "translators-number",
             "translator-number", "string-letter", "bool-letter"])
     def test_malformed_bundle_is_input_error(self, bundle_dir, tmp_path,
                                              capsys, edit, message):

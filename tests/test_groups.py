@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from riverscape import (BudgetExceededError, FreeGroup, GroupSpec,
                         IntegerGroup, ball, bfs_distances)
-from riverscape.groups import letter_index, letter_key
+from riverscape.groups import bfs_levels, letter_index, letter_key
+
+import landscape_oracles as oracle
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -275,6 +277,40 @@ class TestBfsDistances:
         dist = bfs_distances(win, [win.index_of(3), win.index_of(-3)])
         assert dist[win.index_of(0)] == 3
         assert dist[win.index_of(2)] == 1
+
+    @pytest.mark.parametrize("spec,radius", [(F2, 5), (Z, 40)])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_level_walk_matches_whole_window_bfs(self, spec, radius, data):
+        # with only the sources marked, level k of the walk is the set of
+        # vertices at distance k
+        win = ball(spec, radius)
+        sources = data.draw(st.lists(st.integers(0, len(win) - 1),
+                                     min_size=1, max_size=6))
+        want = oracle.bfs_distances(win, sources)
+        seen = bytearray(len(win))
+        for s in sources:
+            seen[s] = 1
+        got = [0 if seen[i] else -1 for i in range(len(win))]
+        for k, level in enumerate(
+                bfs_levels(win.letter_columns(), sources, seen), 1):
+            assert level, k
+            for j in level:
+                assert got[j] == -1
+                got[j] = k
+        assert got == want
+        assert bfs_distances(win, sources) == want
+
+    def test_marked_vertices_are_never_entered(self):
+        # from 0 on Z, with 1 and 2 marked, the walk goes to -1, -2 only
+        win = ball(Z, 2)
+        seen = bytearray(len(win))
+        seen[win.index_of(0)] = 1
+        seen[win.index_of(1)] = 1
+        seen[win.index_of(2)] = 1
+        levels = list(bfs_levels(win.letter_columns(),
+                                 [win.index_of(0)], seen))
+        assert levels == [[win.index_of(-1)], [win.index_of(-2)]]
 
 
 class TestSerialization:

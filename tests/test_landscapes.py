@@ -15,6 +15,7 @@ from riverscape import (AnchorSet, ChannelLandscape, FractalLandscape,
                         verify_axioms)
 from riverscape.snapshots import snapshot_landscape
 
+import landscape_oracles as oracle
 from test_labels import source_mutant
 
 F2 = FreeGroup(2)
@@ -203,13 +204,42 @@ class _Step(LandscapeRule):
         return 3 if word > 0 else 1
 
 
-# verify_axioms with axiom 4 searched by BFS at every m, the m = 1
-# pass included
-ALWAYS_BFS = source_mutant(landscapes, "if len(tall) == len(heights):",
+class _Sunk(LandscapeRule):
+    """The ternary heights with 5 sunk to height 0."""
+
+    provenance = "ternary"
+
+    def height(self, word):
+        return 0 if word == 5 else ternary_height(word)
+
+
+# the whole-window oracle with axiom 4 searched by BFS at every m, the
+# m = 1 pass included
+ALWAYS_BFS = source_mutant(oracle, "if len(tall) == len(heights):",
                            "if False:")
 
 
+def walk_visits(monkeypatch, z, win):
+    """``verify_axioms(z, win)`` and, per level walk it starts, the
+    number of vertices in the walk's frontier and in the levels it
+    yields."""
+    visits = []
+    real = landscapes.bfs_levels
+
+    def counting(columns, frontier, seen):
+        visits.append(len(frontier))
+        for level in real(columns, frontier, seen):
+            visits[-1] += len(level)
+            yield level
+
+    monkeypatch.setattr(landscapes, "bfs_levels", counting)
+    return verify_axioms(z, win), visits
+
+
 class TestAxiomFourShortcut:
+    """Axiom 4 walks only the sublevel sets {h < m}; its report equals
+    the whole-window BFS at every m."""
+
     @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
     @given(radius=st.integers(0, 3000))
     def test_ternary_report_equals_always_bfs(self, radius):
@@ -225,18 +255,60 @@ class TestAxiomFourShortcut:
             asdict(ALWAYS_BFS.verify_axioms(river, win))
 
     def test_no_bfs_when_every_vertex_is_tall(self, monkeypatch, river):
-        sources = []
-        real = landscapes.bfs_distances
-
-        def counting(win, starts):
-            sources.append(len(starts))
-            return real(win, starts)
-
-        monkeypatch.setattr(landscapes, "bfs_distances", counting)
-        win = ball(F2, 5)
-        report = verify_axioms(river, win)
+        # the first walk is axiom 2's; the m = 1 walk has nothing to visit
+        report, visits = walk_visits(monkeypatch, river, ball(F2, 5))
         assert report.constants.S[1] == 0
-        assert len(win) not in sources
+        assert visits[1] == 0
+
+    def test_walks_visit_only_the_sublevel_sets(self, monkeypatch):
+        win = ball(Z, 1000)
+        z = TernaryLandscape()
+        heights = z.window_heights(win)
+        report, visits = walk_visits(monkeypatch, z, win)
+        assert report.passed
+        # axiom 2 walks the window once, axiom 4 each {h < m} once
+        low = [sum(h < m for h in heights)
+               for m in range(1, max(heights) + 1)]
+        assert low == [0, 15, 147, 603]
+        assert visits == [len(win)] + low
+
+
+class TestAxiomOracle:
+    """Reports equal the whole-window oracle as ``asdict``, violation
+    lists in order."""
+
+    @pytest.mark.parametrize("radius", range(1, 6))
+    def test_river_f3(self, radius):
+        win = ball(F3, radius)
+        z = RiverLandscape(F3)
+        assert asdict(verify_axioms(z, win)) == \
+            asdict(oracle.verify_axioms(z, win))
+
+    @pytest.mark.parametrize("spec,anchors,radius", [
+        (Z, (3, 30, 300), 400),
+        (F2, ((1, 1, 1),), 5),
+    ])
+    def test_fractal(self, spec, anchors, radius):
+        win = ball(spec, radius)
+        z = FractalLandscape(spec, AnchorSet(spec, anchors))
+        assert asdict(verify_axioms(z, win)) == \
+            asdict(oracle.verify_axioms(z, win))
+
+    @pytest.mark.parametrize("rule", [_ConstantOne, _Step, _Sunk])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 10, 40])
+    def test_failing_rules(self, rule, radius):
+        win = ball(Z, radius)
+        z = rule(Z)
+        assert asdict(verify_axioms(z, win)) == \
+            asdict(oracle.verify_axioms(z, win))
+
+    @pytest.mark.parametrize("spec,radius", [(Z, 400), (F2, 6)])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_components(self, spec, radius, n):
+        win = ball(spec, radius)
+        z = TernaryLandscape() if spec == Z else RiverLandscape(spec)
+        assert asdict(components_leq(z, win, n)) == \
+            asdict(oracle.components_leq(z, win, n))
 
 
 class TestAxiomFailures:
@@ -403,7 +475,8 @@ class TestWindowRows:
 
 class TestAxiomMemory:
     """The axiom check keeps nothing per vertex beyond the heights: no
-    word tuple, an int32 slack array, one BFS distance list at a time."""
+    word tuple, no distance list, and for one level walk at a time a mark
+    byte per vertex and the int32 sublevel set."""
 
     def test_ternary_build_keeps_no_words(self, tmp_path, monkeypatch):
         windows = []
@@ -426,7 +499,8 @@ class TestAxiomMemory:
     def test_traced_peak(self):
         # B_20000(Z), heights computed before tracing: about 6.7 MiB with
         # the cached word tuple, a list slack and a list of tall indices;
-        # about 2.5 MiB without
+        # about 2.5 MiB with whole-window BFS distance lists and the tall
+        # vertices as sources; about 0.7 MiB walking the sublevel sets
         win = ball(Z, 20_000)
         z = TernaryLandscape()
         z.window_heights(win)
@@ -438,4 +512,4 @@ class TestAxiomMemory:
             tracemalloc.stop()
         assert report.passed
         assert "vertices" not in win.__dict__
-        assert peak < 4 * 2**20
+        assert peak < 1.5 * 2**20

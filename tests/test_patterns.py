@@ -21,7 +21,7 @@ class TestOffsetBall:
 class TestPatternBall:
     def test_serialize_round_trip(self, river):
         pat = theta(river, (1, 2), 2, prefix_len=6)
-        again = PatternBall.deserialize(pat.serialize())
+        again = PatternBall.deserialize(pat.serialize(), "pattern")
         assert again == pat
 
     def test_center_entry(self, river):
