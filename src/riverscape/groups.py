@@ -17,7 +17,11 @@ tables).  Words are built only at the edges: transiently where a
 word-level rule is evaluated (``ball_words``), one at a time where a
 few are printed (``word_at``), and as a view cached on first use for
 the word-level oracles.  A word is ranked and unranked arithmetically
-(``index_of``, ``word_at``), never through a lookup table.
+(``index_of``, ``word_at``), never through a lookup table.  On F_k each
+sphere is its parents' child blocks in parent order, each block the
+letters of :func:`child_letters`; the step table and every table built
+a sphere at a time from the parent row (``last_letters``, the river
+heights, the witness ray data) share that one convention.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ class GroupSpec:
         raise NotImplementedError
 
     def dist(self, u, v) -> int:
-        return self.length(self.mul(self.inverse(u), v))
+        """The word-metric distance |u^-1 v|."""
+        raise NotImplementedError
 
     def sort_key(self, u):
         raise NotImplementedError
@@ -261,24 +266,55 @@ class FreeGroup(GroupSpec):
             prev = a
         return tuple(out)
 
+    def dist(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
+        # the geodesic between reduced words turns at their common prefix
+        c = 0
+        for a, b in zip(u, v):
+            if a != b:
+                break
+            c += 1
+        return len(u) + len(v) - 2 * c
+
+    def last_letters(self, radius: int) -> bytes:
+        """The letter index of every word's last letter in B_radius(e),
+        in index order (the identity's byte, 0, is never read).
+
+        Built a sphere at a time from the parents' bytes: the children
+        of a non-identity word are its d - 1 extensions in letter order
+        (:func:`child_letters`), so the t-th child of every parent is
+        one ``bytes.translate`` of the parents' last letters.
+        """
+        d = self.degree
+        kids = child_letters(d)
+        # nth[t] maps a parent's last letter to its t-th child's
+        nth = [bytes(kids[a][t] if a < d else 0 for a in range(256))
+               for t in range(d - 1)]
+        last = bytearray(1)
+        if radius > 0:
+            last += bytes(range(d))
+        for r in range(1, radius):
+            parents = last[self.ball_size(r - 1):]
+            sphere = bytearray(len(parents) * (d - 1))
+            for t, table in enumerate(nth):
+                sphere[t::d - 1] = parents.translate(table)
+            last += sphere
+        return bytes(last)
+
     def step_table(self, radius: int) -> array:
         d = self.degree
         n = self.ball_size(radius)
         inner = self.ball_size(radius - 1) if radius > 0 else 0
         step = array("i", [-1]) * (n * d)
-        # letter index of each word's last letter (the identity's is
-        # never read); children are numbered in enumeration order
-        last = bytearray(n)
+        kids = child_letters(d)
+        last = self.last_letters(radius)
+        # children are numbered in enumeration order
         child = 1
         for i in range(inner):
-            back = last[i] ^ 1 if i else -1
             row = i * d
-            for a in range(d):
-                if a != back:
-                    step[row + a] = child
-                    step[child * d + (a ^ 1)] = i
-                    last[child] = a
-                    child += 1
+            for a in kids[last[i]] if i else range(d):
+                step[row + a] = child
+                step[child * d + (a ^ 1)] = i
+                child += 1
         return step
 
     def ball_words(self, radius: int, step: array) -> list:
@@ -372,6 +408,16 @@ class IntegerGroup(GroupSpec):
         if len(obj) == 1 and abs(obj[0]) != 1:
             return int(obj[0])
         return self.reduce(int(x) for x in obj)
+
+
+def child_letters(degree: int) -> list[bytes]:
+    """``kids[a]``: the letter indices of the children of a non-identity
+    word whose last letter has index a, in enumeration order, which is
+    every letter but a's inverse.  This is the child-order convention of
+    :meth:`FreeGroup.step_table` and of every table built a sphere at a
+    time from its parents."""
+    return [bytes(b for b in range(degree) if b != a ^ 1)
+            for a in range(degree)]
 
 
 def offset_steps(step: array, degree: int, count: int

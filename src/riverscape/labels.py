@@ -15,15 +15,18 @@ tree and enumeration is breadth-first: the children of a vertex u are
 contiguous, d of them from index 1 for the identity and d - 1 from
 f(u) = (d - 1)u + 2 for every other vertex.  An earlier
 vertex x within distance k of a child c of u is no descendant of c, so
-its geodesic to c passes through u: x is either an index below f(u)
-with d(u, x) <= k - 1, or, when k >= 2, one of c's earlier siblings.
-So one colour mask, read along the offsets of B_(k-1) from u (composing
-the steps of ``GroupSpec.step_table``) and bounded by ``x < f(u)``,
-decides the colours of u's whole child block, and the block is
-memoized on that mask.  Balls in trees and on the line are convex, so
-the geodesic from u to such an x never leaves the grown ball.  No words
-are stored, and no label is cached per word: :meth:`ProperLabelRule.label`
-reads the colour arrays on each call.
+its geodesic to c passes through u: x is u, or, when k >= 2, one of
+c's earlier siblings, or an index below f(u) whose geodesic to u leaves
+through u's parent p (u's other neighbours are its children), so that
+d(p, x) <= k - 2.  Every vertex of B_(k-2)(p) is within k of c.  So
+one colour mask, c(u), and for k >= 2 c(p) and the colours of
+B_(k-2)(p) below f(u) (read along its offsets from p = (u - 2) //
+(d - 1), or 0 when u <= d, composing the steps of
+``GroupSpec.step_table``), decides the colours of u's whole child block,
+and the block is memoized on that mask.  Balls in trees and on the line
+are convex, so the geodesic from p to such an x never leaves the grown
+ball.  No words are stored, and no label is cached per word:
+:meth:`ProperLabelRule.label` reads the colour arrays on each call.
 """
 
 from __future__ import annotations
@@ -96,13 +99,13 @@ class GreedyColoring:
         self._colors = array("i")
         # the colours of a (d - 1)-child block, by the mask of its parent
         self._blocks: dict[int, array] = {}
-        # B_(k-1) minus the identity as steps (p, a) in enumeration
-        # order: offset j is offset p times the letter with index a
+        # B_(k-2) minus the identity as steps (q, a) in enumeration
+        # order: offset j is offset q times the letter with index a
         self._ops: list[tuple[int, int]] = []
-        if k > 0:
-            self._space.grow(k - 1)
+        if k > 2:
+            self._space.grow(k - 2)
             self._ops = offset_steps(self._space.step, spec.degree,
-                                     spec.ball_size(k - 1))
+                                     spec.ball_size(k - 2))
 
     def color(self, word) -> int:
         return self.color_at(self._space.index(word))
@@ -143,19 +146,24 @@ class GreedyColoring:
         step = self._space.step
         ops = self._ops
         blocks = self._blocks
+        near = self.k >= 2
         # colors always end at a block boundary: the first child f of
         # the next parent u; bit c of ``used`` marks color c (bit 0 is
         # set so the lowest clear bit is a color >= 1)
         f = len(colors)
         for u in range((f - 2) // (d - 1), (i - 2) // (d - 1) + 1):
-            nb = [u]
             used = 1 | 1 << colors[u]
-            for p, a in ops:
-                x = nb[p]
-                x = step[x * d + a] if x >= 0 else -1
-                nb.append(x)
-                if -1 < x < f:
-                    used |= 1 << colors[x]
+            if near:
+                # u's parent p and the rest of B_(k-2)(p) below f
+                p = (u - 2) // (d - 1) if u > d else 0
+                used |= 1 << colors[p]
+                nb = [p]
+                for q, a in ops:
+                    x = nb[q]
+                    x = step[x * d + a] if x >= 0 else -1
+                    nb.append(x)
+                    if -1 < x < f:
+                        used |= 1 << colors[x]
             block = blocks.get(used)
             if block is None:
                 block = blocks[used] = self._block(used, d - 1)

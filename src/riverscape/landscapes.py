@@ -17,6 +17,8 @@ goes through it.  The ternary rule paints its heights instead of
 evaluating each integer: height 1 on the ternary n in 0..R, then for
 k = 1, 2, ... height 1 + k on every unpainted n within 10^k of a
 ternary multiple of 10^k, spread to the window indices of n and -n.
+The river rule reads each height off the parent's, a sphere at a time,
+from the parent's height and last letter, and spells no word.
 ``height`` and ``label`` stay as the word-level oracles.
 
 ``verify_axioms`` certifies the four landscape axioms on a window and
@@ -39,7 +41,8 @@ from operator import eq, ge, gt, sub
 from typing import Optional
 
 from .checking import Snapshot
-from .groups import FreeGroup, GroupSpec, IntegerGroup, Window, bfs_levels
+from .groups import (FreeGroup, GroupSpec, IntegerGroup, Window, bfs_levels,
+                     child_letters)
 from .labels import ProperLabelRule
 
 
@@ -287,6 +290,33 @@ class RiverLandscape(LandscapeRule):
 
     def height(self, word: tuple) -> int:
         return self.dist_to_river(word) + 1
+
+    def _compute_heights(self, window: Window) -> list[int]:
+        """The heights from the parent row, a sphere at a time.
+
+        The identity's children have height 2.  A child of u != e by the
+        letter a has height 1 when h(u) = 2 and a is u's last letter
+        (it completes u's one unpaired letter), and h(u) + 1 otherwise.
+        So a parent's child block is a function of its height and last
+        letter, and each sphere is the parents' blocks strung together,
+        with the children's last letters from
+        :meth:`~riverscape.groups.FreeGroup.last_letters`.  No word is
+        spelled; :meth:`height` is the word-level oracle.
+        """
+        spec = self.spec
+        R = window.radius
+        d = spec.degree
+        kids = child_letters(d)
+        last = spec.last_letters(R)
+        block = {(h, a): tuple(1 if h == 2 and b == a else h + 1
+                               for b in kids[a])
+                 for h in range(1, R + 1) for a in range(d)}
+        heights = [1] + [2] * d if R > 0 else [1]
+        for r in range(1, R):
+            s, e = spec.ball_size(r - 1), spec.ball_size(r)
+            heights += chain.from_iterable(
+                map(block.__getitem__, zip(heights[s:e], last[s:e])))
+        return heights
 
     def nearest_river(self, word: tuple) -> tuple:
         """The nearest river point, enumeration-least on ties.

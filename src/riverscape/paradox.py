@@ -38,6 +38,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import compress
+from operator import eq
 from typing import Optional, Sequence
 
 from .checking import (CertificateReport, DoublingCertificate, Snapshot,
@@ -336,9 +338,11 @@ def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
                    window: Window) -> DoublingCertificate:
     """Group the doubling images by translator into disjoint pieces.
 
-    The image y of x is x times an offset of B_(K-1), found on the
-    window's offset tables, so y's translator (y^-1 x) is that offset's
-    inverse; the pieces hold window indices.
+    The image y of x is x times an offset of B_(K-1), so y's translator
+    (y^-1 x) is that offset's inverse; the pieces hold window indices.
+    Distinct offsets take x to distinct vertices, so each matched pair
+    lies on exactly one offset table, and a piece is read off its table
+    in one pass over the pairs.
     """
     if not search.saturated:
         raise ValueError("cannot extract pieces from an unsaturated search")
@@ -353,17 +357,17 @@ def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
     psi_pieces: dict = {}
     for assignment, pieces in ((search.phi, phi_pieces),
                                (search.psi, psi_pieces)):
-        for x, y in assignment.items():
-            j = next(j for j, table in enumerate(tables) if table[x] == y)
-            pieces.setdefault(inverses[j], set()).add(y)
+        xs, ys = list(assignment), list(assignment.values())
+        for table, inverse in zip(tables, inverses):
+            members = frozenset(compress(
+                ys, map(eq, map(table.__getitem__, xs), ys)))
+            if members:
+                pieces[inverse] = members
     phi_translators = sorted(phi_pieces, key=spec.sort_key)
     psi_translators = sorted(psi_pieces, key=spec.sort_key)
     translators = tuple(phi_translators + psi_translators)
-    pieces_vertices = tuple(
-        frozenset(phi_pieces[g]) for g in phi_translators
-    ) + tuple(
-        frozenset(psi_pieces[g]) for g in psi_translators
-    )
+    pieces_vertices = tuple(map(phi_pieces.__getitem__, phi_translators)) \
+        + tuple(map(psi_pieces.__getitem__, psi_translators))
     max_shift = max(spec.length(g) for g in translators)
     l = target.m + 1
     return DoublingCertificate(

@@ -10,8 +10,9 @@ The window-wide table :func:`defect_table` uses a closed form instead:
 both witness paths of a row are geodesic rays toward the same end of the
 ray, so |kappa_m(g) symdiff kappa_m(g sigma)| = 2 min(m, max(t, t')),
 where t and t' are the positions at which the two paths merge.  Those
-come from two numbers per window index, read off the step table: the
-length of the undoubled nearest river point and of its ray junction.
+come from two numbers per window index, read off the river's window
+heights and the parent row a sphere at a time: the length of the
+undoubled nearest river point and of its ray junction.
 
 The code serializes, per element, the index of its witness set in a
 canonical enumeration of the subsets of a reference ball, in unary
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import comb
 
-from .groups import FreeGroup, Window, letter_index, offset_steps
+from .groups import FreeGroup, Window
 from .landscapes import RiverLandscape, double_word, undouble_word
 from .patterns import offset_ball
 
@@ -91,31 +93,34 @@ def defect_bound(river: RiverLandscape, gamma: tuple, m: int) -> Fraction:
     return Fraction(2 * (river.height(gamma) + 2) * c, m)
 
 
-def river_rays(window: Window) -> tuple[list[int], list[int]]:
+def river_rays(river: RiverLandscape, window: Window
+               ) -> tuple[list[int], list[int]]:
     """|s| and J for every window index: the length of the undoubled
     nearest river point s, and of its ray junction (the leading run of
     the ray letter in s).
 
-    The nearest river point of a word is its longest prefix of equal
-    letter pairs, so both numbers follow from the word's parent in the
-    step table: the paired prefix grows only when the last letter
-    repeats the one letter the parent leaves unpaired, and the ray run
-    only when a word spelled by the ray letter gets one more.
+    The nearest river point of a word w is its paired prefix, of length
+    |w| - h(w) + 1, so |s| = (|w| - h + 1) // 2 is read from the rule's
+    window heights a sphere at a time.  A child copies its parent's ray
+    run, except the ray power a^r, which alone in sphere r gets r; the
+    junction is the run cut to the paired prefix, and a ray run inside a
+    paired prefix has even length.
     """
-    n = len(window)
-    ray = letter_index(RAY_LETTER)
-    size, last = [0] * n, [-1] * n
-    paired, run = [0] * n, [0] * n
-    for j, (p, a) in enumerate(offset_steps(window.step, window.spec.degree,
-                                            n), 1):
-        k = size[p]
-        size[j], last[j] = k + 1, a
-        paired[j] = k + 1 if paired[p] == k - 1 and last[p] == a \
-            else paired[p]
-        run[j] = k + 1 if run[p] == k and a == ray else run[p]
-    # paired prefixes have even length, and so does a ray run inside one
-    return ([q // 2 for q in paired],
-            [min(r, q) // 2 for r, q in zip(run, paired)])
+    spec = window.spec
+    heights = river.window_heights(window)
+    d = spec.degree
+    # run[i] is half the leading ray-letter run of word i
+    size, run = [0], [0]
+    for r in range(1, window.radius + 1):
+        s, e = spec.ball_size(r - 1), spec.ball_size(r)
+        half = [(r - h + 1) // 2 for h in range(r + 2)]
+        size += map(half.__getitem__, heights[s:e])
+        # sphere r - 1 holds the parents: d children for the identity,
+        # d - 1 for every other word
+        parents = run[spec.ball_size(r - 2) if r > 1 else 0:s]
+        run += chain.from_iterable(zip(*repeat(parents, d - (r > 1))))
+        run[spec.index_of((RAY_LETTER,) * r)] = r // 2
+    return size, list(map(min, run, size))
 
 
 def merge_positions(n: int, j: int, n2: int, j2: int,
@@ -150,7 +155,7 @@ def defect_table(river: RiverLandscape, window: Window,
     """
     if any(m < 1 for m in m_values):
         raise ValueError("m must be >= 1")
-    size, junction = river_rays(window)
+    size, junction = river_rays(river, window)
     heights = river.window_heights(window)
     step, letters = window.step, window.spec.letters()
     d = len(letters)

@@ -107,6 +107,14 @@ class TestGroupLaws:
         assert F2.dist(u, v) == F2.dist(v, u)
         assert F2.dist(u, v) <= F2.length(u) + F2.length(v)
 
+    @pytest.mark.parametrize("spec,radius", [(F2, 4), (F3, 3)])
+    def test_dist_is_length_of_quotient(self, spec, radius):
+        words = ball(spec, radius).vertices
+        for u in words:
+            for v in words:
+                assert spec.dist(u, v) \
+                    == spec.length(spec.mul(spec.inverse(u), v)), (u, v)
+
     @given(st.integers(-50, 50), st.integers(-50, 50))
     def test_integer_dist(self, u, v):
         assert Z.dist(u, v) == abs(u - v)
@@ -163,6 +171,13 @@ class TestIndexSpace:
             for a, letter in enumerate(spec.letters()):
                 want = index.get(spec.apply_letter(w, letter), -1)
                 assert step[i * d + a] == want, (w, letter)
+
+    @pytest.mark.parametrize("spec,radius", [(F2, 0), (F2, 6), (F3, 4)])
+    def test_last_letters_end_the_words(self, spec, radius):
+        words = bfs_ball(spec, radius)[0]
+        last = spec.last_letters(radius)
+        assert len(last) == len(words)
+        assert list(last[1:]) == [letter_index(w[-1]) for w in words[1:]]
 
     @pytest.mark.parametrize("spec,radius", WINDOWS)
     def test_ball_matches_bfs_reference(self, spec, radius):

@@ -273,6 +273,8 @@ BLOCK_MUTATIONS = {
     "no-sibling-competition": ("if self.k >= 2:", "if False:"),
     "identity-block-of-d-minus-1": ("self._block(0b11, d)",
                                     "self._block(0b11, d - 1)"),
+    "no-parent-colour": ("used |= 1 << colors[p]", "pass"),
+    "walk-centred-at-u": ("nb = [p]", "nb = [u]"),
 }
 
 

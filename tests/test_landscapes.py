@@ -340,14 +340,17 @@ EDGE_RADII = sorted({r for k in range(5)
                      for r in (10**k - 1, 10**k, 10**k + 1, 3 * 10**k)})
 
 
-class _CountingRiver(RiverLandscape):
-    def __init__(self):
-        super().__init__(F2)
-        self.calls = 0
+def counting_heights(rule_class):
+    """``rule_class`` counting its window-height computations in
+    ``runs``."""
+    class Counting(rule_class):
+        runs = 0
 
-    def height(self, word):
-        self.calls += 1
-        return super().height(word)
+        def _compute_heights(self, window):
+            self.runs += 1
+            return super()._compute_heights(window)
+
+    return Counting
 
 
 class TestWindowHeights:
@@ -367,10 +370,20 @@ class TestWindowHeights:
         win = ball(Z, 1000)
         assert len(TernaryLandscape().window_heights(win)) == len(win)
 
-    @pytest.mark.parametrize("radius", range(1, 9))
-    def test_river_matches_height(self, radius):
-        win = ball(F2, radius)
-        z = RiverLandscape(F2)
+    def test_river_recurrence_spells_no_word(self, monkeypatch):
+        monkeypatch.setattr(RiverLandscape, "height", None)
+        monkeypatch.setattr(FreeGroup, "ball_words", None)
+        win = ball(F2, 6)
+        assert len(RiverLandscape(F2).window_heights(win)) == len(win)
+
+    @pytest.mark.parametrize("spec,radius", [
+        *(pytest.param(F2, r, id=str(r)) for r in range(9)),
+        *(pytest.param(FreeGroup(k), r, id=f"F{k}-{r}")
+          for k in (3, 4) for r in (0, 1, 2, 5)),
+    ])
+    def test_river_matches_height(self, spec, radius):
+        win = ball(spec, radius)
+        z = RiverLandscape(spec)
         assert z.window_heights(win) == [z.height(w) for w in win.vertices]
 
     @pytest.mark.parametrize("spec,anchors,radius", [
@@ -396,14 +409,21 @@ class TestWindowHeights:
         with pytest.raises(ValueError):
             z.window_heights(ball(F2, 3))
 
-    def test_build_reads_each_height_once(self):
-        win = ball(F2, 6)
-        z = _CountingRiver()
-        verify_axioms(z, win)
-        for n in (1, 2):
-            components_leq(z, win, n)
-        snapshot_landscape(z, win, 8)
-        assert z.calls == len(win)
+    @pytest.mark.parametrize("make,spec,radii", [
+        (lambda: counting_heights(RiverLandscape)(F2), F2, (5, 6)),
+        (lambda: counting_heights(TernaryLandscape)(), Z, (300, 400)),
+    ], ids=["river", "ternary"])
+    def test_build_computes_heights_once_per_window(self, make, spec, radii):
+        z = make()
+        for radius in radii:
+            for _ in range(2):
+                # a fresh window of the same group and radius
+                win = ball(spec, radius)
+                verify_axioms(z, win)
+                for n in (1, 2):
+                    components_leq(z, win, n)
+                snapshot_landscape(z, win, 8)
+        assert z.runs == len(radii)
 
 
 def components_oracle(z, win, n):

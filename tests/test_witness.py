@@ -161,7 +161,7 @@ class TestDefectTable:
     def test_river_rays_against_words(self, spec, radius):
         river = RiverLandscape(spec)
         win = ball(spec, radius)
-        size, junction = river_rays(win)
+        size, junction = river_rays(river, win)
         for w, n, j in zip(win.vertices, size, junction):
             s = undouble_word(river.nearest_river(w))
             assert n == len(s)
