@@ -7,7 +7,7 @@ from .checking import (CertificateReport, ClauseResult, DoublingCertificate,
                        check_certificate_dict, load_snapshot,
                        verify_certificate)
 from .groups import (BudgetExceededError, FreeGroup, GroupSpec, IntegerGroup,
-                     Window, ball, bfs_distances)
+                     Window, ball)
 from .labels import GreedyColoring, ProperLabelRule, separation_index
 from .landscapes import (AnchorSet, AxiomReport, ComponentReport,
                          FractalLandscape, LandscapeRule, RiverLandscape,

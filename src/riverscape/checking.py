@@ -8,7 +8,7 @@ loaded snapshot file.  Construction imports the certificate types from
 here, and this module imports nothing from construction.
 
 What the checker shares with construction is window enumeration
-(``ball``, the step table, core sizes) and the row-level
+(``ball``, the letter columns, core sizes) and the row-level
 :func:`~riverscape.patterns.pattern_scan`, which is checked against
 word-level θ.  It shares no rule, channel, matcher or relabeling code.
 :meth:`Snapshot.scan` memoizes the scan per ``(m, s)`` for
@@ -21,8 +21,8 @@ out its rows as a snapshot (``LandscapeRule.snapshot``).
 
 Verification runs in window-index space: T and every piece are index
 sets read off the scan, "inside the core of radius r" is an index below
-``window.core_size(r)``, and a translate composes the translator's
-letters on the window's step table.  A step that leaves the window
+``window.core_size(r)``, and a translate reads the translator's
+letters one letter column at a time.  A step that leaves the window
 means the translate lies outside it, hence outside the core, because
 balls in trees and on the line are convex.  Words appear only in the
 witness strings, each spelled arithmetically (``window.word_at``)
@@ -412,14 +412,15 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
     # clause 3: both covering identities, exactly, on the stated core
     n_core = window.core_size(cert.core_radius)
     T_core = set(T[:bisect_left(T, n_core)])
-    step, d = window.step, spec.degree
+    columns = window.columns
     for name, lo, hi in (("phi-cover", 0, cert.p),
                          ("psi-cover", cert.p, cert.p + cert.q)):
         covered: set[int] = set()
         for g, members in zip(cert.translators[lo:hi], pieces[lo:hi]):
             xs = members
             for a in map(letter_index, spec.word_letters(g)):
-                xs = [step[x * d + a] if x >= 0 else -1 for x in xs]
+                column = columns[a]
+                xs = [column[x] if x >= 0 else -1 for x in xs]
             covered.update(x for x in xs if 0 <= x < n_core)
         witness = None
         extra = covered - T_core

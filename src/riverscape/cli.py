@@ -47,6 +47,20 @@ def parse_group(text: str) -> GroupSpec:
     raise InputError(f"unknown group {text!r}; use z, f2, or free:<rank>")
 
 
+def parse_ints(text: str, flag: str) -> list[int]:
+    """The comma-separated integers of ``text``, empty entries skipped;
+    an entry that is not an integer is an input error naming ``flag``."""
+    out = []
+    for x in text.split(","):
+        if x:
+            try:
+                out.append(int(x))
+            except ValueError:
+                raise InputError(
+                    f"{flag}: {x!r} is not an integer") from None
+    return out
+
+
 def make_landscape(name: str, spec: GroupSpec, radius: int):
     name = name.strip().lower()
     if name == "river":
@@ -119,7 +133,7 @@ def _m_values(args) -> list[int]:
         raise InputError(f"--m-max must be >= 1, got {args.m_max}")
     if not args.m_values:
         return list(range(1, (args.m_max or 0) + 1))
-    m_values = sorted({int(x) for x in args.m_values.split(",") if x})
+    m_values = sorted(set(parse_ints(args.m_values, "--m-values")))
     if m_values and m_values[0] < 1:
         raise InputError(f"--m-values must be >= 1, got {m_values[0]}")
     return m_values
@@ -133,7 +147,7 @@ def cmd_amenability(args) -> int:
     out = _outdir(args)
     rows = defect_table(z, window, m_values)
     names = [" ".join(map(str, w))
-             for w in spec.ball_words(window.radius - 1, window.step)]
+             for w in spec.ball_words(window.radius - 1, window.columns)]
     tails: dict = {}
     violated = 0
     # no field needs quoting, so each line is the one csv.writer writes
@@ -161,7 +175,7 @@ def cmd_paradoxicalize(args) -> int:
             load_json(args.targets), list, "targets file")))
     if args.target_heights:
         for item in args.target_heights.split(";"):
-            heights = frozenset(int(x) for x in item.split(",") if x)
+            heights = frozenset(parse_ints(item, "--target-heights"))
 
             def make(heights=heights):
                 return lambda rule, win: center_height_local_set(

@@ -10,17 +10,18 @@ Enumeration order is the global convention used everywhere for
 tie-breaking and serialization: words sorted by length, then
 lexicographically by letter, with letter order ``+1 < -1 < +2 < -2 < ...``.
 
-A window B_R(G, e) is its step table: vertex ids are enumeration
-indices, and a neighbour is one table read.  Window-scale state is held
-as typed int32 arrays (the step table, its letter columns, the offset
-tables).  Words are built only at the edges: transiently where a
-word-level rule is evaluated (``ball_words``), one at a time where a
-few are printed (``word_at``), and as a view cached on first use for
-the word-level oracles.  A word is ranked and unranked arithmetically
-(``index_of``, ``word_at``), never through a lookup table.  On F_k each
-sphere is its parents' child blocks in parent order, each block the
-letters of :func:`child_letters`; the step table and every table built
-a sphere at a time from the parent row (``last_letters``, the river
+A window B_R(G, e) is its letter columns: vertex ids are enumeration
+indices, and ``columns[a][i]`` is the neighbour of vertex i by the
+letter with index a, one array read.  Window-scale state is held as
+typed int32 arrays (the letter columns, the offset tables).  Words are
+built only at the edges: transiently where a word-level rule is
+evaluated (``ball_words``), one at a time where a few are printed
+(``word_at``), and as a view cached on first use for the word-level
+oracles.  A word is ranked and unranked arithmetically (``index_of``,
+``word_at``), never through a lookup table.  On F_k each sphere is its
+parents' child blocks in parent order, each block the letters of
+:func:`child_letters`; the letter columns and every table built a
+sphere at a time from the parent row (``last_letters``, the river
 heights, the witness ray data) share that one convention.
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_VERTEX_BUDGET = 500_000
@@ -119,17 +121,18 @@ class GroupSpec:
         (the inverse of :meth:`index_of`)."""
         raise NotImplementedError
 
-    def step_table(self, radius: int) -> array:
-        """Flat int32 transition table of B_radius(e) in index space.
+    def ball_columns(self, radius: int) -> tuple[array, ...]:
+        """The letter columns of B_radius(e) in index space, one int32
+        array per letter.
 
-        ``step[i * degree + a]`` is the index of word i times the letter
-        with ``letter_index`` a, or -1 when that word leaves the ball.
+        ``columns[a][i]`` is the index of word i times the letter with
+        ``letter_index`` a, or -1 when that word leaves the ball.
         """
         raise NotImplementedError
 
-    def ball_words(self, radius: int, step: array) -> list:
-        """The words of B_radius(e) in index order, read off its step
-        table."""
+    def ball_words(self, radius: int, columns: Sequence[array]) -> list:
+        """The words of B_radius(e) in index order, read off letter
+        columns that reach that ball."""
         raise NotImplementedError
 
     def word_from_json(self, obj):
@@ -300,36 +303,38 @@ class FreeGroup(GroupSpec):
             last += sphere
         return bytes(last)
 
-    def step_table(self, radius: int) -> array:
+    def ball_columns(self, radius: int) -> tuple[array, ...]:
+        # parents in index order, a sphere at a time: a parent's children
+        # are the next indices, by the letters of its last letter's child
+        # block, and each child steps back by the inverse letter
         d = self.degree
         n = self.ball_size(radius)
-        inner = self.ball_size(radius - 1) if radius > 0 else 0
-        step = array("i", [-1]) * (n * d)
-        kids = child_letters(d)
-        last = self.last_letters(radius)
-        # children are numbered in enumeration order
+        columns = tuple(array("i", [-1]) * n for _ in range(d))
+        # (down, up) column pairs of each child block, in child order;
+        # entry d is the identity's block, every letter
+        pairs = [[(columns[a], columns[a ^ 1]) for a in kids]
+                 for kids in (*child_letters(d), range(d))]
+        last = chain((d,), islice(self.last_letters(radius), 1, None))
         child = 1
-        for i in range(inner):
-            row = i * d
-            for a in kids[last[i]] if i else range(d):
-                step[row + a] = child
-                step[child * d + (a ^ 1)] = i
+        for i, a in zip(range(self.ball_size(radius - 1) if radius else 0),
+                        last):
+            for down, up in pairs[a]:
+                down[i] = child
+                up[child] = i
                 child += 1
-        return step
+        return columns
 
-    def ball_words(self, radius: int, step: array) -> list:
-        # a parent's children are the table entries past it, each the
+    def ball_words(self, radius: int, columns: Sequence[array]) -> list:
+        # a parent's children are its neighbours past it, each the
         # parent word plus that letter
-        d = self.degree
         letters = self.letters()
         words: list = [()] * self.ball_size(radius)
         for i in range(self.ball_size(radius - 1) if radius > 0 else 0):
             w = words[i]
-            row = i * d
-            for a in range(d):
-                c = step[row + a]
+            for letter, column in zip(letters, columns):
+                c = column[i]
                 if c > i:
-                    words[c] = w + (letters[a],)
+                    words[c] = w + (letter,)
         return words
 
     def word_from_json(self, obj) -> tuple[int, ...]:
@@ -383,23 +388,24 @@ class IntegerGroup(GroupSpec):
     def word_at(self, i: int) -> int:
         return (i + 1) // 2 if i % 2 else -(i // 2)
 
-    def step_table(self, radius: int) -> array:
+    def ball_columns(self, radius: int) -> tuple[array, ...]:
         # u > 0 sits at index 2u - 1 and -u at 2u, so each step moves two
         # indices away from or towards 0; filled by strided slices
-        step = array("i", [-1]) * (2 * self.ball_size(radius))
+        n = self.ball_size(radius)
+        plus, minus = array("i", [-1]) * n, array("i", [-1]) * n
         if radius == 0:
-            return step
+            return plus, minus
         top = 2 * radius
-        step[0:2] = array("i", (1, 2))
-        step[2::4] = array("i", range(3, top + 2, 2))   # u > 0, +1
-        step[3::4] = array("i", range(-1, top - 2, 2))  # u > 0, -1
-        step[4::4] = array("i", range(0, top, 2))       # -u, +1
-        step[5::4] = array("i", range(4, top + 3, 2))   # -u, -1
-        step[3] = 0
-        step[2 * top - 2] = step[2 * top + 1] = -1
-        return step
+        plus[0], minus[0] = 1, 2
+        plus[1::2] = array("i", range(3, top + 2, 2))   # u > 0, +1
+        minus[1::2] = array("i", range(-1, top - 2, 2))  # u > 0, -1
+        plus[2::2] = array("i", range(0, top - 1, 2))    # -u, +1
+        minus[2::2] = array("i", range(4, top + 3, 2))   # -u, -1
+        minus[1] = 0
+        plus[top - 1] = minus[top] = -1
+        return plus, minus
 
-    def ball_words(self, radius: int, step: array) -> list:
+    def ball_words(self, radius: int, columns: Sequence[array]) -> list:
         return [0] + [u for n in range(1, radius + 1) for u in (n, -n)]
 
     def word_from_json(self, obj) -> int:
@@ -414,25 +420,25 @@ def child_letters(degree: int) -> list[bytes]:
     """``kids[a]``: the letter indices of the children of a non-identity
     word whose last letter has index a, in enumeration order, which is
     every letter but a's inverse.  This is the child-order convention of
-    :meth:`FreeGroup.step_table` and of every table built a sphere at a
+    :meth:`FreeGroup.ball_columns` and of every table built a sphere at a
     time from its parents."""
     return [bytes(b for b in range(degree) if b != a ^ 1)
             for a in range(degree)]
 
 
-def offset_steps(step: array, degree: int, count: int
+def offset_steps(columns: Sequence[array], count: int
                  ) -> list[tuple[int, int]]:
     """The first ``count`` offsets of B(e) as steps (p, a): offset j is
     offset p < j times the letter with index a.
 
-    ``step`` is a step table (:meth:`GroupSpec.step_table`) reaching
-    every such offset; the parent of a non-identity word is its
+    ``columns`` are letter columns (:meth:`GroupSpec.ball_columns`)
+    reaching every such offset; the parent of a non-identity word is its
     neighbour of smaller index.
     """
     ops: list[tuple[int, int]] = []
     for j in range(1, count):
-        for a in range(degree):
-            p = step[j * degree + a]
+        for a, column in enumerate(columns):
+            p = column[j]
             if 0 <= p < j:
                 ops.append((p, a ^ 1))
                 break
@@ -441,26 +447,26 @@ def offset_steps(step: array, degree: int, count: int
 
 @dataclass(frozen=True)
 class Window:
-    """The ball B_R(G, e) as its step table.
+    """The ball B_R(G, e) as its letter columns.
 
     Vertices are the indices 0 .. len - 1 in enumeration order, vertex 0
-    the identity; the neighbours of vertex i are the non-negative
-    entries of ``step[i * degree:(i + 1) * degree]``, in letter order
-    (:meth:`letter_columns` splits them by letter).  The offset tables
-    are int32 arrays composed on the step table.  :meth:`word_at` spells
-    one vertex's word arithmetically, for the places that print or
-    multiply a few words (witness strings, violation messages, the
+    the identity.  ``columns`` holds one int32 array per letter, in
+    letter order: ``columns[a][i]`` is the neighbour of vertex i by the
+    letter with index a, or -1 when it leaves the window.  The offset
+    tables are int32 arrays composed on the columns.  :meth:`word_at`
+    spells one vertex's word arithmetically, for the places that print
+    or multiply a few words (witness strings, violation messages, the
     height-1 words of the axiom check).  :attr:`vertices`, every word,
     is a view cached on first use for the word-level oracles; pipeline
     code that reads each word once walks ``spec.ball_words(radius,
-    step)`` instead, so the words are not kept.
+    columns)`` instead, so the words are not kept.
     A window is determined by its group and radius, so code that must
     know whether two windows agree compares ``(spec, radius)``.
     """
 
     spec: GroupSpec
     radius: int
-    step: array = field(repr=False, compare=False)
+    columns: tuple = field(repr=False, compare=False)
     _offset_tables: dict = field(init=False, repr=False, compare=False,
                                  hash=False, default_factory=dict)
 
@@ -471,7 +477,7 @@ class Window:
     def vertices(self) -> tuple:
         """The words of the window, in index order, built on first use
         and kept; no pipeline step, build or check reads them."""
-        return tuple(self.spec.ball_words(self.radius, self.step))
+        return tuple(self.spec.ball_words(self.radius, self.columns))
 
     def word_at(self, i: int):
         """The word of vertex ``i``, spelled arithmetically and not kept;
@@ -480,14 +486,6 @@ class Window:
             raise ValueError(f"index {i} outside the window of "
                              f"{len(self)} vertices")
         return self.spec.word_at(i)
-
-    def letter_columns(self) -> list[array]:
-        """The step table split by letter: ``columns[a][i]`` is the
-        neighbour of vertex i by the letter with index a, or -1.  Graph
-        walks read a column per letter rather than computing the flat
-        position ``i * degree + a`` for every read."""
-        d = self.spec.degree
-        return [self.step[a::d] for a in range(d)]
 
     def index_of(self, word) -> int:
         """The window index of ``word``; a word outside the window, or
@@ -522,10 +520,9 @@ class Window:
                     f"{self.radius}"
                 )
             n = self.core_size(self.radius - m)
-            columns = self.letter_columns()
+            columns = self.columns
             tables = [array("i", range(n))]
-            for p, a in offset_steps(self.step, self.spec.degree,
-                                     self.spec.ball_size(m)):
+            for p, a in offset_steps(columns, self.spec.ball_size(m)):
                 # composed onto the identity table, a column is its head;
                 # a list built by map fills an array faster than map does
                 tables.append(columns[a][:n] if p == 0 else array(
@@ -536,7 +533,7 @@ class Window:
 
 def ball(spec: GroupSpec, radius: int,
          budget: int = DEFAULT_VERTEX_BUDGET) -> Window:
-    """B_radius(G, e) in the deterministic order, as its step table.
+    """B_radius(G, e) in the deterministic order, as its letter columns.
 
     Raises :class:`BudgetExceededError` before building anything when
     the ball holds more than ``budget`` vertices.
@@ -547,15 +544,15 @@ def ball(spec: GroupSpec, radius: int,
         raise BudgetExceededError(
             f"ball of radius {radius} exceeds vertex budget {budget}"
         )
-    return Window(spec, radius, spec.step_table(radius))
+    return Window(spec, radius, spec.ball_columns(radius))
 
 
 def bfs_levels(columns: Sequence[array], frontier: Iterable[int],
                seen: bytearray) -> Iterator[list[int]]:
     """The BFS levels past ``frontier`` in the window whose letter
-    columns (:meth:`Window.letter_columns`) are ``columns``, each level
-    as a list: level k holds the unmarked vertices at distance k from
-    the frontier.
+    columns (:attr:`Window.columns`) are ``columns``, each level as a
+    list: level k holds the unmarked vertices at distance k from the
+    frontier.
 
     ``seen`` is a window-length bytearray marking vertices visited or
     excluded; the caller marks the frontier, the walk marks each vertex
@@ -575,16 +572,3 @@ def bfs_levels(columns: Sequence[array], frontier: Iterable[int],
         yield level
         frontier = level
 
-
-def bfs_distances(window: Window, sources: Sequence[int]) -> list[int]:
-    """Graph distances from a source set inside the window (-1 = unreached)."""
-    dist = [-1] * len(window)
-    seen = bytearray(len(window))
-    for s in sources:
-        seen[s] = 1
-        dist[s] = 0
-    columns = window.letter_columns()
-    for k, level in enumerate(bfs_levels(columns, sources, seen), 1):
-        for j in level:
-            dist[j] = k
-    return dist

@@ -21,11 +21,11 @@ through u's parent p (u's other neighbours are its children), so that
 d(p, x) <= k - 2.  Every vertex of B_(k-2)(p) is within k of c.  So
 one colour mask, c(u), and for k >= 2 c(p) and the colours of
 B_(k-2)(p) below f(u) (read along its offsets from p = (u - 2) //
-(d - 1), or 0 when u <= d, composing the steps of
-``GroupSpec.step_table``), decides the colours of u's whole child block,
-and the block is memoized on that mask.  Balls in trees and on the line
-are convex, so the geodesic from p to such an x never leaves the grown
-ball.  No words are stored, and no label is cached per word:
+(d - 1), or 0 when u <= d, composing the window's letter columns),
+decides the colours of u's whole child block, and the block is
+memoized on that mask.  Balls in trees and on the line are convex, so
+the geodesic from p to such an x never leaves the grown ball.  No
+words are stored, and no label is cached per word:
 :meth:`ProperLabelRule.label` reads the colour arrays on each call.
 """
 
@@ -46,37 +46,35 @@ def separation_index(spec: GroupSpec, r: int) -> int:
 
 
 class _IndexSpace:
-    """B_R(e) as enumeration indices with a flat step table; no words.
+    """B_R(e) as a :class:`Window` of enumeration indices; no words.
 
-    One space serves every power k of a labeling.  It grows on demand:
-    with degree > 2 the spheres grow geometrically, so the ball is
-    rebuilt at exactly the longest word asked for; on the line (degree
-    2) the radius at least doubles, because words arrive in the order
-    0, 1, -1, 2, ... and a rebuild per radius would be quadratic.
+    One space serves every power k of a labeling.  It holds the caller's
+    window when one is handed in, and otherwise grows its own on demand
+    for the word-level oracles: with degree > 2 the spheres grow
+    geometrically, so the ball is rebuilt at exactly the longest word
+    asked for; on the line (degree 2) the radius at least doubles,
+    because words arrive in the order 0, 1, -1, 2, ... and a rebuild per
+    radius would be quadratic.
     """
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
-        self.degree = spec.degree
-        self.radius = -1
-        self.step = array("i")
+        self.window = Window(spec, 0, spec.ball_columns(0))
 
-    def grow(self, radius: int, step: Optional[array] = None) -> None:
-        """Reach B_radius; ``step`` is that ball's table when the caller
-        holds it already (a window's), so it is not built twice."""
-        if radius > self.radius:
-            if step is None:
-                if self.degree == 2:
-                    radius = max(radius, 2 * self.radius)
-                step = self.spec.step_table(radius)
-            self.step = step
-            self.radius = radius
+    def grow(self, radius: int, window: Optional[Window] = None) -> None:
+        """Reach B_radius; ``window`` is that ball when the caller holds
+        it already, so it is not built twice."""
+        if radius > self.window.radius:
+            if window is None:
+                if self.spec.degree == 2:
+                    radius = max(radius, 2 * self.window.radius)
+                window = Window(self.spec, radius,
+                                self.spec.ball_columns(radius))
+            self.window = window
 
     def index(self, word) -> int:
         """The enumeration index of ``word``, with the ball grown to it."""
-        length = self.spec.length(word)
-        if length > self.radius:
-            self.grow(length)
+        self.grow(self.spec.length(word))
         return self.spec.index_of(word)
 
 
@@ -104,7 +102,7 @@ class GreedyColoring:
         self._ops: list[tuple[int, int]] = []
         if k > 2:
             self._space.grow(k - 2)
-            self._ops = offset_steps(self._space.step, spec.degree,
+            self._ops = offset_steps(self._space.window.columns,
                                      spec.ball_size(k - 2))
 
     def color(self, word) -> int:
@@ -137,13 +135,13 @@ class GreedyColoring:
         colors = self._colors
         if i < len(colors):
             return colors[i]
-        d = self._space.degree
+        d = self.spec.degree
         if not colors:
             # the identity has no earlier vertex, and its children see
             # only the identity
             colors.append(1)
             colors.extend(self._block(0b11, d))
-        step = self._space.step
+        columns = self._space.window.columns
         ops = self._ops
         blocks = self._blocks
         near = self.k >= 2
@@ -160,7 +158,7 @@ class GreedyColoring:
                 nb = [p]
                 for q, a in ops:
                     x = nb[q]
-                    x = step[x * d + a] if x >= 0 else -1
+                    x = columns[a][x] if x >= 0 else -1
                     nb.append(x)
                     if -1 < x < f:
                         used |= 1 << colors[x]
@@ -206,7 +204,7 @@ class ProperLabelRule:
         n = len(window)
         if s <= 0:
             return [""] * n
-        self._space.grow(window.radius, window.step)
+        self._space.grow(window.radius, window)
         d = self.spec.degree
         zero, one = "0" + pad, "1" + pad
         blocks: list[list[str]] = []

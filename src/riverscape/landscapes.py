@@ -75,7 +75,7 @@ class LandscapeRule:
     def _compute_heights(self, window: Window) -> list[int]:
         # the words are walked once and dropped, not cached on the window
         return list(map(self.height,
-                        self.spec.ball_words(window.radius, window.step)))
+                        self.spec.ball_words(window.radius, window.columns)))
 
     def snapshot(self, window: Window, s: int) -> Snapshot:
         """The label prefixes of length s (from the colour arrays) and
@@ -387,7 +387,7 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
     R = window.radius
     n = len(window)
     heights = z.window_heights(window)
-    columns = window.letter_columns()
+    columns = window.columns
     # |B_r| for r = 0..R: vertex i has |i| <= r exactly when i < sizes[r]
     sizes = array("i", map(spec.ball_size, range(R + 1)))
     constants = StructureConstants()
@@ -521,7 +521,7 @@ def components_leq(z: LandscapeRule, window: Window, n: int) -> ComponentReport:
     # the boundary sphere is the last block of indices
     boundary = window.core_size(window.radius - 1)
     heights = z.window_heights(window)
-    columns = window.letter_columns()
+    columns = window.columns
     members = array("i", compress(range(len(window)),
                                   map(ge, repeat(n), heights)))
     # non-members are pre-marked, so each walk stays in the sublevel set

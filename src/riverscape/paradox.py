@@ -352,7 +352,7 @@ def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
     tables = window.offset_tables(search.K - 1)
     # offset j of B_(K-1) is window word j; only those words are built
     inverses = [spec.inverse(delta)
-                for delta in spec.ball_words(search.K - 1, window.step)]
+                for delta in spec.ball_words(search.K - 1, window.columns)]
     phi_pieces: dict = {}
     psi_pieces: dict = {}
     for assignment, pieces in ((search.phi, phi_pieces),

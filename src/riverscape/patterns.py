@@ -11,7 +11,7 @@ bits at positions well past the radius without paying for huge balls.
 scan reads one label row and one height per vertex (a snapshot's
 rows), each distinct (label prefix, height) pair is interned as a cell
 id, the cell ids are gathered along the window's offset tables
-(compositions of its step table), and a :class:`PatternBall` is built
+(compositions of its letter columns), and a :class:`PatternBall` is built
 once per distinct pattern.  The result equals θ at every core vertex;
 the core of a radius-m scan is always the ball of radius R - m.  Scans
 answer in window indices: :func:`realize` returns the core indices of a
@@ -246,6 +246,6 @@ def center_height_local_set(z: LandscapeRule, window: Window, m: int,
     if prefix_len is None:
         prefix_len = m
     wanted = set(heights)
-    occ = observed_patterns(z, window, m, prefix_len)
+    _, patterns = z.snapshot(window, prefix_len).scan(m, prefix_len)
     return LocalSetSpec(m, prefix_len, frozenset(
-        p for p in occ if p.center_height in wanted))
+        p for p in patterns if p.center_height in wanted))

@@ -157,15 +157,14 @@ def defect_table(river: RiverLandscape, window: Window,
         raise ValueError("m must be >= 1")
     size, junction = river_rays(river, window)
     heights = river.window_heights(window)
-    step, letters = window.step, window.spec.letters()
-    d = len(letters)
+    columns, letters = window.columns, window.spec.letters()
     ceiling = 2 * river.bilipschitz
     rows = []
     for i in range(window.core_size(window.radius - 1)):
         n, j = size[i], junction[i]
         bound = ceiling * (heights[i] + 2)
-        for a, sigma in enumerate(letters):
-            k = step[i * d + a]
+        for column, sigma in zip(columns, letters):
+            k = column[i]
             merge = max(merge_positions(n, j, size[k], junction[k],
                                         min(n, size[k])))
             rows.extend((i, sigma, m, 2 * min(m, merge), bound)

@@ -22,7 +22,7 @@ from riverscape.landscapes import (DENSITY_MAX, AxiomReport, ComponentReport,
 def bfs_distances(window: Window, sources: Sequence[int]) -> list[int]:
     """Graph distances from a source set inside the window (-1 = unreached)."""
     dist = [-1] * len(window)
-    columns = window.letter_columns()
+    columns = window.columns
     frontier = []
     for s in sources:
         if dist[s] == -1:
@@ -81,7 +81,7 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
             )
 
     # axiom 1: slope <= 1 across every window edge
-    for i, row in enumerate(zip(*window.letter_columns())):
+    for i, row in enumerate(zip(*window.columns)):
         for j in row:
             if j > i and abs(heights[i] - heights[j]) > 1:
                 violations.append(
@@ -167,7 +167,7 @@ def components_leq(z: LandscapeRule, window: Window, n: int) -> ComponentReport:
     boundary = window.core_size(window.radius - 1)
     member = [h <= n for h in z.window_heights(window)]
     seen = [False] * len(window)
-    columns = window.letter_columns()
+    columns = window.columns
     sizes: list[int] = []
     interior_sizes: list[int] = []
     truncated = 0

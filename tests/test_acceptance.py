@@ -16,11 +16,11 @@ from riverscape import (CodeFormatError, FreeGroup, LocalSetSpec,
                         separation_index, subset_from_index, subset_index,
                         ternary_height, theta, verify_axioms,
                         verify_certificate)
-from riverscape.groups import bfs_distances
 from riverscape.landscapes import LandscapeRule
 from riverscape.patterns import center_height_local_set, observed_patterns
 from riverscape.snapshots import bundle_pipeline, final_snapshot
 
+import landscape_oracles as oracle
 from test_labels import project_odd
 from test_landscapes import brute_ternary_height
 
@@ -87,13 +87,12 @@ def test_criterion_03_hilly_stabilization(ternary, zwin_small, zwin_large):
 def test_criterion_04_symdiff_inequality(river, win10, kappa20):
     start = time.time()
     checked = 0
-    step, d = win10.step, F2.degree
     for i in range(win10.core_size(win10.radius - 1)):
         g = win10.vertices[i]
         lg = kappa20[g]
         bound = 2 * river.height(g) * 2  # 2 (d+1) C with d = H-1, C = 2
         # a core vertex has all of its neighbours inside the window
-        for j in step[i * d:(i + 1) * d]:
+        for j in (column[i] for column in win10.columns):
             lh = kappa20[win10.vertices[j]]
             counts = {}
             size = 0
@@ -230,7 +229,7 @@ def test_criterion_09_oracles(river, win5):
         for m in (1, 2):
             assert theta(_Masked(river, g, m), g, m) == theta(river, g, m)
     # word metric vs breadth-first distances on B_5
-    dist = bfs_distances(win5, [0])
+    dist = oracle.bfs_distances(win5, [0])
     for i, w in enumerate(win5.vertices):
         assert dist[i] == F2.dist((), w)
     # ternary height vs brute-force oracle

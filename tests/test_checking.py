@@ -239,7 +239,7 @@ class TestWordView:
 
     def test_passing_check_builds_no_word(self, bundle, tmp_path,
                                           monkeypatch):
-        def no_words(self, radius, step):
+        def no_words(self, radius, columns):
             raise AssertionError("a passing check built the window's words")
 
         monkeypatch.setattr(FreeGroup, "ball_words", no_words)
@@ -252,9 +252,9 @@ class TestWordView:
         built = []
         words = FreeGroup.ball_words
 
-        def counted(self, radius, step):
+        def counted(self, radius, columns):
             built.append(radius)
-            return words(self, radius, step)
+            return words(self, radius, columns)
 
         monkeypatch.setattr(FreeGroup, "ball_words", counted)
         assert run_check(snap, cert, tmp_path) == 1
@@ -371,7 +371,7 @@ class TestSnapshotSize:
         def no_table(self, radius):
             raise AssertionError("a window was built for a mismatched file")
 
-        monkeypatch.setattr(type(spec), "step_table", no_table)
+        monkeypatch.setattr(type(spec), "ball_columns", no_table)
         snap = line_snapshot(radius, rows)
         snap["windowRef"]["group"] = spec.to_dict()
         with pytest.raises(ValueError, match=(

@@ -103,6 +103,15 @@ class TestAmenability:
         assert "must be >= 1" in capsys.readouterr().err
         assert not (out / "defects.csv").exists()
 
+    def test_m_value_not_an_integer_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run(["amenability", "--group", "f2", "--radius", 4,
+                    "--m-values", "5,x", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: --m-values: 'x' is not an integer\n"
+        assert not (out / "defects.csv").exists()
+
     def test_defects_bytes_pinned(self, tmp_path, capsys):
         # pinned against the word-level table, so a fast path that
         # changes a single row fails
@@ -140,6 +149,15 @@ class TestParadoxicalize:
     def test_no_targets_is_input_error(self, tmp_path, capsys):
         assert run(["paradoxicalize", "--group", "f2", "--radius", 6,
                     "--out", tmp_path]) == 2
+
+    def test_target_height_not_an_integer_names_the_flag(self, tmp_path,
+                                                         capsys):
+        out = tmp_path / "out"
+        assert run(["paradoxicalize", "--group", "f2", "--radius", 6,
+                    "--target-heights", "1;x", "--out", out]) == 2
+        assert capsys.readouterr().err == \
+            "error: --target-heights: 'x' is not an integer\n"
+        assert not (out / "certificates.json").exists()
 
     def test_targets_file(self, tmp_path, bundle_dir):
         doc = load_json(bundle_dir / "certificates.json")
@@ -255,6 +273,35 @@ class TestArtifactBytes:
             "bundle1.json": "58640dae577372279aae5faa9976834f"
                             "7446165e878705d3e13b0cfb41c011f9",
         }
+
+    def test_rank3_pipeline_bytes_pinned(self, tmp_path):
+        # the one degree-6 run of matching, pieces and checker; a raised
+        # height fails the check and a string height is an input error
+        code = run(["paradoxicalize", "--group", "f3", "--radius", 7,
+                    "--target-heights", "1,2,3,4,5,6,7,8", "--out",
+                    tmp_path])
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes())
+                   .hexdigest()
+                   for name in ("certificates.json", "final_snapshot.json")}
+        assert digests == {
+            "certificates.json": "67cb5ff91de223041d18a81f9d93a5ee"
+                                 "4c86bf2c29884f5ad755828b19d11e6a",
+            "final_snapshot.json": "a1d26c7aa82ba95ec2168b1b284a21ec"
+                                   "59e4ee682edf34a8f38f83203dcbd0b5",
+        }
+        cert = tmp_path / "certificates.json"
+        assert run(["check", "--snapshot", tmp_path / "final_snapshot.json",
+                    "--certificate", cert]) == 0
+        snap = load_json(tmp_path / "final_snapshot.json")
+        snap["heights"][0] += 1
+        dump_json(snap, tmp_path / "raised.json")
+        assert run(["check", "--snapshot", tmp_path / "raised.json",
+                    "--certificate", cert]) == 1
+        snap["heights"][0] = str(snap["heights"][0] - 1)
+        dump_json(snap, tmp_path / "string.json")
+        assert run(["check", "--snapshot", tmp_path / "string.json",
+                    "--certificate", cert]) == 2
 
     @pytest.mark.parametrize("group,landscape,radius,digest", [
         ("z", "ternary", 20000,

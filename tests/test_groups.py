@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riverscape import (BudgetExceededError, FreeGroup, GroupSpec,
-                        IntegerGroup, ball, bfs_distances)
+                        IntegerGroup, ball)
 from riverscape.groups import bfs_levels, letter_index, letter_key
 
 import landscape_oracles as oracle
@@ -31,10 +31,10 @@ def naive_reduce(letters):
 
 
 def step_neighbors(win, i):
-    """The neighbours of vertex i read off the window's step table, in
-    letter order."""
-    d = win.spec.degree
-    return tuple(j for j in win.step[i * d:(i + 1) * d] if j >= 0)
+    """The neighbours of vertex i read off the window's letter columns,
+    in letter order."""
+    return tuple(j for j in (column[i] for column in win.columns)
+                 if j >= 0)
 
 
 def bfs_ball(spec, radius):
@@ -146,7 +146,7 @@ class TestEnumerationOrder:
 
 
 class TestIndexSpace:
-    WINDOWS = [(F2, 6), (F3, 4), (Z, 30)]
+    WINDOWS = [(F2, 6), (F3, 4), (Z, 30), (FreeGroup(1), 12)]
 
     def test_letter_index_matches_letter_order(self):
         for spec in (F2, F3, Z):
@@ -164,13 +164,14 @@ class TestIndexSpace:
     @pytest.mark.parametrize("spec,radius", WINDOWS)
     def test_step_table_is_apply_letter(self, spec, radius):
         vertices, _, index = bfs_ball(spec, radius)
-        d = spec.degree
-        step = spec.step_table(radius)
-        assert len(step) == len(vertices) * d
-        for i, w in enumerate(vertices):
-            for a, letter in enumerate(spec.letters()):
+        columns = spec.ball_columns(radius)
+        assert len(columns) == spec.degree
+        for column, letter in zip(columns, spec.letters()):
+            assert column.typecode == "i"
+            assert len(column) == len(vertices)
+            for i, w in enumerate(vertices):
                 want = index.get(spec.apply_letter(w, letter), -1)
-                assert step[i * d + a] == want, (w, letter)
+                assert column[i] == want, (w, letter)
 
     @pytest.mark.parametrize("spec,radius", [(F2, 0), (F2, 6), (F3, 4)])
     def test_last_letters_end_the_words(self, spec, radius):
@@ -186,7 +187,8 @@ class TestIndexSpace:
         assert win.vertices == tuple(vertices)
         assert [step_neighbors(win, i) for i in range(len(win))] \
             == adjacency
-        assert list(win.step) == list(spec.step_table(radius))
+        assert list(map(list, win.columns)) \
+            == list(map(list, spec.ball_columns(radius)))
 
     @pytest.mark.parametrize("spec,radius", WINDOWS)
     def test_offset_tables_are_products(self, spec, radius):
@@ -225,8 +227,8 @@ class TestIndexSpace:
             ball(F2, 2).offset_tables(3)
 
     def test_step_table_of_a_point(self):
-        assert list(F2.step_table(0)) == [-1] * 4
-        assert list(Z.step_table(0)) == [-1, -1]
+        assert list(map(list, F2.ball_columns(0))) == [[-1]] * 4
+        assert list(map(list, Z.ball_columns(0))) == [[-1]] * 2
 
 
 class TestBall:
@@ -249,9 +251,9 @@ class TestBall:
 
     def test_budget_checked_before_building(self, monkeypatch):
         def no_table(radius):
-            raise AssertionError("step table built past the budget")
+            raise AssertionError("letter columns built past the budget")
 
-        monkeypatch.setattr(F2, "step_table", no_table)
+        monkeypatch.setattr(F2, "ball_columns", no_table)
         with pytest.raises(BudgetExceededError):
             ball(F2, 40)
 
@@ -283,13 +285,14 @@ class TestBall:
 class TestBfsDistances:
     def test_matches_word_metric_on_core(self, win5):
         # window distances from the identity are exact group distances
-        dist = bfs_distances(win5, [0])
+        dist = oracle.bfs_distances(win5, [0])
         for i, w in enumerate(win5.vertices):
             assert dist[i] == F2.length(w)
 
     def test_multi_source_and_unreached(self):
         win = ball(Z, 3)
-        dist = bfs_distances(win, [win.index_of(3), win.index_of(-3)])
+        dist = oracle.bfs_distances(win, [win.index_of(3),
+                                          win.index_of(-3)])
         assert dist[win.index_of(0)] == 3
         assert dist[win.index_of(2)] == 1
 
@@ -308,13 +311,12 @@ class TestBfsDistances:
             seen[s] = 1
         got = [0 if seen[i] else -1 for i in range(len(win))]
         for k, level in enumerate(
-                bfs_levels(win.letter_columns(), sources, seen), 1):
+                bfs_levels(win.columns, sources, seen), 1):
             assert level, k
             for j in level:
                 assert got[j] == -1
                 got[j] = k
         assert got == want
-        assert bfs_distances(win, sources) == want
 
     def test_marked_vertices_are_never_entered(self):
         # from 0 on Z, with 1 and 2 marked, the walk goes to -1, -2 only
@@ -323,8 +325,7 @@ class TestBfsDistances:
         seen[win.index_of(0)] = 1
         seen[win.index_of(1)] = 1
         seen[win.index_of(2)] = 1
-        levels = list(bfs_levels(win.letter_columns(),
-                                 [win.index_of(0)], seen))
+        levels = list(bfs_levels(win.columns, [win.index_of(0)], seen))
         assert levels == [[win.index_of(-1)], [win.index_of(-2)]]
 
 

@@ -85,16 +85,15 @@ def index_loop_colors(spec, k, radius):
     """Oracle: the per-index greedy loop.  Every index v of B_radius is
     colored against each earlier index reached along the offsets of B_k,
     with no use of the tree's child blocks."""
-    d = spec.degree
-    step = spec.step_table(max(radius, k))
-    ops = offset_steps(step, d, spec.ball_size(k))
+    columns = spec.ball_columns(max(radius, k))
+    ops = offset_steps(columns, spec.ball_size(k))
     colors = []
     for v in range(spec.ball_size(radius)):
         nb = [v]
         used = set()
         for p, a in ops:
             x = nb[p]
-            x = step[x * d + a] if x >= 0 else -1
+            x = columns[a][x] if x >= 0 else -1
             nb.append(x)
             if 0 <= x < v:
                 used.add(colors[x])
@@ -381,7 +380,7 @@ class TestProperLabel:
     def test_rows_reuse_the_window_step_table(self, win5):
         rule = ProperLabelRule(F2)
         rule.label_rows(win5, 22)
-        assert rule._space.step is win5.step
+        assert rule._space.window is win5
 
     def test_integer_separation(self):
         rule = ProperLabelRule(Z)
