@@ -26,7 +26,8 @@ from .witness import (CodeBlock, CodeBudgetError, CodeFormatError,
                       block_subset, decode_witness, defect, defect_bound,
                       defect_table, encode_blocks, encode_witness, kappa,
                       parse_code, reference_radius, subset_from_index,
-                      subset_index, tree_witness_path, witness_subset_index)
+                      subset_index, tree_witness_path, witness_subset_index,
+                      write_defects)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -128,6 +128,18 @@ def bundle_certificates(payload) -> list:
                        "bundle field 'certificates'")
 
 
+def bundle_halted(payload: dict) -> Optional[str]:
+    """The ``halted`` reason of a bundle that :func:`bundle_certificates`
+    accepted: ``None`` when the pipeline ran to the end (or the field is
+    absent), a string when it stopped; anything else is a
+    ``ValueError`` naming the field."""
+    halted = payload.get("halted")
+    if halted is not None and type(halted) is not str:
+        raise ValueError(f"bundle field 'halted' must be a string or "
+                         f"null, not {type(halted).__name__}")
+    return halted
+
+
 def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
     """Parse a serialized certificate; a missing or wrong-typed field, or
     translators and pieces that do not number p + q, are a

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .checking import (bundle_certificates, check_certificate_dict,
-                       load_snapshot)
+from .checking import (bundle_certificates, bundle_halted,
+                       check_certificate_dict, load_snapshot)
 from .groups import (DEFAULT_VERTEX_BUDGET, BudgetExceededError, FreeGroup,
                      GroupSpec, IntegerGroup, ball)
 from .labels import separation_index
@@ -22,7 +21,7 @@ from .paradox import paradoxicalize_sequence
 from .patterns import LocalSetSpec, center_height_local_set, json_expect
 from .snapshots import (bundle_pipeline, dump_json, final_snapshot,
                         load_json, snapshot_landscape)
-from .witness import defect_table
+from .witness import defect_table, write_defects
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -144,24 +143,12 @@ def cmd_amenability(args) -> int:
     spec = parse_group(args.group)
     z = make_landscape("river", spec, args.radius)
     window = ball(spec, args.radius, budget=args.budget_vertices)
+    # the columns first, so an error cannot leave a truncated file
+    table = defect_table(z, window)
     out = _outdir(args)
-    rows = defect_table(z, window, m_values)
-    names = [" ".join(map(str, w))
-             for w in spec.ball_words(window.radius - 1, window.columns)]
-    tails: dict = {}
-    violated = 0
-    # no field needs quoting, so each line is the one csv.writer writes
     with open(out / "defects.csv", "w", newline="") as fh:
-        fh.write("vertex,generator,m,defect,bound\r\n")
-        for i, sigma, m, d, bound in rows:
-            key = (sigma, m, d, bound)
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = (f",{sigma},{m},{Fraction(d, m)},"
-                                     f"{Fraction(bound, m)}\r\n")
-            fh.write(names[i] + tail)
-            violated += d > bound
-    print(f"defect rows: {len(rows)}; bound violations: {violated}")
+        rows, violated = write_defects(fh, window, table, m_values)
+    print(f"defect rows: {rows}; bound violations: {violated}")
     return EXIT_OK if violated == 0 else EXIT_VERIFY_FAIL
 
 
@@ -204,7 +191,9 @@ def cmd_paradoxicalize(args) -> int:
 
 def cmd_check(args) -> int:
     snapshot = load_snapshot(load_json(args.snapshot))
-    certificates = bundle_certificates(load_json(args.certificate))
+    bundle = load_json(args.certificate)
+    certificates = bundle_certificates(bundle)
+    halted = bundle_halted(bundle)
     all_pass = True
     for i, cert_obj in enumerate(certificates):
         report = check_certificate_dict(snapshot, cert_obj)
@@ -214,6 +203,9 @@ def cmd_check(args) -> int:
             if not clause.passed:
                 print(f"  clause {clause.name}: {clause.witness}")
         all_pass &= report.passed
+    if halted is not None:
+        print(f"halted: {halted}")
+        return EXIT_INCONCLUSIVE
     return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 

@@ -22,7 +22,7 @@ oracles.  A word is ranked and unranked arithmetically (``index_of``,
 parents' child blocks in parent order, each block the letters of
 :func:`child_letters`; the letter columns and every table built a
 sphere at a time from the parent row (``last_letters``, the river
-heights, the witness ray data) share that one convention.
+heights, the defect table's vertex names) share that one convention.
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ The fixed ray is the one whose image consists of the powers (aa)^i.
 The window-wide table :func:`defect_table` uses a closed form instead:
 both witness paths of a row are geodesic rays toward the same end of the
 ray, so |kappa_m(g) symdiff kappa_m(g sigma)| = 2 min(m, max(t, t')),
-where t and t' are the positions at which the two paths merge.  Those
-come from two numbers per window index, read off the river's window
-heights and the parent row a sphere at a time: the length of the
-undoubled nearest river point and of its ray junction.
+where t and t' are the positions at which the two paths merge.  For
+neighbours max(t, t') is the length difference of their undoubled
+nearest river points, read off the river's window heights.  The table
+is held as columns, one ceiling per core vertex and one merge position
+per (letter, core vertex), none depending on m; :func:`write_defects`
+streams it to CSV, rendering the lines of each distinct row shape once.
 
 The code serializes, per element, the index of its witness set in a
 canonical enumeration of the subsets of a reference ball, in unary
@@ -21,18 +23,21 @@ blocks of the string 010 framed by 11.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
 from math import comb
+from operator import add, sub
 
-from .groups import FreeGroup, Window
+from .groups import FreeGroup, Window, child_letters
 from .landscapes import RiverLandscape, double_word, undouble_word
 from .patterns import offset_ball
 
 DEFAULT_INDEX_BUDGET = 200_000
 
 RAY_LETTER = 1  # the tree ray is a, aa, aaa, ...
+
+DEFECT_BLOCK = 1024  # core vertices per write of the defect CSV
 
 
 class CodeBudgetError(RuntimeError):
@@ -93,83 +98,123 @@ def defect_bound(river: RiverLandscape, gamma: tuple, m: int) -> Fraction:
     return Fraction(2 * (river.height(gamma) + 2) * c, m)
 
 
-def river_rays(river: RiverLandscape, window: Window
-               ) -> tuple[list[int], list[int]]:
-    """|s| and J for every window index: the length of the undoubled
-    nearest river point s, and of its ray junction (the leading run of
-    the ray letter in s).
+def river_rays(river: RiverLandscape, window: Window) -> list[int]:
+    """|s| for every window index: the length of the undoubled nearest
+    river point s, where the index's witness path starts.
 
     The nearest river point of a word w is its paired prefix, of length
     |w| - h(w) + 1, so |s| = (|w| - h + 1) // 2 is read from the rule's
-    window heights a sphere at a time.  A child copies its parent's ray
-    run, except the ray power a^r, which alone in sphere r gets r; the
-    junction is the run cut to the paired prefix, and a ray run inside a
-    paired prefix has even length.
+    window heights a sphere at a time.
     """
     spec = window.spec
     heights = river.window_heights(window)
-    d = spec.degree
-    # run[i] is half the leading ray-letter run of word i
-    size, run = [0], [0]
+    size = [0]
     for r in range(1, window.radius + 1):
-        s, e = spec.ball_size(r - 1), spec.ball_size(r)
         half = [(r - h + 1) // 2 for h in range(r + 2)]
-        size += map(half.__getitem__, heights[s:e])
-        # sphere r - 1 holds the parents: d children for the identity,
-        # d - 1 for every other word
-        parents = run[spec.ball_size(r - 2) if r > 1 else 0:s]
-        run += chain.from_iterable(zip(*repeat(parents, d - (r > 1))))
-        run[spec.index_of((RAY_LETTER,) * r)] = r // 2
-    return size, list(map(min, run, size))
+        size += map(half.__getitem__,
+                    heights[spec.ball_size(r - 1):spec.ball_size(r)])
+    return size
 
 
-def merge_positions(n: int, j: int, n2: int, j2: int,
-                    c: int) -> tuple[int, int]:
-    """The positions (t, t') at which the witness paths of tree vertices
-    s and s' merge, so that |path_m(s) symdiff path_m(s')| is
-    2 min(m, max(t, t')).
+def defect_table(river: RiverLandscape, window: Window
+                 ) -> tuple[list[int], list[list[int]]]:
+    """The defect table of the core vertices i (word length at most
+    R - 1) as columns ``(ceilings, merges)``: at every m >= 1 the defect
+    of i by the letter with index a is 2 min(m, merges[a][i]) / m, and
+    its ceiling is ceilings[i] / m, exactly :func:`defect` and
+    :func:`defect_bound` at window word i.  No entry depends on m.
 
-    ``n`` and ``n2`` are |s| and |s'|, ``j`` and ``j2`` their ray
-    junctions, ``c`` the length of their common prefix.  Both paths are
-    geodesic rays toward the end of the ray.  When the common prefix
-    reaches both junctions the paths merge there; otherwise they merge
-    on the ray, at a^max(j, j2).
+    ``ceilings[i]`` is 2 C (h_i + 2).  ``merges[a][i]`` is max(t, t'),
+    the later of the positions where the witness paths of i and of its
+    neighbour k merge.  The nearest river points s and s' of neighbours
+    are nested and differ by at most one letter (a paired prefix gains
+    or loses at most one pair), so the two paths are equal or one path
+    has one more vertex before they join, and max(t, t') = ||s| - |s'||.
+    Each column is a few C-level ``map`` passes over the core.
     """
-    top = max(j, j2)
-    if c >= top:
-        return n - c, n2 - c
-    return n - 2 * j + top, n2 - 2 * j2 + top
+    size = river_rays(river, window)
+    core = window.core_size(window.radius - 1)
+    ceiling = 2 * river.bilipschitz
+    heights = river.window_heights(window)
+    ceilings = [ceiling * (h + 2) for h in heights[:core]]
+    own = size[:core]
+    merges = [list(map(abs, map(sub, own, map(size.__getitem__,
+                                              column[:core]))))
+              for column in window.columns]
+    return ceilings, merges
 
 
-def defect_table(river: RiverLandscape, window: Window,
-                 m_values: list[int]
-                 ) -> list[tuple[int, int, int, int, int]]:
-    """Rows (i, sigma, m, d, b) for every core vertex i (word length at
-    most R - 1), letter sigma and m, in that nesting order: the defect
-    is d / m and its ceiling b / m, exactly :func:`defect` and
-    :func:`defect_bound` at window word i.
+def vertex_names(spec: FreeGroup, radius: int) -> list[str]:
+    """The CSV name of every word w of B_radius(e), its letters joined
+    by spaces, in index order ("" for the identity).
 
-    One merge computation per (i, sigma) serves every m.  The nearest
-    river points s and s' are nested, each a prefix of the longer of
-    gamma and gamma sigma, so their common prefix is the shorter one.
+    Built a sphere at a time: the t-th child of every parent is the
+    parent's name plus the t-th child letter (:func:`child_letters`) of
+    its last letter (:meth:`FreeGroup.last_letters`).
+    """
+    if radius < 0:
+        return []
+    d = spec.degree
+    letters = spec.letters()
+    last = spec.last_letters(radius)
+    # suffix[t][a]: the t-th child's letter, spaced, after last letter a
+    suffix = [[f" {letters[kids[t]]}" for kids in child_letters(d)]
+              for t in range(d - 1)]
+    names = [""]
+    if radius > 0:
+        names += map(str, letters)
+    for r in range(1, radius):
+        s, e = spec.ball_size(r - 1), spec.ball_size(r)
+        sphere = [""] * ((e - s) * (d - 1))
+        for t, table in enumerate(suffix):
+            sphere[t::d - 1] = map(add, names[s:e],
+                                   map(table.__getitem__, last[s:e]))
+        names += sphere
+    return names
+
+
+def write_defects(fh, window: Window,
+                  table: tuple[list[int], list[list[int]]],
+                  m_values: list[int]) -> tuple[int, int]:
+    """Write the :func:`defect_table` of ``window`` to ``fh`` as CSV and
+    return (rows, bound violations).
+
+    Rows (vertex, generator, m, defect, bound) come for every core
+    vertex, letter and m, in that nesting order; the defect and its
+    bound are exact fractions.  A vertex's lines after its name depend
+    only on its (ceiling, merges) key, so each distinct key's lines are
+    rendered, and its violations counted, once; the core is written
+    ``DEFECT_BLOCK`` vertices at a time, each vertex's name joined into
+    its key's lines.  An m below 1 is a ``ValueError`` before anything
+    is written.
     """
     if any(m < 1 for m in m_values):
         raise ValueError("m must be >= 1")
-    size, junction = river_rays(river, window)
-    heights = river.window_heights(window)
-    columns, letters = window.columns, window.spec.letters()
-    ceiling = 2 * river.bilipschitz
-    rows = []
-    for i in range(window.core_size(window.radius - 1)):
-        n, j = size[i], junction[i]
-        bound = ceiling * (heights[i] + 2)
-        for column, sigma in zip(columns, letters):
-            k = column[i]
-            merge = max(merge_positions(n, j, size[k], junction[k],
-                                        min(n, size[k])))
-            rows.extend((i, sigma, m, 2 * min(m, merge), bound)
-                        for m in m_values)
-    return rows
+    ceilings, merges = table
+    letters = window.spec.letters()
+    # parts[key]: "" and then the vertex's lines after the name, so
+    # that name.join(parts[key]) writes every line of the vertex
+    parts: dict = {}
+    violated = 0
+    for key, count in Counter(zip(ceilings, *merges)).items():
+        bound, *merge = key
+        tail = [""]
+        for sigma, t in zip(letters, merge):
+            for m in m_values:
+                d = 2 * min(m, t)
+                tail.append(f",{sigma},{m},{Fraction(d, m)},"
+                            f"{Fraction(bound, m)}\r\n")
+                violated += count * (d > bound)
+        parts[key] = tail
+    names = vertex_names(window.spec, window.radius - 1)
+    # no field needs quoting, so each line is the one csv.writer writes
+    fh.write("vertex,generator,m,defect,bound\r\n")
+    for lo in range(0, len(ceilings), DEFECT_BLOCK):
+        hi = lo + DEFECT_BLOCK
+        keys = zip(ceilings[lo:hi], *(column[lo:hi] for column in merges))
+        fh.write("".join(map(str.join, names[lo:hi],
+                             map(parts.__getitem__, keys))))
+    return len(ceilings) * len(merges) * len(m_values), violated
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from riverscape import (ChannelLandscape, FreeGroup, RiverLandscape, ball,
-                        checking)
+                        checking, witness)
 from riverscape.cli import main
 from riverscape.patterns import center_height_local_set
 from riverscape.snapshots import dump_json, load_json
@@ -123,6 +123,31 @@ class TestAmenability:
         data = (tmp_path / "defects.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == \
             "ea044de987f05cdb2961d85e9664a5471ac073afe0ad25e75b8055e1e7a07c9f"
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_boundaries_keep_the_bytes(self, tmp_path, capsys,
+                                             monkeypatch, block):
+        # blocks of one vertex and blocks that end inside a sphere
+        monkeypatch.setattr(witness, "DEFECT_BLOCK", block)
+        code = run(["amenability", "--group", "f2", "--radius", 7,
+                    "--m-values", "5,10,20", "--out", tmp_path])
+        assert code == 0
+        assert capsys.readouterr().out == \
+            "defect rows: 17484; bound violations: 0\n"
+        data = (tmp_path / "defects.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == \
+            "ea044de987f05cdb2961d85e9664a5471ac073afe0ad25e75b8055e1e7a07c9f"
+
+    def test_b9_defects_bytes_pinned(self, tmp_path, capsys):
+        # the benchmark's table, also pinned in CI
+        code = run(["amenability", "--group", "f2", "--radius", 9,
+                    "--m-values", "5,10,20", "--out", tmp_path])
+        assert code == 0
+        assert capsys.readouterr().out == \
+            "defect rows: 157452; bound violations: 0\n"
+        data = (tmp_path / "defects.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == \
+            "96510b27afe7a1b850e0dbb32d2a4bda23cf3c67b7d2cc1bcb74c2eaec517409"
 
 
 @pytest.fixture(scope="module")
@@ -649,6 +674,37 @@ class TestCheck:
         assert code == 2
         assert capsys.readouterr().err == \
             "error: group field 'rank' is 7; the integers have rank 1\n"
+
+    def test_halted_bundle_exits_inconclusive(self, tmp_path, capsys):
+        # the ternary landscape on B_60(Z) stops at its first target
+        code = run(["paradoxicalize", "--group", "z", "--landscape",
+                    "ternary", "--radius", 60, "--target-heights", "1,2,3",
+                    "--out", tmp_path])
+        assert code == 3
+        halted = capsys.readouterr().out.splitlines()[-1]
+        assert halted.startswith("halted: matching inconclusive")
+        code = run(["check",
+                    "--snapshot", tmp_path / "final_snapshot.json",
+                    "--certificate", tmp_path / "certificates.json"])
+        assert code == 3
+        assert capsys.readouterr().out == f"{halted}\n"
+
+    @pytest.mark.parametrize("value", [5, True, ["stop"], {}])
+    def test_halted_of_the_wrong_type_is_input_error(
+            self, bundle_dir, tmp_path, capsys, value):
+        doc = load_json(bundle_dir / "certificates.json")
+        doc["halted"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check",
+                    "--snapshot", bundle_dir / "final_snapshot.json",
+                    "--certificate", bad])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: bundle field 'halted' must be a string or null, "
+            f"not {type(value).__name__}\n")
 
     def test_missing_file(self, bundle_dir):
         assert run(["check", "--snapshot", "/nonexistent.json",

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 from fractions import Fraction
 from hypothesis import Phase, given, settings
@@ -10,7 +12,8 @@ from riverscape import (CodeBlock, CodeBudgetError, CodeFormatError,
                         parse_code, reference_radius, subset_from_index,
                         subset_index, tree_witness_path, undouble_word,
                         witness_subset_index)
-from riverscape.witness import defect_table, merge_positions, river_rays
+from riverscape.witness import (defect_table, river_rays, vertex_names,
+                                write_defects)
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -111,63 +114,59 @@ class TestDefect:
 
 
 def assert_table_matches_oracle(spec, radius, m_values):
-    """Every row of the closed-form table equals the word-level defect
-    and ceiling, and the rows come in (vertex, letter, m) order."""
+    """The columns hold one ceiling per core vertex and one merge
+    position per (letter, core vertex), and at every (i, letter, m) give
+    exactly the word-level defect and ceiling."""
     river = RiverLandscape(spec)
     win = ball(spec, radius)
-    rows = defect_table(river, win, m_values)
-    assert [row[:3] for row in rows] == [
-        (i, sigma, m)
-        for i in range(win.core_size(radius - 1))
-        for sigma in spec.letters()
-        for m in m_values
-    ]
-    for i, sigma, m, d, b in rows:
+    ceilings, merges = defect_table(river, win)
+    core = win.core_size(radius - 1)
+    assert len(ceilings) == core
+    assert len(merges) == spec.degree
+    assert all(len(column) == core for column in merges)
+    for i in range(core):
         g = win.vertices[i]
-        assert Fraction(d, m) == defect(river, g, sigma, m), (g, sigma, m)
-        assert Fraction(b, m) == defect_bound(river, g, m), (g, m)
-
-
-def ray_junction(s):
-    j = 0
-    while j < len(s) and s[j] == 1:
-        j += 1
-    return j
-
-
-def common_prefix(s, t):
-    c = 0
-    while c < min(len(s), len(t)) and s[c] == t[c]:
-        c += 1
-    return c
+        for sigma, column in zip(spec.letters(), merges):
+            for m in m_values:
+                assert Fraction(2 * min(m, column[i]), m) \
+                    == defect(river, g, sigma, m), (g, sigma, m)
+        for m in m_values:
+            assert Fraction(ceilings[i], m) == defect_bound(river, g, m), \
+                (g, m)
 
 
 class TestDefectTable:
     def test_merge_positions_on_every_pair(self):
-        # any two tree vertices: the nested pairs of neighbours that the
-        # table meets never take the branch that merges on the ray
-        tree = ball(F2, 4).vertices
-        for s in tree:
-            for s2 in tree:
-                t, t2 = merge_positions(len(s), ray_junction(s), len(s2),
-                                        ray_junction(s2),
-                                        common_prefix(s, s2))
+        # every pair of neighbours: the undoubled nearest river points
+        # are nested and differ by at most one letter, so their witness
+        # paths merge after the length difference, the merge position
+        # the table reads
+        river = RiverLandscape(F2)
+        for g in ball(F2, 5).vertices:
+            s = undouble_word(river.nearest_river(g))
+            for sigma in F2.letters():
+                s2 = undouble_word(
+                    river.nearest_river(F2.apply_letter(g, sigma)))
+                short, long_ = sorted((s, s2), key=len)
+                assert long_[:len(short)] == short
+                assert len(long_) - len(short) <= 1
                 for m in (1, 2, 3, 5, 9):
                     sym = set(tree_witness_path(s, m)) \
                         ^ set(tree_witness_path(s2, m))
-                    assert len(sym) == 2 * min(m, max(t, t2)), (s, s2, m)
+                    assert len(sym) == \
+                        2 * min(m, len(long_) - len(short)), (g, sigma, m)
 
     @pytest.mark.parametrize("spec,radius", [(F2, 6), (F3, 4)])
     def test_river_rays_against_words(self, spec, radius):
         river = RiverLandscape(spec)
         win = ball(spec, radius)
-        size, junction = river_rays(river, win)
-        for w, n, j in zip(win.vertices, size, junction):
-            s = undouble_word(river.nearest_river(w))
-            assert n == len(s)
-            assert s[:j] == (1,) * j and s[j:j + 1] != (1,)
+        size = river_rays(river, win)
+        assert len(size) == len(win)
+        for w, n in zip(win.vertices, size):
+            assert n == len(undouble_word(river.nearest_river(w)))
 
-    @pytest.mark.parametrize("spec,radius", [(F2, 7), (F3, 5)])
+    @pytest.mark.parametrize("spec,radius", [(F2, 7), (F3, 5), (F2, 0),
+                                             (F2, 1), (F3, 1)])
     def test_every_row_against_the_oracle(self, spec, radius):
         assert_table_matches_oracle(spec, radius, list(range(1, 13)))
 
@@ -179,8 +178,32 @@ class TestDefectTable:
         assert_table_matches_oracle(spec, radius, m_values)
 
     def test_m_below_one_rejected(self, river):
+        win = ball(F2, 3)
+        fh = io.StringIO()
         with pytest.raises(ValueError):
-            defect_table(river, ball(F2, 3), [2, 0])
+            write_defects(fh, win, defect_table(river, win), [2, 0])
+        assert fh.getvalue() == ""
+
+    def test_violations_counted_per_row(self):
+        # a doctored table with ceilings below some defects: every row
+        # over its bound counts, however many vertices share its shape
+        win = ball(F2, 2)
+        table = ([1, 1, 1, 8, 2], [[1, 1, 0, 1, 1]] * 4)
+        fh = io.StringIO()
+        rows, violated = write_defects(fh, win, table, [1, 5])
+        lines = fh.getvalue().split("\r\n")[1:-1]
+        assert rows == len(lines) == 5 * 4 * 2
+        over = [fields for fields in (line.split(",") for line in lines)
+                if Fraction(fields[3]) > Fraction(fields[4])]
+        # vertices 0 and 1: defect 2 over ceiling 1 for 4 letters and 2 m
+        assert violated == len(over) == 16
+
+    @pytest.mark.parametrize("spec,radius", [(F2, 6), (F3, 4), (F2, 0),
+                                             (F2, 1)])
+    def test_vertex_names_spell_the_words(self, spec, radius):
+        words = spec.ball_words(radius, spec.ball_columns(radius))
+        assert vertex_names(spec, radius) == \
+            [" ".join(map(str, w)) for w in words]
 
 
 class TestSubsetEnumeration:
