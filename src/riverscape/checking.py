@@ -202,6 +202,13 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
     except KeyError as exc:
         raise ValueError(
             f"certificate is missing the field {exc.args[0]!r}") from None
+    # a negative core would be empty and a negative prefix would cut
+    # the labels from the end
+    for name, value in (("prefixLen", cert.prefix_len),
+                        ("coreRadius", cert.core_radius)):
+        if value < 0:
+            raise ValueError(
+                f"certificate field {name!r} must be >= 0, got {value}")
     if not len(cert.translators) == len(cert.piece_patterns) \
             == cert.p + cert.q:
         raise ValueError(
@@ -257,6 +264,8 @@ class Snapshot:
     def rows(self, s: int) -> tuple[list[str], list[int]]:
         """Label prefixes of length s and heights, for
         :func:`~riverscape.patterns.pattern_scan`."""
+        if s < 0:
+            raise ValueError(f"prefix {s} is negative")
         if s > self.prefix_len:
             raise ValueError(
                 f"prefix {s} exceeds snapshot prefix length "

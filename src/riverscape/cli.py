@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 budget exhausted or matching inconclusive.
+
+Start-up is a fixed share of every command, and without a bytecode cache
+each process compiles every module it imports.  So the top of this
+module imports only what every command needs, and each ``cmd_*``
+imports the modules it runs: ``check`` never loads the labelings, the
+landscapes or the matcher, and ``amenability`` never loads the matcher.
 """
 
 from __future__ import annotations
@@ -9,19 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .checking import (bundle_certificates, bundle_halted,
-                       check_certificate_dict, load_snapshot)
-from .groups import (DEFAULT_VERTEX_BUDGET, BudgetExceededError, FreeGroup,
-                     GroupSpec, IntegerGroup, ball)
-from .labels import separation_index
-from .landscapes import (AnchorSet, FractalLandscape, RiverLandscape,
-                         TernaryLandscape, components_leq, verify_axioms)
-from .paradox import paradoxicalize_sequence
-from .patterns import LocalSetSpec, center_height_local_set, json_expect
-from .snapshots import (bundle_pipeline, dump_json, final_snapshot,
-                        load_json, snapshot_landscape)
-from .witness import defect_table, write_defects
+if TYPE_CHECKING:
+    from .groups import GroupSpec
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -36,6 +33,8 @@ class InputError(ValueError):
 
 
 def parse_group(text: str) -> GroupSpec:
+    from .groups import FreeGroup, IntegerGroup
+
     t = text.strip().lower()
     if t in ("z", "int", "integers"):
         return IntegerGroup()
@@ -61,6 +60,9 @@ def parse_ints(text: str, flag: str) -> list[int]:
 
 
 def make_landscape(name: str, spec: GroupSpec, radius: int):
+    from .landscapes import (AnchorSet, FractalLandscape, RiverLandscape,
+                             TernaryLandscape)
+
     name = name.strip().lower()
     if name == "river":
         if spec.kind != "free" or spec.rank < 2:
@@ -101,6 +103,11 @@ def _outdir(args) -> Path:
 
 
 def cmd_build(args) -> int:
+    from .groups import ball
+    from .labels import separation_index
+    from .landscapes import components_leq, verify_axioms
+    from .snapshots import dump_json, snapshot_landscape
+
     spec = parse_group(args.group)
     z = make_landscape(args.landscape, spec, args.radius)
     window = ball(spec, args.radius, budget=args.budget_vertices)
@@ -139,6 +146,9 @@ def _m_values(args) -> list[int]:
 
 
 def cmd_amenability(args) -> int:
+    from .groups import ball
+    from .witness import defect_table, write_defects
+
     m_values = _m_values(args)
     spec = parse_group(args.group)
     z = make_landscape("river", spec, args.radius)
@@ -153,6 +163,12 @@ def cmd_amenability(args) -> int:
 
 
 def cmd_paradoxicalize(args) -> int:
+    from .groups import ball
+    from .paradox import paradoxicalize_sequence
+    from .patterns import LocalSetSpec, center_height_local_set, json_expect
+    from .snapshots import (bundle_pipeline, dump_json, final_snapshot,
+                            load_json)
+
     spec = parse_group(args.group)
     z = make_landscape(args.landscape, spec, args.radius)
     window = ball(spec, args.radius, budget=args.budget_vertices)
@@ -190,6 +206,10 @@ def cmd_paradoxicalize(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checking import (bundle_certificates, bundle_halted,
+                           check_certificate_dict, load_snapshot)
+    from .snapshots import load_json
+
     snapshot = load_snapshot(load_json(args.snapshot))
     bundle = load_json(args.certificate)
     certificates = bundle_certificates(bundle)
@@ -210,6 +230,8 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .groups import DEFAULT_VERTEX_BUDGET
+
     parser = argparse.ArgumentParser(
         prog="riverscape",
         description="Window-scale landscape construction and verification",
@@ -253,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .groups import BudgetExceededError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -61,6 +61,16 @@ class PatternBall:
     prefix_len: int
     entries: tuple[tuple[str, int], ...]
 
+    # scans test ``pattern in wanted`` once per scanned pattern, so the
+    # hash is computed once; it is not a field, so eq, repr and
+    # serialize see only the three above
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.m, self.prefix_len, self.entries)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def center_height(self) -> int:
         return self.entries[0][1]

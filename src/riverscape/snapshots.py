@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .checking import BUNDLE_SCHEMA, SNAPSHOT_SCHEMA
 from .groups import Window
-from .landscapes import LandscapeRule
+
+if TYPE_CHECKING:
+    from .landscapes import LandscapeRule
 
 
 def snapshot_landscape(z: LandscapeRule, window: Window,

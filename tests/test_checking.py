@@ -292,6 +292,11 @@ class TestVerifier:
         assert heights is loaded.heights
         assert loaded.rows(loaded.prefix_len)[0] is loaded.labels
 
+    def test_rows_reject_a_negative_prefix(self, bundle):
+        # bits[:-1] would cut every label from the end
+        with pytest.raises(ValueError, match="negative"):
+            load_snapshot(bundle[0]).rows(-1)
+
     @pytest.mark.parametrize("n", [0, 3, -3, 300, 500, -500])
     def test_translates_on_the_line_against_words(self, n):
         # on B_400(Z) one phi piece and one psi piece, both all of T (the

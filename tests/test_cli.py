@@ -619,6 +619,24 @@ class TestCheck:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("field, value", [
+        ("coreRadius", -5), ("prefixLen", -1)])
+    def test_negative_certificate_fields_are_input_errors(
+            self, bundle_dir, tmp_path, capsys, field, value):
+        # a negative core radius used to check clause 3 on an empty core
+        # and pass; a negative prefix cut every label to bits[:-1]
+        doc = load_json(bundle_dir / "certificates.json")
+        doc["certificates"][0][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check",
+                    "--snapshot", bundle_dir / "final_snapshot.json",
+                    "--certificate", bad])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: certificate field {field!r} must be >= 0, "
+            f"got {value}\n")
+
     def test_certificate_file_of_the_wrong_type_is_input_error(
             self, bundle_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"

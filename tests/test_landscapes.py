@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from riverscape import cli
+from riverscape import cli, groups
 from riverscape import (AnchorSet, ChannelLandscape, FractalLandscape,
                         FreeGroup, IntegerGroup, LandscapeRule,
                         RiverLandscape, TernaryLandscape, ball,
@@ -500,13 +500,14 @@ class TestAxiomMemory:
 
     def test_ternary_build_keeps_no_words(self, tmp_path, monkeypatch):
         windows = []
-        real_ball = cli.ball
+        real_ball = groups.ball
 
         def keeping_ball(*args, **kwargs):
             windows.append(real_ball(*args, **kwargs))
             return windows[-1]
 
-        monkeypatch.setattr(cli, "ball", keeping_ball)
+        # the command imports ball from groups when it runs
+        monkeypatch.setattr(groups, "ball", keeping_ball)
         assert cli.main(["build", "--group", "z", "--landscape", "ternary",
                          "--radius", "3000", "--out", str(tmp_path)]) == 0
         [win] = windows

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from riverscape import (FreeGroup, IntegerGroup, LandscapeRule, LocalSetSpec,
@@ -32,6 +34,19 @@ class TestPatternBall:
 
     def test_default_prefix_is_radius(self, river):
         assert theta(river, (), 3).prefix_len == 3
+
+    def test_scanned_pattern_hashes_as_its_copy(self, river, win5):
+        # the hash is computed once, outside the dataclass fields
+        scanned = sorted(observed_patterns(river, win5, 1, 4),
+                         key=PatternBall.serialize)
+        assert scanned
+        for pat in scanned:
+            again = PatternBall.deserialize(pat.serialize(), "pattern")
+            assert again == pat and hash(again) == hash(pat)
+            assert again in frozenset(scanned) and pat in frozenset([again])
+            assert repr(again) == repr(pat)
+        assert [f.name for f in fields(PatternBall)] == \
+            ["m", "prefix_len", "entries"]
 
 
 class _Masked(LandscapeRule):
