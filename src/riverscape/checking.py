@@ -202,10 +202,12 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
     except KeyError as exc:
         raise ValueError(
             f"certificate is missing the field {exc.args[0]!r}") from None
-    # a negative core would be empty and a negative prefix would cut
-    # the labels from the end
+    # a negative core would be empty, a negative prefix would cut the
+    # labels from the end, and a negative p or q would slice the
+    # translators from the end
     for name, value in (("prefixLen", cert.prefix_len),
-                        ("coreRadius", cert.core_radius)):
+                        ("coreRadius", cert.core_radius),
+                        ("p", cert.p), ("q", cert.q)):
         if value < 0:
             raise ValueError(
                 f"certificate field {name!r} must be >= 0, got {value}")

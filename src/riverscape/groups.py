@@ -22,7 +22,10 @@ oracles.  A word is ranked and unranked arithmetically (``index_of``,
 parents' child blocks in parent order, each block the letters of
 :func:`child_letters`; the letter columns and every table built a
 sphere at a time from the parent row (``last_letters``, the river
-heights, the defect table's vertex names) share that one convention.
+heights) share that one convention.  :meth:`FreeGroup.spell_ball` is
+the one speller of a ball: past the first sphere, a child's entry is
+its parent's entry plus a piece for its last letter, which spells the
+words (``ball_words``) and the defect table's vertex names alike.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_VERTEX_BUDGET = 500_000
@@ -130,9 +134,8 @@ class GroupSpec:
         """
         raise NotImplementedError
 
-    def ball_words(self, radius: int, columns: Sequence[array]) -> list:
-        """The words of B_radius(e) in index order, read off letter
-        columns that reach that ball."""
+    def ball_words(self, radius: int) -> list:
+        """The words of B_radius(e) in index order."""
         raise NotImplementedError
 
     def word_from_json(self, obj):
@@ -324,18 +327,38 @@ class FreeGroup(GroupSpec):
                 child += 1
         return columns
 
-    def ball_words(self, radius: int, columns: Sequence[array]) -> list:
-        # a parent's children are its neighbours past it, each the
-        # parent word plus that letter
-        letters = self.letters()
-        words: list = [()] * self.ball_size(radius)
-        for i in range(self.ball_size(radius - 1) if radius > 0 else 0):
-            w = words[i]
-            for letter, column in zip(letters, columns):
-                c = column[i]
-                if c > i:
-                    words[c] = w + (letter,)
-        return words
+    def ball_words(self, radius: int) -> list:
+        pieces = [(letter,) for letter in self.letters()]
+        return self.spell_ball(radius, (), pieces, pieces)
+
+    def spell_ball(self, radius: int, root, first: Sequence,
+                   pieces: Sequence) -> list:
+        """An entry for every word of B_radius(e), in index order: the
+        identity's entry is ``root``, the entry of the letter with index
+        a is ``first[a]``, and a longer word's entry is its parent's
+        entry plus ``pieces[a]``, a the index of its last letter.
+
+        Built a sphere at a time: the t-th child of every parent is one
+        ``map`` over the parents' entries and their last letters
+        (:meth:`last_letters`), by the t-th letter of
+        :func:`child_letters`.
+        """
+        d = self.degree
+        last = self.last_letters(radius)
+        # suffix[t][a]: the t-th child's piece after last letter a
+        suffix = [[pieces[kids[t]] for kids in child_letters(d)]
+                  for t in range(d - 1)]
+        out = [root]
+        if radius > 0:
+            out += first
+        for r in range(1, radius):
+            s, e = self.ball_size(r - 1), self.ball_size(r)
+            sphere = [root] * ((e - s) * (d - 1))
+            for t, table in enumerate(suffix):
+                sphere[t::d - 1] = map(add, out[s:e],
+                                       map(table.__getitem__, last[s:e]))
+            out += sphere
+        return out
 
     def word_from_json(self, obj) -> tuple[int, ...]:
         return self.reduce(int(x) for x in obj)
@@ -405,7 +428,7 @@ class IntegerGroup(GroupSpec):
         plus[top - 1] = minus[top] = -1
         return plus, minus
 
-    def ball_words(self, radius: int, columns: Sequence[array]) -> list:
+    def ball_words(self, radius: int) -> list:
         return [0] + [u for n in range(1, radius + 1) for u in (n, -n)]
 
     def word_from_json(self, obj) -> int:
@@ -458,8 +481,8 @@ class Window:
     or multiply a few words (witness strings, violation messages, the
     height-1 words of the axiom check).  :attr:`vertices`, every word,
     is a view cached on first use for the word-level oracles; pipeline
-    code that reads each word once walks ``spec.ball_words(radius,
-    columns)`` instead, so the words are not kept.
+    code that reads each word once walks ``spec.ball_words(radius)``
+    instead, so the words are not kept.
     A window is determined by its group and radius, so code that must
     know whether two windows agree compares ``(spec, radius)``.
     """
@@ -477,7 +500,7 @@ class Window:
     def vertices(self) -> tuple:
         """The words of the window, in index order, built on first use
         and kept; no pipeline step, build or check reads them."""
-        return tuple(self.spec.ball_words(self.radius, self.columns))
+        return tuple(self.spec.ball_words(self.radius))
 
     def word_at(self, i: int):
         """The word of vertex ``i``, spelled arithmetically and not kept;

@@ -92,7 +92,6 @@ class GreedyColoring:
             raise ValueError("k must be non-negative")
         self.spec = spec
         self.k = k
-        self.palette = spec.degree**k + 1
         self._space = space or _IndexSpace(spec)
         self._colors = array("i")
         # the colours of a (d - 1)-child block, by the mask of its parent

@@ -74,8 +74,7 @@ class LandscapeRule:
 
     def _compute_heights(self, window: Window) -> list[int]:
         # the words are walked once and dropped, not cached on the window
-        return list(map(self.height,
-                        self.spec.ball_words(window.radius, window.columns)))
+        return list(map(self.height, self.spec.ball_words(window.radius)))
 
     def snapshot(self, window: Window, s: int) -> Snapshot:
         """The label prefixes of length s (from the colour arrays) and

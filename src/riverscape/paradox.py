@@ -351,8 +351,7 @@ def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
     spec = window.spec
     tables = window.offset_tables(search.K - 1)
     # offset j of B_(K-1) is window word j; only those words are built
-    inverses = [spec.inverse(delta)
-                for delta in spec.ball_words(search.K - 1, window.columns)]
+    inverses = list(map(spec.inverse, spec.ball_words(search.K - 1)))
     phi_pieces: dict = {}
     psi_pieces: dict = {}
     for assignment, pieces in ((search.phi, phi_pieces),

@@ -5,7 +5,9 @@ height of the corresponding translate.  The prefix length is carried
 separately from the ball radius: certificates need to read membership
 bits at positions well past the radius without paying for huge balls.
 
-:func:`theta` reads one pattern word by word.  Window-wide scans
+:func:`theta` reads one pattern word by word, over the offsets of
+:func:`offset_ball` (the group's ball words, spelled once per radius by
+its one speller and kept, with no window built).  Window-wide scans
 (:func:`pattern_scan`, behind :func:`realize` and
 :func:`observed_patterns`) are compiled against the window instead: the
 scan reads one label row and one height per vertex (a snapshot's
@@ -28,25 +30,21 @@ distinct scan of a pipeline runs once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .groups import GroupSpec, Window, ball
+from .groups import GroupSpec, Window
 
 if TYPE_CHECKING:
     from .landscapes import LandscapeRule
 
-_BALL_CACHE: dict = {}
 
-
-def offset_ball(spec: GroupSpec, m: int):
-    """Cached B_m(e) offsets in enumeration order."""
-    key = (spec, m)
-    got = _BALL_CACHE.get(key)
-    if got is None:
-        got = ball(spec, m).vertices
-        _BALL_CACHE[key] = got
-    return got
+@cache
+def offset_ball(spec: GroupSpec, m: int) -> tuple:
+    """The offsets B_m(e) in enumeration order, spelled once per
+    (group, m) and kept; no window is built."""
+    return tuple(spec.ball_words(m))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,15 @@ nearest river points, read off the river's window heights.  The table
 is held as columns, one ceiling per core vertex and one merge position
 per (letter, core vertex), none depending on m; :func:`write_defects`
 streams it to CSV, rendering the lines of each distinct row shape once.
+Its vertex names come from the group's one ball speller
+(:meth:`~riverscape.groups.FreeGroup.spell_ball`), which spells the
+window's words too.
 
 The code serializes, per element, the index of its witness set in a
-canonical enumeration of the subsets of a reference ball, in unary
-blocks of the string 010 framed by 11.
+canonical enumeration of the subsets of a reference ball (its offsets
+are :func:`~riverscape.patterns.offset_ball`), in unary blocks of the
+string 010 framed by 11.  The parser is strict: any malformed framing
+is a :class:`CodeFormatError` at the first bad bit.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from operator import add, sub
+from operator import sub
 
-from .groups import FreeGroup, Window, child_letters
+from .groups import FreeGroup, Window
 from .landscapes import RiverLandscape, double_word, undouble_word
 from .patterns import offset_ball
 
@@ -146,31 +151,11 @@ def defect_table(river: RiverLandscape, window: Window
 
 def vertex_names(spec: FreeGroup, radius: int) -> list[str]:
     """The CSV name of every word w of B_radius(e), its letters joined
-    by spaces, in index order ("" for the identity).
-
-    Built a sphere at a time: the t-th child of every parent is the
-    parent's name plus the t-th child letter (:func:`child_letters`) of
-    its last letter (:meth:`FreeGroup.last_letters`).
-    """
-    if radius < 0:
-        return []
-    d = spec.degree
+    by spaces, in index order ("" for the identity), spelled by
+    :meth:`FreeGroup.spell_ball`."""
     letters = spec.letters()
-    last = spec.last_letters(radius)
-    # suffix[t][a]: the t-th child's letter, spaced, after last letter a
-    suffix = [[f" {letters[kids[t]]}" for kids in child_letters(d)]
-              for t in range(d - 1)]
-    names = [""]
-    if radius > 0:
-        names += map(str, letters)
-    for r in range(1, radius):
-        s, e = spec.ball_size(r - 1), spec.ball_size(r)
-        sphere = [""] * ((e - s) * (d - 1))
-        for t, table in enumerate(suffix):
-            sphere[t::d - 1] = map(add, names[s:e],
-                                   map(table.__getitem__, last[s:e]))
-        names += sphere
-    return names
+    return spec.spell_ball(radius, "", list(map(str, letters)),
+                           [f" {letter}" for letter in letters])
 
 
 def write_defects(fh, window: Window,
@@ -273,10 +258,9 @@ def reference_radius(river: RiverLandscape, m: int, height: int) -> int:
     return river.bilipschitz * m + (height - 1)
 
 
-def witness_subset_index(river: RiverLandscape, gamma: tuple,
-                         m: int,
-                         budget: int = DEFAULT_INDEX_BUDGET) -> int:
-    """Canonical index of the recentred witness set gamma^-1 kappa_m(gamma)."""
+def witness_subset_index(river: RiverLandscape, gamma: tuple, m: int) -> int:
+    """Canonical index of the recentred witness set gamma^-1 kappa_m(gamma);
+    an index past ``DEFAULT_INDEX_BUDGET`` is a :class:`CodeBudgetError`."""
     spec = river.spec
     radius = reference_radius(river, m, river.height(gamma))
     base = offset_ball(spec, radius)
@@ -293,10 +277,9 @@ def witness_subset_index(river: RiverLandscape, gamma: tuple,
             )
         positions.append(pos)
     index = subset_index(tuple(sorted(positions)), len(base))
-    if index > budget:
-        raise CodeBudgetError(
-            f"witness index {index} exceeds unary budget {budget}"
-        )
+    if index > DEFAULT_INDEX_BUDGET:
+        raise CodeBudgetError(f"witness index {index} exceeds unary "
+                              f"budget {DEFAULT_INDEX_BUDGET}")
     return index
 
 
@@ -319,67 +302,40 @@ def encode_blocks(indices: list[int]) -> str:
     return "".join(parts)
 
 
-def encode_witness(river: RiverLandscape, gamma: tuple, m_max: int,
-                   budget: int = DEFAULT_INDEX_BUDGET) -> str:
+def encode_witness(river: RiverLandscape, gamma: tuple, m_max: int) -> str:
     """The code prefix covering blocks m = 1 .. m_max for this element."""
-    indices = [
-        witness_subset_index(river, gamma, m, budget)
-        for m in range(1, m_max + 1)
-    ]
-    return encode_blocks(indices)
+    return encode_blocks([witness_subset_index(river, gamma, m)
+                          for m in range(1, m_max + 1)])
 
 
-def parse_code(bits: str, allow_partial: bool = False) -> list[int]:
-    """Indices of the complete 11-framed blocks in ``bits``.
-
-    With ``allow_partial`` a trailing fragment of a separator or triple
-    is tolerated (and the bits up to it still decode); otherwise any
-    malformed framing raises :class:`CodeFormatError` with its offset.
-    """
+def parse_code(bits: str) -> list[int]:
+    """Indices of the 11-framed blocks in ``bits``; any malformed framing
+    raises :class:`CodeFormatError` with its offset."""
     indices: list[int] = []
     pos = 0
     n = len(bits)
     while pos < n:
         if bits[pos : pos + 2] != "11":
-            if allow_partial and pos == n - 1 and bits[pos] == "1":
-                break
             raise CodeFormatError("expected block separator 11", pos)
         pos += 2
         count = 0
-        truncated = False
         while pos < n and bits[pos : pos + 2] != "11":
-            if bits[pos : pos + 3] == "010":
-                count += 1
-                pos += 3
-                continue
-            tail = bits[pos:]
-            if allow_partial and tail == "1":
-                # a lone 1 can only start the next separator: the
-                # current block is complete
-                pos = n
-                break
-            if allow_partial and "010".startswith(tail):
-                # an incomplete triple leaves this block's index open
-                pos = n
-                truncated = True
-                break
-            raise CodeFormatError("expected 010 triple or separator", pos)
-        if truncated:
-            break
+            if bits[pos : pos + 3] != "010":
+                raise CodeFormatError("expected 010 triple or separator",
+                                      pos)
+            count += 1
+            pos += 3
         if count < 1:
-            if allow_partial and pos >= n:
-                break
             raise CodeFormatError("empty block", pos)
         indices.append(count)
     return indices
 
 
-def decode_witness(bits: str, center_height: int,
-                   allow_partial: bool = False) -> list[CodeBlock]:
+def decode_witness(bits: str, center_height: int) -> list[CodeBlock]:
     """Decode a code prefix into blocks, attaching the center height."""
     return [
         CodeBlock(m=i + 1, n=center_height, index=idx)
-        for i, idx in enumerate(parse_code(bits, allow_partial))
+        for i, idx in enumerate(parse_code(bits))
     ]
 
 

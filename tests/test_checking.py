@@ -239,7 +239,7 @@ class TestWordView:
 
     def test_passing_check_builds_no_word(self, bundle, tmp_path,
                                           monkeypatch):
-        def no_words(self, radius, columns):
+        def no_words(self, radius):
             raise AssertionError("a passing check built the window's words")
 
         monkeypatch.setattr(FreeGroup, "ball_words", no_words)
@@ -252,9 +252,9 @@ class TestWordView:
         built = []
         words = FreeGroup.ball_words
 
-        def counted(self, radius, columns):
+        def counted(self, radius):
             built.append(radius)
-            return words(self, radius, columns)
+            return words(self, radius)
 
         monkeypatch.setattr(FreeGroup, "ball_words", counted)
         assert run_check(snap, cert, tmp_path) == 1
@@ -291,6 +291,18 @@ class TestVerifier:
         assert labels == [bits[:3] for bits in snap["labels"]]
         assert heights is loaded.heights
         assert loaded.rows(loaded.prefix_len)[0] is loaded.labels
+
+    @pytest.mark.parametrize("p, q", [(-3, 10), (10, -3)])
+    def test_negative_p_or_q_rejected(self, bundle, p, q):
+        # p + q still counts the translators; a negative p would slice
+        # translators[0:p] from the end
+        snap, cert = bundle
+        assert cert["p"] + cert["q"] == p + q
+        name = "p" if p < 0 else "q"
+        with pytest.raises(ValueError,
+                           match=f"field '{name}' must be >= 0"):
+            check_certificate_dict(load_snapshot(snap),
+                                   {**cert, "p": p, "q": q})
 
     def test_rows_reject_a_negative_prefix(self, bundle):
         # bits[:-1] would cut every label from the end

@@ -66,6 +66,48 @@ class TestBuild:
         assert run(["build", "--group", "wat", "--radius", 3,
                     "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("group, radius, stdout_sha, snapshot_sha", [
+        ("z", 40,
+         "8435069a39ef218b19eb529cbc8c4716c8e8e420be5029f875af08221aa3574e",
+         "ff203eb9ad22b0737b3c19a8969c6901ca1a2eb683376b6302b2c2aab33f3a96"),
+        ("f2", 4,
+         "bce3b1be781cae4701df5fdeb7b46772b4522d2f8958d480418d55dac9ca58cd",
+         "768d72aa233cc1d28a8dd1858c41d339c8f46f127075e26518f0ec145008ee80"),
+        # free:<rank> names the same group as f<rank>
+        ("free:2", 4,
+         "bce3b1be781cae4701df5fdeb7b46772b4522d2f8958d480418d55dac9ca58cd",
+         "768d72aa233cc1d28a8dd1858c41d339c8f46f127075e26518f0ec145008ee80"),
+    ])
+    def test_fractal_bytes_pinned(self, tmp_path, capsys, group, radius,
+                                  stdout_sha, snapshot_sha):
+        # also pinned in CI
+        code = run(["build", "--group", group, "--landscape", "fractal",
+                    "--radius", radius, "--out", tmp_path])
+        assert code == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == stdout_sha
+        data = (tmp_path / "snapshot.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == snapshot_sha
+
+    @pytest.mark.parametrize("group, landscape, radius, message", [
+        ("z", "river", 4, "the river landscape needs a free group f2+"),
+        ("f1", "river", 4, "the river landscape needs a free group f2+"),
+        ("f2", "ternary", 4, "the ternary landscape lives on z"),
+        ("free:2", "wat", 4, "unknown landscape 'wat'"),
+        ("z", "fractal", 2, "radius too small for the fractal landscape; "
+                            "minimal radius is 3"),
+        ("f2", "fractal", 2, "radius too small for the fractal landscape; "
+                             "minimal radius is 3"),
+    ])
+    def test_landscape_mismatch_is_input_error(self, tmp_path, capsys, group,
+                                               landscape, radius, message):
+        out = tmp_path / "out"
+        code = run(["build", "--group", group, "--landscape", landscape,
+                    "--radius", radius, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_budget_exhausted(self, tmp_path):
         code = run(["build", "--group", "f2", "--radius", 10,
                     "--budget-vertices", 100, "--out", tmp_path])
@@ -92,7 +134,7 @@ class TestAmenability:
             assert len(list(csv.reader(fh))) == 1
 
     @pytest.mark.parametrize("option,value", [
-        ("--m-values", "0,2"), ("--m-values", "-1"), ("--m-max", "0"),
+        ("--m-values", "0,2"), ("--m-values", "-1"),
     ])
     def test_m_below_one_rejected_up_front(self, tmp_path, capsys, option,
                                            value):
@@ -154,7 +196,7 @@ class TestAmenability:
 def bundle_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundle")
     code = run(["build", "--group", "f2", "--landscape", "river",
-                "--radius", 8, "--label-prefix", 40, "--out", out])
+                "--radius", 8, "--out", out])
     assert code == 0
     code = run(["paradoxicalize", "--group", "f2", "--landscape", "river",
                 "--radius", 8, "--target-heights", "1", "--out", out])
@@ -635,6 +677,26 @@ class TestCheck:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: certificate field {field!r} must be >= 0, "
+            f"got {value}\n")
+
+    @pytest.mark.parametrize("p, q", [(-3, 10), (10, -3)])
+    def test_negative_p_or_q_is_input_error(self, bundle_dir, tmp_path,
+                                            capsys, p, q):
+        # p + q still counts the translators; a negative p or q would
+        # slice them from the end, and p = -3 would pass the check
+        doc = load_json(bundle_dir / "certificates.json")
+        cert = doc["certificates"][0]
+        assert cert["p"] + cert["q"] == p + q
+        cert["p"], cert["q"] = p, q
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check",
+                    "--snapshot", bundle_dir / "final_snapshot.json",
+                    "--certificate", bad])
+        assert code == 2
+        name, value = ("p", p) if p < 0 else ("q", q)
+        assert capsys.readouterr().err == (
+            f"error: certificate field {name!r} must be >= 0, "
             f"got {value}\n")
 
     def test_certificate_file_of_the_wrong_type_is_input_error(
