@@ -3,7 +3,9 @@
 Doubles the river (height-1 local set) and then the height-2 set on
 B_8(F2), prints the resulting certificates and re-verification matrix,
 and replays every certificate against the final snapshot, loaded once,
-through the same verifier the pipeline runs on its own rows.
+through the same verifier the pipeline runs on its own rows.  Each step
+writes the binary code j + 1 of piece j at the piece's vertices, in
+(p + q).bit_length() fresh even label channels.
 """
 
 from riverscape import FreeGroup, RiverLandscape, ball, paradoxicalize_sequence
@@ -29,7 +31,8 @@ def main():
     for i, (cert, report) in enumerate(
             zip(result.certificates, result.reports)):
         print(f"\nstep {i}: displacement K={cert.K}, pieces "
-              f"p={cert.p}+q={cert.q}, channels {cert.channel_positions}, "
+              f"p={cert.p}+q={cert.q}, piece codes 1..{cert.p + cert.q} "
+              f"in channels {cert.channel_positions}, "
               f"core radius {cert.core_radius}, "
               f"verified={report.passed}")
     print("\nre-verification matrix (certificate a vs rule k):")

@@ -141,9 +141,10 @@ def bundle_halted(payload: dict) -> Optional[str]:
 
 
 def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
-    """Parse a serialized certificate; a missing or wrong-typed field, or
-    translators and pieces that do not number p + q, are a
-    ``ValueError``."""
+    """Parse a serialized certificate; a missing or wrong-typed field,
+    translators and pieces that do not number p + q, an ``m`` that is
+    not its target's, or a ``displacementBound`` below the length of the
+    longest translator, are a ``ValueError``."""
     json_expect(obj, dict, "certificate")
     if obj.get("schema") != "riverscape.certificate/1":
         raise ValueError(
@@ -217,6 +218,15 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
             f"certificate has {len(cert.translators)} translators and "
             f"{len(cert.piece_patterns)} pieces, but p + q = {cert.p + cert.q}"
         )
+    # the verifier reads neither; they are tied to what it verifies
+    if cert.m != cert.target.m:
+        raise ValueError(f"certificate field 'm' is {cert.m}, but its "
+                         f"target's m is {cert.target.m}")
+    longest = max(map(spec.length, cert.translators), default=0)
+    if cert.K < longest:
+        raise ValueError(
+            f"certificate field 'displacementBound' is {cert.K}, below "
+            f"the length {longest} of its longest translator")
     return cert
 
 
@@ -375,11 +385,19 @@ def check_certificate_dict(snapshot: Snapshot, cert_obj: dict
     return verify_certificate(snapshot, cert)
 
 
-def _select(ids: list[int], patterns: list[PatternBall], wanted
-            ) -> list[int]:
-    """The core indices whose pattern lies in ``wanted``, ascending."""
-    hit = {j for j, pat in enumerate(patterns) if pat in wanted}
-    return list(compress(range(len(ids)), map(hit.__contains__, ids)))
+def _select(scan: tuple[list[int], list[PatternBall]], wanted_sets
+            ) -> list[list[int]]:
+    """For each pattern set of ``wanted_sets``, the core indices of the
+    scan whose pattern lies in it, ascending.  The scan's patterns are
+    indexed once, and each set looks up its own patterns."""
+    ids, patterns = scan
+    index = dict(zip(patterns, range(len(patterns))))
+    selected = []
+    for wanted in wanted_sets:
+        hit = {j for j in map(index.get, wanted) if j is not None}
+        selected.append(list(compress(range(len(ids)),
+                                      map(hit.__contains__, ids))))
+    return selected
 
 
 def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
@@ -400,14 +418,13 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
             f"window radius {window.radius}"
         )
     target = cert.target
-    ids, patterns = snapshot.scan(target.m, target.prefix_len)
-    T = _select(ids, patterns, target.patterns)
+    T, = _select(snapshot.scan(target.m, target.prefix_len),
+                 [target.patterns])
     if cert.trivial:
         pieces: list[list[int]] = [[] for _ in cert.piece_patterns]
     else:
-        ids, patterns = snapshot.scan(cert.l, cert.prefix_len)
-        pieces = [_select(ids, patterns, pats)
-                  for pats in cert.piece_patterns]
+        pieces = _select(snapshot.scan(cert.l, cert.prefix_len),
+                         cert.piece_patterns)
     clauses: list[ClauseResult] = []
 
     # clause 1: pieces inside the target set

@@ -154,13 +154,15 @@ class GreedyColoring:
                 # u's parent p and the rest of B_(k-2)(p) below f
                 p = (u - 2) // (d - 1) if u > d else 0
                 used |= 1 << colors[p]
-                nb = [p]
-                for q, a in ops:
-                    x = nb[q]
-                    x = columns[a][x] if x >= 0 else -1
-                    nb.append(x)
-                    if -1 < x < f:
-                        used |= 1 << colors[x]
+                if ops:
+                    # empty for k = 2, where B_0(p) is p alone
+                    nb = [p]
+                    for q, a in ops:
+                        x = nb[q]
+                        x = columns[a][x] if x >= 0 else -1
+                        nb.append(x)
+                        if -1 < x < f:
+                            used |= 1 << colors[x]
             block = blocks.get(used)
             if block is None:
                 block = blocks[used] = self._block(used, d - 1)

@@ -3,7 +3,7 @@
 The flow realizes a local set on a window, finds two injective
 bounded-displacement self-maps with disjoint images by deterministic
 bipartite matching, groups the images by their translator words, writes
-per-piece membership bits into fresh even label positions, and verifies
+each piece's binary code into fresh even label positions, and verifies
 the two covering identities exactly on a stated core.  The positions
 are worked out from the rule and the target (:func:`relabel`), so no
 allocator state is kept.  Certificates survive later steps because
@@ -53,18 +53,19 @@ from .patterns import LocalSetSpec, realize
 # label-channel machinery
 
 class ChannelLandscape(LandscapeRule):
-    """A base rule with its labels spread to odd positions and membership
+    """A base rule with its labels spread to odd positions and channel
     bits written at even ones, compiled against one window.
 
     The odd subsequence of every label is exactly the base label, so the
     base channel survives any number of even-position writes.  The rule
     holds the base, the window, one heights list shared by every rule
-    derived from it, and the channels it writes (position -> member
-    window indices).  Label rows are materialized once per prefix length,
-    in a :class:`~riverscape.checking.Snapshot` with the heights: the
-    first rule reads them from the base's colour arrays
+    derived from it, and the channels it writes (position -> the window
+    indices whose bit is set there; :func:`relabel` sets the bits of
+    each piece's binary code).  Label rows are materialized once per
+    prefix length, in a :class:`~riverscape.checking.Snapshot` with the
+    heights: the first rule reads them from the base's colour arrays
     (``label_rule.padded_rows``), a derived rule copies its parent's rows
-    and sets its own member bits, once per distinct row, or shares its
+    and sets its own channel bits, once per distinct row, or shares its
     parent's snapshot when none of its channels lies inside the prefix.
     Equal rows are one shared string.  :meth:`snapshot` hands out that
     snapshot, which memoizes the scans made over its rows, so rules that
@@ -93,8 +94,9 @@ class ChannelLandscape(LandscapeRule):
         self._snapshots: dict[int, Snapshot] = {}
 
     def with_channels(self, channels: dict) -> "ChannelLandscape":
-        """A new rule with ``members`` flagged at each even position
-        ``pos`` of ``{pos: members}`` (members are window indices)."""
+        """A new rule with the bit set for ``members`` at each even
+        position ``pos`` of ``{pos: members}`` (members are window
+        indices)."""
         for pos in channels:
             if pos % 2 != 0 or pos < 2:
                 raise ValueError(f"channel position {pos} is not even")
@@ -391,28 +393,48 @@ def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
 
 def relabel(z: ChannelLandscape, cert: DoublingCertificate
             ) -> tuple[ChannelLandscape, DoublingCertificate]:
-    """Write piece membership bits into fresh even channels.
+    """Write each piece's binary code into fresh even channels.
 
-    The channels are the consecutive even positions from the first one
-    above the rule's channels, the certificate's radius and the target's
-    label prefix, so the bits never change the patterns that define the
-    target or an earlier piece.  Returns the new rule and the
-    certificate completed with its pattern sets, computed on the rule's
-    window; a trivial certificate is returned as it is.
+    The p + q pieces take ``(p + q).bit_length()`` channels: piece j
+    (0-based, in certificate order) sets the channels of the 1-bits of
+    j + 1 at its own vertices, and code 0 means "in no piece".  One code
+    per vertex tells disjoint pieces apart, so pieces that share a
+    vertex are a ``ValueError`` naming both.  The channels are the
+    consecutive even positions from the first one above the rule's
+    channels, the certificate's radius and the target's label prefix,
+    so the bits never change the patterns that define the target or an
+    earlier piece.  Returns the new rule and the certificate completed
+    with its pattern sets, computed on the rule's window; a trivial
+    certificate is returned as it is.
     """
     if cert.trivial:
         return z, cert
+    pieces = cert.pieces_vertices
+    # the shared vertex is looked for only when the sizes show one
+    if len(frozenset().union(*pieces)) != sum(map(len, pieces)):
+        owner: dict[int, int] = {}
+        for j, members in enumerate(pieces):
+            for i in members:
+                k = owner.setdefault(i, j)
+                if k != j:
+                    raise ValueError(f"pieces {k} and {j} share window "
+                                     f"vertex {i}")
     floor = max(max(z.positions, default=0), cert.m, cert.target.prefix_len)
     start = floor + 2 - floor % 2
-    positions = tuple(range(start, start + 2 * (cert.p + cert.q), 2))
-    z_prime = z.with_channels(dict(zip(positions, cert.pieces_vertices)))
+    n_bits = (cert.p + cert.q).bit_length()
+    positions = tuple(range(start, start + 2 * n_bits, 2))
+    z_prime = z.with_channels({
+        pos: frozenset().union(*(members
+                                 for code, members in enumerate(pieces, 1)
+                                 if code >> b & 1))
+        for b, pos in enumerate(positions)})
     prefix_len = positions[-1]
     ids, patterns = z_prime.snapshot(z.window, prefix_len).scan(
         cert.l, prefix_len)
     n_core = len(ids)
     piece_patterns = [
         frozenset(patterns[ids[i]] for i in members if i < n_core)
-        for members in cert.pieces_vertices
+        for members in pieces
     ]
     cert_prime = replace(
         cert,
@@ -464,7 +486,8 @@ def paradoxicalize_sequence(z0: LandscapeRule,
 
     The base rule is first padded so that all even label positions are
     free channels; each step doubles one target's realization and burns
-    one channel per piece.  After the last step every earlier
+    ``(p + q).bit_length()`` channels, which hold the binary code of
+    each vertex's piece.  After the last step every earlier
     certificate is re-verified against every later rule; the diagonal
     entry, a certificate against its own step's rule, is the step report.
     """

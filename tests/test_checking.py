@@ -116,7 +116,9 @@ def add_foreign_pattern(snap, cert):
 
 
 def tamper_phi_translator(snap, cert):
-    cert["translators"][1] = [1, 2, 1, 2]
+    # a wrong translator within the displacement bound (3)
+    assert cert["displacementBound"] == 3
+    cert["translators"][1] = [1, 2]
     return snap, cert
 
 

@@ -263,6 +263,26 @@ class TestParadoxicalize:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("radius,heights,channels", [
+        (9, "1;2;3", [3, 4, 5]),
+        (10, ",".join(map(str, range(1, 12))), [3]),
+    ], ids=["sparse-b9", "dense-b10"])
+    def test_channels_hold_binary_piece_codes(self, tmp_path, radius,
+                                              heights, channels):
+        # each certificate burns (p + q).bit_length() consecutive even
+        # channels, from 2 and then from just above the last one
+        code = run(["paradoxicalize", "--group", "f2", "--radius", radius,
+                    "--target-heights", heights, "--out", tmp_path])
+        assert code == 0
+        doc = load_json(tmp_path / "certificates.json")
+        start = 2
+        for cert, n in zip(doc["certificates"], channels, strict=True):
+            assert (cert["p"] + cert["q"]).bit_length() == n
+            assert cert["channelPositions"] == list(range(start,
+                                                          start + 2 * n, 2))
+            assert cert["prefixLen"] == cert["channelPositions"][-1]
+            start += 2 * n
+
     def test_channels_clear_a_long_target_prefix(self, tmp_path, capsys):
         # a target that reads 30 label bits at radius 1: channels written
         # inside those bits would change the patterns that define it
@@ -316,12 +336,12 @@ class TestArtifactBytes:
                     "--target-heights", "1;2", "--out", tmp_path])
         assert code == 0
         assert pipeline_digests(tmp_path) == {
-            "certificates.json": "fcc2f761055744164494eda88116ea3b"
-                                 "d59521376e9d83fbab5775b86927994b",
-            "final_snapshot.json": "dd6c5a1aedc38a6ba3d8b13a3b665aff"
-                                   "c3c65f0c4c6cdf5e68d5488022d15838",
-            "bundle1.json": "c6c09b0b906ced4a1a9542572b039e37"
-                            "07ad2d8bf8205066bcf189550bdd0e1d",
+            "certificates.json": "fa0c94855d3433295b56a9b977b4fc45"
+                                 "b5a61f5853225ac012dfd44fe1825925",
+            "final_snapshot.json": "8b4836aff5d6a704baa8d49401a1fffa"
+                                   "cb89a565a397c09c524394306b9ec8f3",
+            "bundle1.json": "03edcef09b1e0453228f42925699562e"
+                            "fec71a394369c68741639dfb41df3bec",
         }
 
     def test_dense_b11_pipeline_bytes_pinned(self, tmp_path, capsys):
@@ -333,12 +353,12 @@ class TestArtifactBytes:
         assert code == 0
         assert "certificate 0: pass" in capsys.readouterr().out
         assert pipeline_digests(tmp_path) == {
-            "certificates.json": "9efcf3bf48a12d87f2bb7ce31a0a8e96"
-                                 "2545c84c3c3860e5314f395595cafb9f",
-            "final_snapshot.json": "580527066d7091aadadb3af4d2ae8533"
-                                   "2d4c0c5c00a3c6295bc8e019719e01e7",
-            "bundle1.json": "58640dae577372279aae5faa9976834f"
-                            "7446165e878705d3e13b0cfb41c011f9",
+            "certificates.json": "7cccf70c3e1f10952ce150b29a146db0"
+                                 "77192286561bca36bf3ba9f2a0a0c08d",
+            "final_snapshot.json": "e6b262e606cf7f768b512c0c32c8635e"
+                                   "5771cfaf24f0676ac52dc2a7e700a76a",
+            "bundle1.json": "31bf754151e7b5650401d551b3a88381"
+                            "b4a6f08312d3b32acc8d2c159b17db4b",
         }
 
     def test_rank3_pipeline_bytes_pinned(self, tmp_path):
@@ -352,10 +372,10 @@ class TestArtifactBytes:
                    .hexdigest()
                    for name in ("certificates.json", "final_snapshot.json")}
         assert digests == {
-            "certificates.json": "67cb5ff91de223041d18a81f9d93a5ee"
-                                 "4c86bf2c29884f5ad755828b19d11e6a",
-            "final_snapshot.json": "a1d26c7aa82ba95ec2168b1b284a21ec"
-                                   "59e4ee682edf34a8f38f83203dcbd0b5",
+            "certificates.json": "6e6cc6048d4a1113e4165d200615f143"
+                                 "24d7f2b778f3fc871c577c9ffb066cda",
+            "final_snapshot.json": "894bde58e4d4e1f892c972377ff51357"
+                                   "13810765dc6767579a149abb3157b5e1",
         }
         cert = tmp_path / "certificates.json"
         assert run(["check", "--snapshot", tmp_path / "final_snapshot.json",
@@ -390,7 +410,7 @@ class TestCheck:
                                              capsys, monkeypatch):
         doc = load_json(bundle3_dir / "certificates.json")
         assert len(doc["certificates"]) == 3
-        doc["certificates"][1]["translators"][0] = [1, 2, 1, 2]
+        doc["certificates"][1]["translators"][0] = [1, 2]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         calls = []
@@ -422,7 +442,8 @@ class TestCheck:
 
     def test_tampered_translator_fails(self, bundle_dir, tmp_path, capsys):
         doc = load_json(bundle_dir / "certificates.json")
-        doc["certificates"][0]["translators"][0] = [1, 2, 1, 2]
+        # a wrong translator within the displacement bound (3)
+        doc["certificates"][0]["translators"][0] = [1, 2]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code = run(["check",
@@ -511,8 +532,8 @@ class TestCheck:
         (lambda doc: doc.__setitem__("labels",
                                      list(map(list, doc["labels"]))),
          "'labels': label 0 is list, not a string"),
-        (lambda doc: doc["labels"].__setitem__(9, "2" * 14),
-         f"'labels': label 9 is {'2' * 14!r}, not a string of 0s and 1s"),
+        (lambda doc: doc["labels"].__setitem__(9, "2" * 6),
+         f"'labels': label 9 is {'2' * 6!r}, not a string of 0s and 1s"),
     ], ids=["string-heights", "float-heights", "null-height", "bool-height",
             "array-labels", "ternary-label"])
     def test_wrong_typed_rows_are_input_errors(self, bundle_dir, tmp_path,
@@ -520,7 +541,7 @@ class TestCheck:
         # such rows used to pass (string or float heights), or to fail as
         # a verification failure (a null height) or a traceback (arrays)
         doc = load_json(bundle_dir / "final_snapshot.json")
-        assert doc["labelPrefixLen"] == 14
+        assert doc["labelPrefixLen"] == 6
         edit(doc)
         bad = tmp_path / "bad_snapshot.json"
         bad.write_text(json.dumps(doc))
@@ -584,7 +605,7 @@ class TestCheck:
          "'radius' must be an integer, not float"),
         (lambda doc: doc["windowRef"].__setitem__("radius", True),
          "'radius' must be an integer, not bool"),
-        (lambda doc: doc.__setitem__("labelPrefixLen", "14"),
+        (lambda doc: doc.__setitem__("labelPrefixLen", "6"),
          "'labelPrefixLen' must be an integer, not str"),
         (lambda doc: doc["windowRef"]["group"].__setitem__("rank", "2"),
          "'rank' must be an integer, not str"),
@@ -600,7 +621,7 @@ class TestCheck:
         # a rank of true built F_1
         doc = load_json(bundle_dir / "final_snapshot.json")
         assert doc["windowRef"]["radius"] == 8
-        assert doc["labelPrefixLen"] == 14
+        assert doc["labelPrefixLen"] == 6
         edit(doc)
         bad = tmp_path / "bad_snapshot.json"
         bad.write_text(json.dumps(doc))
@@ -613,7 +634,7 @@ class TestCheck:
     @pytest.mark.parametrize("field,value,message", [
         ("m", 1.0, "certificate field 'm' must be an integer, not float"),
         ("l", "2", "certificate field 'l' must be an integer, not str"),
-        ("prefixLen", 14.0,
+        ("prefixLen", 6.0,
          "certificate field 'prefixLen' must be an integer, not float"),
         ("p", "1", "certificate field 'p' must be an integer, not str"),
         ("q", 1.0, "certificate field 'q' must be an integer, not float"),
@@ -660,6 +681,31 @@ class TestCheck:
                     "--certificate", bad])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("m", -1, "'m' is -1, but its target's m is 1"),
+        ("m", 0, "'m' is 0, but its target's m is 1"),
+        ("displacementBound", -1,
+         "'displacementBound' is -1, below the length 2 of its longest "
+         "translator"),
+    ], ids=["negative-m", "zero-m", "negative-displacement-bound"])
+    def test_echoed_fields_are_checked(self, bundle_dir, tmp_path, capsys,
+                                       field, value, message):
+        # the verifier reads neither field, and each of these used to
+        # print "certificate 0: pass"
+        doc = load_json(bundle_dir / "certificates.json")
+        cert = doc["certificates"][0]
+        assert cert["m"] == cert["target"]["m"] == 1
+        assert max(map(len, cert["translators"])) == 2
+        cert[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check",
+                    "--snapshot", bundle_dir / "final_snapshot.json",
+                    "--certificate", bad])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: certificate field {message}\n"
 
     @pytest.mark.parametrize("field, value", [
         ("coreRadius", -5), ("prefixLen", -1)])

@@ -87,12 +87,13 @@ class TestChannels:
             s = cert.prefix_len
             rows = rule.snapshot(rule.window, s).labels
             assert len(set(map(id, rows))) == len(set(rows)) < len(rows)
-            members = dict(zip(cert.channel_positions,
-                               cert.pieces_vertices))
             padded = base.snapshot(base.window, s).labels
-            for pos, vertices in members.items():
+            # channel b holds bit b of the code j + 1 of piece j
+            for b, pos in enumerate(cert.channel_positions):
                 assert {i for i, row in enumerate(rows)
-                        if row[pos - 1] == "1"} == set(vertices)
+                        if row[pos - 1] == "1"} == {
+                    i for j, piece in enumerate(cert.pieces_vertices)
+                    if (j + 1) >> b & 1 for i in piece}
             assert [project_odd(row) for row in rows] \
                 == [project_odd(row) for row in padded]
 
@@ -124,7 +125,8 @@ class TestChannels:
 
     def test_relabel_channels_start_above_the_rule(self, river, win5):
         # the first even position above the rule's channels and the
-        # certificate's radius, then every second position
+        # certificate's radius, then every second position: two channels
+        # hold the codes 1, 2 and 3 of three pieces
         z = ChannelLandscape(river, win5).with_channels({4: [0], 6: [1]})
 
         def cert(m):
@@ -135,10 +137,40 @@ class TestChannels:
                                  frozenset({3})))
 
         z_high, high = relabel(z, cert(9))
-        assert high.channel_positions == (10, 12, 14)
-        assert high.prefix_len == 14
-        assert z_high.positions == {4, 6, 10, 12, 14}
-        assert relabel(z, cert(1))[1].channel_positions == (8, 10, 12)
+        assert high.channel_positions == (10, 12)
+        assert high.prefix_len == 12
+        assert z_high.positions == {4, 6, 10, 12}
+        assert z_high.channels == {10: [0, 3], 12: [2, 3]}
+        assert relabel(z, cert(1))[1].channel_positions == (8, 10)
+
+    @pytest.mark.parametrize("n_pieces,n_channels", [
+        (1, 1), (2, 2), (3, 2), (4, 3), (7, 3), (8, 4), (17, 5)])
+    def test_relabel_writes_binary_piece_codes(self, river, win5, n_pieces,
+                                               n_channels):
+        # piece j sets the channels of the 1-bits of j + 1 at its own
+        # vertex, so every vertex reads back its piece's code
+        pieces = tuple(frozenset({j}) for j in range(n_pieces))
+        cert = replace(
+            trivial_certificate(LocalSetSpec(1, 1, frozenset()), win5),
+            trivial=False, p=1, q=n_pieces - 1, pieces_vertices=pieces)
+        z, done = relabel(ChannelLandscape(river, win5), cert)
+        assert done.channel_positions == tuple(range(2, 2 * n_channels + 1,
+                                                     2))
+        rows = z.snapshot(win5, done.prefix_len).labels
+        codes = [int(row[done.prefix_len - 1::-2], 2) for row in rows]
+        assert codes == list(range(1, n_pieces + 1)) \
+            + [0] * (len(win5) - n_pieces)
+
+    def test_relabel_rejects_overlapping_pieces(self, river, win5):
+        # one code per vertex cannot name two pieces
+        cert = replace(
+            trivial_certificate(LocalSetSpec(1, 1, frozenset()), win5),
+            trivial=False, p=1, q=2,
+            pieces_vertices=(frozenset({0, 1}), frozenset({2}),
+                             frozenset({3, 1})))
+        with pytest.raises(ValueError,
+                           match="pieces 0 and 2 share window vertex 1"):
+            relabel(ChannelLandscape(river, win5), cert)
 
 
 class TestMatcher:
@@ -378,9 +410,9 @@ class TestDeterminism:
         data = json.dumps(bundle_v1(bundle_pipeline(result),
                                     final_snapshot(result, win8)),
                           sort_keys=True).encode()
-        assert len(data) == 660202
+        assert len(data) == 293098
         assert hashlib.sha256(data).hexdigest() == (
-            "00af71adf322a78ff30e54a74ef2142158e603064df5fd1eea585293b9bd36e3"
+            "5c33aa20a17a572824b612eef078ce6cd5e752058c5cdf7ab2ff3a97aa837e61"
         )
 
 

@@ -4,7 +4,7 @@
 wrappers the channel rule replaced; they stay here as its oracle, and
 ``theta`` on them is the oracle of every scan: ``realize``,
 ``observed_patterns`` (key order included) and the piece patterns that
-``relabel`` writes into certificates.
+``relabel`` writes into certificates, with each piece's binary code.
 """
 
 from dataclasses import replace
@@ -210,21 +210,30 @@ class TestScanAgainstTheta:
         writes = data.draw(channel_writes(n))
         z, oracle = channel_rules(spec, radius, writes)
         # relabel reads only the pieces and the pattern radius l, so a
-        # certificate with random pieces exercises it on every window
+        # certificate with random pairwise-disjoint pieces exercises it
+        # on every window
         l = data.draw(st.sampled_from([1, 2]))
+        n_pieces = data.draw(st.integers(2, 4))
+        owners = data.draw(st.dictionaries(
+            st.integers(0, n - 1), st.integers(0, n_pieces - 1),
+            max_size=120))
         pieces = tuple(
-            frozenset(data.draw(st.lists(st.integers(0, n - 1), max_size=40)))
-            for _ in range(data.draw(st.integers(2, 4)))
+            frozenset(i for i, j in owners.items() if j == piece)
+            for piece in range(n_pieces)
         )
         cert = replace(
             trivial_certificate(LocalSetSpec(l, 1, frozenset()), win),
-            trivial=False, p=1, q=len(pieces) - 1, pieces_vertices=pieces,
+            trivial=False, p=1, q=n_pieces - 1, pieces_vertices=pieces,
         )
         z2, cert2 = relabel(z, cert)
         word_pieces = [frozenset(win.vertices[i] for i in members)
                        for members in pieces]
-        written = RelabeledLandscape(oracle, dict(zip(
-            cert2.channel_positions, word_pieces)))
+        # the oracle writes the code j + 1 of piece j, bit b at channel b
+        written = RelabeledLandscape(oracle, {
+            pos: frozenset().union(*(words for j, words
+                                     in enumerate(word_pieces)
+                                     if (j + 1) >> b & 1))
+            for b, pos in enumerate(cert2.channel_positions)})
         core = set(core_words(win, l))
         assert cert2.piece_patterns == tuple(
             frozenset(theta(written, y, l, cert2.prefix_len)
