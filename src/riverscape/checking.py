@@ -19,15 +19,18 @@ shorter prefix to the rule's snapshot there (``shorter``), so the
 verifier reuses the scans that construction made.  Every rule hands
 out its rows as a snapshot (``LandscapeRule.snapshot``).
 
-Verification runs in window-index space: T and every piece are index
-sets read off the scan, "inside the core of radius r" is an index below
+Verification runs in window-index space: T is a byte mark over its
+scan's core, every piece is its ascending core indices read off the
+scan, "inside the core of radius r" is an index below
 ``window.core_size(r)``, and a translate reads the translator's
 letters one letter column at a time.  A step that leaves the window
 means the translate lies outside it, hence outside the core, because
-balls in trees and on the line are convex.  Words appear only in the
-witness strings, each spelled arithmetically (``window.word_at``)
-when a clause fails, and a witness names the enumeration-least
-offender; a passing check builds no word.
+balls in trees and on the line are convex.  Each covering identity
+compares two byte marks over the core, T's and the family's
+translates'.  Words appear only in the witness strings, each spelled
+arithmetically (``window.word_at``) when a clause fails, and a witness
+names the enumeration-least offender, found by a C-level pass over the
+marks; a passing check builds no word.
 
 :func:`load_snapshot` keeps one string per distinct label row, and
 every row references it.  It counts the rows against the claimed
@@ -40,9 +43,9 @@ snapshot, and any other schema or shape is an input error.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import gt, lt
 from typing import Callable, Optional
 
 from .groups import GroupSpec, Window, ball, letter_index
@@ -385,19 +388,13 @@ def check_certificate_dict(snapshot: Snapshot, cert_obj: dict
     return verify_certificate(snapshot, cert)
 
 
-def _select(scan: tuple[list[int], list[PatternBall]], wanted_sets
-            ) -> list[list[int]]:
-    """For each pattern set of ``wanted_sets``, the core indices of the
-    scan whose pattern lies in it, ascending.  The scan's patterns are
-    indexed once, and each set looks up its own patterns."""
-    ids, patterns = scan
+def _select(patterns: list[PatternBall], wanted_sets) -> list[set[int]]:
+    """For each pattern set of ``wanted_sets``, the ids of a scan's
+    ``patterns`` that lie in it.  The patterns are indexed once, and
+    each set looks up its own patterns."""
     index = dict(zip(patterns, range(len(patterns))))
-    selected = []
-    for wanted in wanted_sets:
-        hit = {j for j in map(index.get, wanted) if j is not None}
-        selected.append(list(compress(range(len(ids)),
-                                      map(hit.__contains__, ids))))
-    return selected
+    return [{j for j in map(index.get, wanted) if j is not None}
+            for wanted in wanted_sets]
 
 
 def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
@@ -418,59 +415,77 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
             f"window radius {window.radius}"
         )
     target = cert.target
-    T, = _select(snapshot.scan(target.m, target.prefix_len),
-                 [target.patterns])
+    T_ids, T_patterns = snapshot.scan(target.m, target.prefix_len)
+    hit, = _select(T_patterns, [target.patterns])
+    # byte t is 1 when core index t of the target's scan lies in T
+    in_T = bytes(map(hit.__contains__, T_ids))
     if cert.trivial:
-        pieces: list[list[int]] = [[] for _ in cert.piece_patterns]
+        ids: list[int] = []
+        hits: list[set[int]] = [set() for _ in cert.piece_patterns]
     else:
-        pieces = _select(snapshot.scan(cert.l, cert.prefix_len),
-                         cert.piece_patterns)
+        ids, patterns = snapshot.scan(cert.l, cert.prefix_len)
+        hits = _select(patterns, cert.piece_patterns)
+    pieces = [list(compress(range(len(ids)), map(h.__contains__, ids)))
+              for h in hits]
     clauses: list[ClauseResult] = []
 
-    # clause 1: pieces inside the target set
-    in_T = set(T)
-    witness = next((f"piece {i} vertex {window.word_at(y)!r} "
-                    f"outside target"
-                    for i, members in enumerate(pieces)
-                    for y in members if y not in in_T), None)
+    # clause 1: pieces inside the target set; the piece scan's core may
+    # reach past the target's, whose vertices are outside T
+    in_T_l = in_T.ljust(len(ids), b"\0")
+    witness = None
+    for i, members in enumerate(pieces):
+        k = bytes(map(in_T_l.__getitem__, members)).find(0)
+        if k >= 0:
+            witness = (f"piece {i} vertex {window.word_at(members[k])!r} "
+                       f"outside target")
+            break
     clauses.append(ClauseResult("pieces-contained", witness is None, witness))
 
-    # clause 2: pairwise disjoint pieces
+    # clause 2: pairwise disjoint pieces.  A piece is every core vertex
+    # whose pattern lies in its set, and each scanned pattern occurs, so
+    # two pieces share a vertex exactly when their sets share a pattern
     witness = None
-    seen: dict[int, int] = {}
-    for i, members in enumerate(pieces):
-        for y in members:
-            if y in seen:
-                witness = (f"vertex {window.word_at(y)!r} in pieces "
-                           f"{seen[y]} and {i}")
-                break
-            seen[y] = i
-        if witness:
+    earlier: set[int] = set()
+    for i, (h, members) in enumerate(zip(hits, pieces)):
+        shared = h & earlier
+        if shared:
+            k = bytes(map(shared.__contains__,
+                          map(ids.__getitem__, members))).find(1)
+            y = members[k]
+            first = next(j for j, g in enumerate(hits) if ids[y] in g)
+            witness = (f"vertex {window.word_at(y)!r} in pieces "
+                       f"{first} and {i}")
             break
+        earlier |= h
     clauses.append(ClauseResult("pieces-disjoint", witness is None, witness))
 
-    # clause 3: both covering identities, exactly, on the stated core
+    # clause 3: both covering identities, exactly, on the stated core,
+    # as marks over the core: T's and each family's translates
     n_core = window.core_size(cert.core_radius)
-    T_core = set(T[:bisect_left(T, n_core)])
+    T_core = in_T[:n_core].ljust(n_core, b"\0")
     columns = window.columns
     for name, lo, hi in (("phi-cover", 0, cert.p),
                          ("psi-cover", cert.p, cert.p + cert.q)):
-        covered: set[int] = set()
+        covered = bytearray(n_core)
         for g, members in zip(cert.translators[lo:hi], pieces[lo:hi]):
             xs = members
+            # -1 marks a step out of the window, whose translate lies
+            # outside the core
             for a in map(letter_index, spec.word_letters(g)):
-                column = columns[a]
-                xs = [column[x] if x >= 0 else -1 for x in xs]
-            covered.update(x for x in xs if 0 <= x < n_core)
+                xs = list(filter((-1).__ne__, map(columns[a].__getitem__,
+                                                  xs)))
+            for x in filter(n_core.__gt__, xs):
+                covered[x] = 1
         witness = None
-        extra = covered - T_core
-        missing = T_core - covered
-        if extra:
-            witness = (f"translated piece point "
-                       f"{window.word_at(min(extra))!r} not in target core")
-        elif missing:
-            witness = (f"target vertex {window.word_at(min(missing))!r} "
-                       f"not covered")
+        if covered != T_core:
+            extra = bytes(map(gt, covered, T_core)).find(1)
+            if extra >= 0:
+                witness = (f"translated piece point "
+                           f"{window.word_at(extra)!r} not in target core")
+            else:
+                missing = bytes(map(lt, covered, T_core)).find(1)
+                witness = (f"target vertex {window.word_at(missing)!r} "
+                           f"not covered")
         clauses.append(ClauseResult(name, witness is None, witness))
 
     passed = all(c.passed for c in clauses)

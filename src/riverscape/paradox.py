@@ -11,9 +11,12 @@ every later relabeling only touches even positions above the earlier
 prefix ceiling.
 
 The flow runs on window indices: the realization, the matching, the
-maps and the pieces are index sets, and a translator is read off the
-offset table that matched a pair, as the inverse of that offset.  Words
-appear only as translators.
+maps and the pieces are index sets.  The offsets of B_(K-1) are
+composed from the letter columns over the vertices at hand only (T's
+core in the K sweep, the matched vertices in piece extraction), never as
+window-wide offset tables, and a translator is read off the offset row
+that matched a pair, as the inverse of that offset.  Words appear only
+as translators.
 
 One :class:`ChannelLandscape` per pipeline carries the labels: the base
 labels spread to odd positions, read from the colour arrays as one row
@@ -36,6 +39,7 @@ so reruns produce byte-identical certificates.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import compress
@@ -44,7 +48,7 @@ from typing import Optional, Sequence
 
 from .checking import (CertificateReport, DoublingCertificate, Snapshot,
                        verify_certificate)
-from .groups import Window
+from .groups import Window, offset_steps
 from .landscapes import LandscapeRule
 from .patterns import LocalSetSpec, realize
 
@@ -240,6 +244,21 @@ class _HopcroftKarp:
         return False
 
 
+def _offset_rows(window: Window, m: int, xs: Sequence[int]
+                 ) -> list[array]:
+    """Where the offsets of B_m(e) take the vertices ``xs``: row j holds
+    ``xs[i]`` times offset j (offsets in enumeration order) at position
+    i.  Each row composes one letter column onto an earlier row, as
+    :meth:`~riverscape.groups.Window.offset_tables` composes its tables,
+    but over ``xs`` only; every product must lie in the window."""
+    columns = window.columns
+    rows = [array("i", xs)]
+    for p, a in offset_steps(columns, window.spec.ball_size(m)):
+        # a list built by map fills an array faster than map does
+        rows.append(array("i", list(map(columns[a].__getitem__, rows[p]))))
+    return rows
+
+
 @dataclass
 class DoublingSearch:
     """Outcome of the displacement sweep for a doubling of T."""
@@ -262,8 +281,9 @@ def find_doubling(T: Sequence[int], window: Window,
     ``T`` holds window indices, ascending; ``phi`` and ``psi`` map each
     core index of T to an index of T.  Never claims non-existence: an
     exhausted sweep reports the largest matched fraction and leaves the
-    question open.  The candidates of a vertex are read off the window's
-    offset tables of B_(K-1), in enumeration order of the offsets.
+    question open.  For each K the offsets of B_(K-1) are composed over
+    T's core vertices only (:func:`_offset_rows`), and the candidates of
+    a vertex are its products, in enumeration order of the offsets.
     """
     R = window.radius
     if not T:
@@ -282,11 +302,9 @@ def find_doubling(T: Sequence[int], window: Window,
         core = right[:bisect_left(right, window.core_size(R - K))]
         if not core:
             continue
-        columns = [map(table.__getitem__, core)
-                   for table in window.offset_tables(K - 1)]
         per_vertex = [
             [right_pos[y] for y in reach if y in right_pos]
-            for reach in zip(*columns)
+            for reach in zip(*_offset_rows(window, K - 1, core))
         ]
         # the psi half shares the phi half's lists; the matcher only
         # reads them
@@ -342,26 +360,28 @@ def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
 
     The image y of x is x times an offset of B_(K-1), so y's translator
     (y^-1 x) is that offset's inverse; the pieces hold window indices.
-    Distinct offsets take x to distinct vertices, so each matched pair
-    lies on exactly one offset table, and a piece is read off its table
-    in one pass over the pairs.
+    phi and psi map the same vertices, over which the offsets are
+    composed once (:func:`_offset_rows`); row j holds each vertex times
+    offset j at the vertex's position.  Distinct offsets take x to
+    distinct vertices, so each matched pair lies on exactly one row, and
+    a piece is read off its row in one pass over the pairs.
     """
     if not search.saturated:
         raise ValueError("cannot extract pieces from an unsaturated search")
     if search.trivial:
         return trivial_certificate(target, window)
     spec = window.spec
-    tables = window.offset_tables(search.K - 1)
+    xs = list(search.phi)
+    rows = _offset_rows(window, search.K - 1, xs)
     # offset j of B_(K-1) is window word j; only those words are built
     inverses = list(map(spec.inverse, spec.ball_words(search.K - 1)))
     phi_pieces: dict = {}
     psi_pieces: dict = {}
     for assignment, pieces in ((search.phi, phi_pieces),
                                (search.psi, psi_pieces)):
-        xs, ys = list(assignment), list(assignment.values())
-        for table, inverse in zip(tables, inverses):
-            members = frozenset(compress(
-                ys, map(eq, map(table.__getitem__, xs), ys)))
+        ys = list(map(assignment.__getitem__, xs))
+        for row, inverse in zip(rows, inverses):
+            members = frozenset(compress(ys, map(eq, row, ys)))
             if members:
                 pieces[inverse] = members
     phi_translators = sorted(phi_pieces, key=spec.sort_key)
@@ -410,8 +430,13 @@ def relabel(z: ChannelLandscape, cert: DoublingCertificate
     if cert.trivial:
         return z, cert
     pieces = cert.pieces_vertices
-    # the shared vertex is looked for only when the sizes show one
-    if len(frozenset().union(*pieces)) != sum(map(len, pieces)):
+    # the members are counted on one mark of the window, and the shared
+    # vertex is looked for only when the count shows one
+    mark = bytearray(len(z.window))
+    for members in pieces:
+        for i in members:
+            mark[i] = 1
+    if mark.count(1) != sum(map(len, pieces)):
         owner: dict[int, int] = {}
         for j, members in enumerate(pieces):
             for i in members:

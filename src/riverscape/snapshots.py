@@ -69,11 +69,38 @@ def final_snapshot(result, window: Window) -> dict:
     return snapshot_landscape(result.final_rule, window, prefix_len)
 
 
+# the items of a top-level array encoded per ``json.dumps`` call
+_CHUNK = 4096
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def dump_json(obj: dict, path) -> None:
-    """Deterministic JSON emission (sorted keys, fixed separators)."""
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-    )
+    """Deterministic JSON emission (sorted keys, fixed separators).
+
+    The file holds ``json.dumps(obj, sort_keys=True, separators=(",",
+    ":")) + "\\n"`` byte for byte, written in pieces: the string keys
+    of ``obj`` in sorted order, each top-level list as the encodings of
+    its slices of ``_CHUNK`` items, so no more than one slice's text is
+    held at a time.
+    """
+    with open(path, "w") as out:
+        out.write("{")
+        for n, key in enumerate(sorted(obj)):
+            if n:
+                out.write(",")
+            out.write(_encode(key) + ":")
+            value = obj[key]
+            if not isinstance(value, list):
+                out.write(_encode(value))
+                continue
+            out.write("[")
+            for i in range(0, len(value), _CHUNK):
+                if i:
+                    out.write(",")
+                out.write(_encode(value[i:i + _CHUNK])[1:-1])
+            out.write("]")
+        out.write("}\n")
 
 
 def load_json(path) -> dict:

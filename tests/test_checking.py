@@ -10,18 +10,22 @@ through the verifier's index-space scan.
 
 import ast
 import json
+from bisect import bisect_left
 from dataclasses import replace
 from functools import lru_cache
+from itertools import compress
 from pathlib import Path
 
 import pytest
 
 import riverscape.checking
-from riverscape.checking import BUNDLE_SCHEMA
+from riverscape.checking import (BUNDLE_SCHEMA, CertificateReport,
+                                 ClauseResult)
+from riverscape.groups import letter_index
 from riverscape import (FreeGroup, IntegerGroup, LocalSetSpec, PatternBall,
                         RiverLandscape, Snapshot, TernaryLandscape, ball,
-                        check_certificate_dict, load_snapshot,
-                        observed_patterns, offset_ball,
+                        certificate_from_dict, check_certificate_dict,
+                        load_snapshot, observed_patterns, offset_ball,
                         paradoxicalize_sequence, realize,
                         trivial_certificate, verify_certificate)
 from riverscape.cli import main
@@ -232,6 +236,156 @@ class TestClauseMutations:
         report = check_certificate_dict(load_snapshot(snap), cert)
         phi = next(c for c in report.clauses if c.name == "phi-cover")
         assert phi.witness == f"target vertex {least!r} not covered"
+
+
+def set_verify(snapshot, cert):
+    """The verifier's clauses 1-3 as they were before they ran on byte
+    marks: T, the pieces, the seen vertices and the covers are index sets
+    and a dict.  It stays as the oracle of the witness strings and of the
+    choice of the enumeration-least offender."""
+    def select(scan, wanted_sets):
+        ids, patterns = scan
+        index = dict(zip(patterns, range(len(patterns))))
+        selected = []
+        for wanted in wanted_sets:
+            hit = {j for j in map(index.get, wanted) if j is not None}
+            selected.append(list(compress(range(len(ids)),
+                                          map(hit.__contains__, ids))))
+        return selected
+
+    window = snapshot.window
+    spec = window.spec
+    target = cert.target
+    T, = select(snapshot.scan(target.m, target.prefix_len),
+                [target.patterns])
+    if cert.trivial:
+        pieces = [[] for _ in cert.piece_patterns]
+    else:
+        pieces = select(snapshot.scan(cert.l, cert.prefix_len),
+                        cert.piece_patterns)
+    clauses = []
+    in_T = set(T)
+    witness = next((f"piece {i} vertex {window.word_at(y)!r} "
+                    f"outside target"
+                    for i, members in enumerate(pieces)
+                    for y in members if y not in in_T), None)
+    clauses.append(ClauseResult("pieces-contained", witness is None, witness))
+    witness = None
+    seen = {}
+    for i, members in enumerate(pieces):
+        for y in members:
+            if y in seen:
+                witness = (f"vertex {window.word_at(y)!r} in pieces "
+                           f"{seen[y]} and {i}")
+                break
+            seen[y] = i
+        if witness:
+            break
+    clauses.append(ClauseResult("pieces-disjoint", witness is None, witness))
+    n_core = window.core_size(cert.core_radius)
+    T_core = set(T[:bisect_left(T, n_core)])
+    columns = window.columns
+    for name, lo, hi in (("phi-cover", 0, cert.p),
+                         ("psi-cover", cert.p, cert.p + cert.q)):
+        covered = set()
+        for g, members in zip(cert.translators[lo:hi], pieces[lo:hi]):
+            xs = members
+            for a in map(letter_index, spec.word_letters(g)):
+                column = columns[a]
+                xs = [column[x] if x >= 0 else -1 for x in xs]
+            covered.update(x for x in xs if 0 <= x < n_core)
+        witness = None
+        extra = covered - T_core
+        missing = T_core - covered
+        if extra:
+            witness = (f"translated piece point "
+                       f"{window.word_at(min(extra))!r} not in target core")
+        elif missing:
+            witness = (f"target vertex {window.word_at(min(missing))!r} "
+                       f"not covered")
+        clauses.append(ClauseResult(name, witness is None, witness))
+    return CertificateReport(all(c.passed for c in clauses), clauses)
+
+
+def agree_with_set_verify(snap, cert):
+    """The report of ``cert`` on the loaded ``snap``, which the set-based
+    oracle must reproduce field for field."""
+    loaded = load_snapshot(snap) if isinstance(snap, dict) else snap
+    parsed = certificate_from_dict(cert, F2)
+    report = verify_certificate(loaded, parsed)
+    assert report.to_dict() == set_verify(loaded, parsed).to_dict()
+    return report
+
+
+@lru_cache(maxsize=None)
+def b7_bundle_text() -> str:
+    """The final snapshot and the bundle of the B_7 pipeline doubling the
+    river's height-1, -2 and -3 points in turn, as one JSON array."""
+    win = ball(F2, 7)
+    result = paradoxicalize_sequence(RiverLandscape(F2), [
+        (lambda h: lambda rule, w: center_height_local_set(
+            rule, w, 1, {h}, prefix_len=1))(h) for h in (1, 2, 3)
+    ], win)
+    return json.dumps([final_snapshot(result, win), bundle_pipeline(result)])
+
+
+def drop_first_pattern(cert, i):
+    # some pieces have no pattern in the core (they stay as they are)
+    if cert["pieces"][i]:
+        cert["pieces"][i].pop(0)
+
+
+def duplicate_into_next(cert, i):
+    j = (i + 1) % len(cert["pieces"])
+    cert["pieces"][j] = sorted(set(cert["pieces"][j] + cert["pieces"][i]))
+
+
+def flip_first_letter(cert, i):
+    translator = cert["translators"][i]
+    if translator:
+        translator[0] = -translator[0]
+
+
+def make_trivial(cert, i):
+    cert["trivial"] = True
+
+
+def thin_target(cert, i):
+    # every other target pattern, so pieces reach outside the target
+    del cert["target"]["patterns"][i % 2::2]
+
+
+TAMPERINGS = [drop_first_pattern, duplicate_into_next, flip_first_letter,
+              make_trivial, thin_target]
+
+
+class TestSetOracle:
+    """The mark-based clauses against the set-based ones they replaced:
+    the same reports, witness strings included, on every clause
+    mutation and on tampered B_7 and B_8 bundles."""
+
+    @pytest.mark.parametrize("mutate", [None] + [m for m, _ in MUTATIONS],
+                             ids=["unmutated"] + [m.__name__
+                                                  for m, _ in MUTATIONS])
+    def test_clause_mutations(self, bundle, mutate):
+        snap, cert = bundle if mutate is None else mutate(*bundle)
+        agree_with_set_verify(snap, cert)
+
+    @pytest.mark.parametrize("text", [b7_bundle_text, bundle_text],
+                             ids=["B7", "B8"])
+    @pytest.mark.parametrize("tamper", TAMPERINGS,
+                             ids=[t.__name__ for t in TAMPERINGS])
+    def test_tampered_bundles(self, text, tamper):
+        snap, doc = json.loads(text())
+        loaded = load_snapshot(snap)
+        failing = 0
+        for cert in doc["certificates"]:
+            for i in range(len(cert["pieces"])):
+                tampered = json.loads(json.dumps(cert))
+                del tampered["verification"]
+                tamper(tampered, i)
+                failing += not agree_with_set_verify(loaded, tampered).passed
+        assert failing > 0
 
 
 class TestWordView:

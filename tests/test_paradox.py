@@ -13,9 +13,10 @@ from riverscape import (ChannelLandscape, FreeGroup, IntegerGroup,
                         load_snapshot, paradox, paradoxicalize_sequence,
                         patterns, realize, relabel, trivial_certificate,
                         verify_certificate)
+from riverscape.groups import Window
 from riverscape.paradox import _HopcroftKarp, _verify
 from riverscape.patterns import center_height_local_set, observed_patterns
-from riverscape.snapshots import bundle_pipeline, final_snapshot
+from riverscape.snapshots import bundle_pipeline, dump_json, final_snapshot
 
 from conftest import bundle_v1
 from test_labels import project_even, project_odd, source_mutant
@@ -554,8 +555,9 @@ def dense9():
 
 
 class TestMemoryShape:
-    """Window-scale state stays compact: offset tables are int32 arrays
-    and no pipeline step keeps the window's words."""
+    """Window-scale state stays compact: offset tables are int32 arrays,
+    no pipeline step keeps the window's words, the K sweep composes
+    offsets over T's rows only, and a snapshot is written in pieces."""
 
     def test_words_not_kept(self, dense9):
         win, _, _ = dense9
@@ -571,5 +573,53 @@ class TestMemoryShape:
 
     def test_traced_peak(self, dense9):
         # about 19.5 MiB with list tables, the cached word tuple and a
-        # list of (label, height) pairs per scan; about 10.2 MiB without
-        assert dense9[2] < 14 * 2**20
+        # list of (label, height) pairs per scan; about 5.7 MiB with
+        # whole-core offset tables for the K sweep and set-based clauses
+        # in the verifier, and about 4.9 MiB without
+        assert dense9[2] < 5.5 * 2**20
+
+    def test_dump_json_holds_no_whole_text(self, dense9, tmp_path):
+        # about 3.4 MiB above the snapshot when the whole text, its copy
+        # with the newline and its bytes were held; about 0.4 MiB now
+        win, result, _ = dense9
+        snap = final_snapshot(result, win)
+        tracemalloc.start()
+        try:
+            dump_json(snap, tmp_path / "final_snapshot.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("radius,targets", [
+        (8, [height_target({h}) for h in (1, 2, 3)]),
+        (9, [height_target(range(1, 11))]),
+    ], ids=["sparse-B8", "dense-B9"])
+    def test_doubling_reads_no_offset_table(self, monkeypatch, radius,
+                                            targets):
+        # the scans still read offset tables; the K sweep and the piece
+        # extraction compose offsets over the vertices they need
+        inside = []
+        tables = Window.offset_tables
+
+        def guarded(self, m):
+            if inside:
+                raise AssertionError(f"{inside[-1]} read an offset table")
+            return tables(self, m)
+
+        def entered(fn):
+            def run(*args, **kwargs):
+                inside.append(fn.__name__)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return run
+
+        monkeypatch.setattr(Window, "offset_tables", guarded)
+        for name in ("find_doubling", "extract_pieces"):
+            monkeypatch.setattr(paradox, name, entered(getattr(paradox, name)))
+        result = paradoxicalize_sequence(RiverLandscape(F2), targets,
+                                         ball(F2, radius))
+        assert len(result.reports) == len(targets)
+        assert result.matrix_all_pass()
