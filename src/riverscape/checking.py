@@ -43,8 +43,9 @@ snapshot, and any other schema or shape is an input error.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from operator import gt, lt
 from typing import Callable, Optional
 
@@ -397,6 +398,19 @@ def _select(patterns: list[PatternBall], wanted_sets) -> list[set[int]]:
             for wanted in wanted_sets]
 
 
+def _pieces(ids: list[int], hits: list[set[int]]) -> list[list[int]]:
+    """For each id set of ``hits``, the ascending core indices whose
+    pattern id in the scan ``ids`` lies in it.  One pass over ``ids``
+    collects the sites of every id that some set names; a piece is the
+    sorted union of its ids' sites, which are disjoint."""
+    sites: dict[int, list[int]] = {j: [] for j in set().union(*hits)}
+    named = bytes(map(sites.__contains__, ids))
+    deque(map(list.append, map(sites.__getitem__, compress(ids, named)),
+              compress(range(len(ids)), named)), maxlen=0)
+    return [sorted(chain.from_iterable(map(sites.__getitem__, h)))
+            for h in hits]
+
+
 def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
                        ) -> CertificateReport:
     """Re-check containment, disjointness, and both covering identities
@@ -425,8 +439,7 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
     else:
         ids, patterns = snapshot.scan(cert.l, cert.prefix_len)
         hits = _select(patterns, cert.piece_patterns)
-    pieces = [list(compress(range(len(ids)), map(h.__contains__, ids)))
-              for h in hits]
+    pieces = _pieces(ids, hits)
     clauses: list[ClauseResult] = []
 
     # clause 1: pieces inside the target set; the piece scan's core may

@@ -24,7 +24,18 @@ B_(k-2)(p) below f(u) (read along its offsets from p = (u - 2) //
 (d - 1), or 0 when u <= d, composing the window's letter columns),
 decides the colours of u's whole child block, and the block is
 memoized on that mask.  Balls in trees and on the line are convex, so
-the geodesic from p to such an x never leaves the grown ball.  No
+the geodesic from p to such an x never leaves the grown ball.
+
+On the line (Z, degree 2) the colouring is periodic, and past a short
+head the colours are tiled, not looped.  A vertex v with |v| > k has
+exactly k earlier vertices within distance k: the k before it on its
+own ray.  When |v| >= 2k + 2, those k and v's predecessor k + 1 back
+all have |x| > k, so they too were each coloured against the k before
+them; these k + 1 vertices are pairwise within distance k, so their
+colours are distinct and at most k + 1, that is exactly 1..k + 1.  The
+lowest colour free of the k before v is then the predecessor's:
+c(v) = c(v -+ (k + 1)).  A step along a ray moves two indices, so in
+enumeration indices c[i] = c[i - 2(k + 1)] for every i >= 4k + 3.  No
 words are stored, and no label is cached per word:
 :meth:`ProperLabelRule.label` reads the colour arrays on each call.
 """
@@ -94,6 +105,10 @@ class GreedyColoring:
         self.k = k
         self._space = space or _IndexSpace(spec)
         self._colors = array("i")
+        # on the line the colours repeat with period 2(k + 1) in indices
+        # from index 4k + 3 on (see the module docstring); on trees the
+        # block loop runs throughout
+        self._tile_from = 4 * k + 3 if spec.degree == 2 else None
         # the colours of a (d - 1)-child block, by the mask of its parent
         self._blocks: dict[int, array] = {}
         # B_(k-2) minus the identity as steps (q, a) in enumeration
@@ -108,8 +123,10 @@ class GreedyColoring:
         return self.color_at(self._space.index(word))
 
     def colors(self, n: int) -> array:
-        """The colors of enumeration indices 0 .. n-1 (k >= 1); the
-        index space must already reach them."""
+        """The colors of enumeration indices 0 .. n-1; the index space
+        must already reach them."""
+        if self.k == 0:
+            return array("i", [1]) * n
         if n:
             self.color_at(n - 1)
         return self._colors[:n]
@@ -128,12 +145,36 @@ class GreedyColoring:
     def color_at(self, i: int) -> int:
         """The color of the word with enumeration index ``i``; the index
         space must already reach that word.  Whole child blocks are
-        colored, up to the one that holds ``i``."""
+        colored, up to the one that holds ``i``; on the line, indices
+        from 4k + 3 on are tiled."""
         if self.k == 0:
             return 1
         colors = self._colors
         if i < len(colors):
             return colors[i]
+        tile_from = self._tile_from
+        if tile_from is not None and i >= tile_from:
+            self._fill(tile_from - 1)
+            self._tile(i + 1)
+        else:
+            self._fill(i)
+        return colors[i]
+
+    def _tile(self, n: int) -> None:
+        """Extend the line's colours to indices 0 .. n-1, each one a
+        copy of the colour one period 2(k + 1) before it; the colours
+        must reach index 4k + 2.  Whole periods are copied about 4096
+        colours at a time, so no transient copy of the array is made."""
+        colors = self._colors
+        period = 2 * (self.k + 1)
+        chunk = colors[-period:] * max(1, 4096 // period)
+        while len(colors) < n:
+            colors.extend(chunk[:n - len(colors)])
+
+    def _fill(self, i: int) -> None:
+        """Colour whole child blocks with the block rule, up to the one
+        that holds index ``i``."""
+        colors = self._colors
         d = self.spec.degree
         if not colors:
             # the identity has no earlier vertex, and its children see
@@ -168,7 +209,6 @@ class GreedyColoring:
                 block = blocks[used] = self._block(used, d - 1)
             colors.extend(block)
             f += d - 1
-        return colors[i]
 
 
 class ProperLabelRule:

@@ -20,30 +20,41 @@ ternary multiple of 10^k, spread to the window indices of n and -n.
 The river rule reads each height off the parent's, a sphere at a time,
 from the parent's height and last letter, and spells no word.
 ``height`` and ``label`` stay as the word-level oracles.
+``LandscapeRule.level_sets`` splits the heights, in one pass, into
+height -> the ascending int32 array of the vertices at that height,
+kept per (group, radius) like the heights; a sublevel set is a union
+of levels, read without a pass over the window.
 
 ``verify_axioms`` certifies the four landscape axioms on a window and
 reports the empirical structure constants; ``components_leq`` measures
 sublevel-set components (the hilly certificate).  Both search with the
 one level walk, :func:`~riverscape.groups.bfs_levels`, and do work in
-proportion to the sets they measure: axiom 4 and the components walk
-only the sublevel sets, the vertices outside them marked as seen before
-the walk starts, and a BFS level is certified inline against the ball
-sizes (indices sort by word length), with no per-vertex slack table.
+proportion to the sublevel sets they measure, read from the levels:
+axiom 4 and the components walk only the sublevel sets, the vertices
+outside them marked as seen before the walk starts, and a BFS level is
+certified inline against the ball sizes (indices sort by word length),
+with no per-vertex slack table.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, compress, product, repeat
-from operator import eq, ge, gt, sub
+from itertools import chain, compress, count, product, repeat
+from operator import sub
 from typing import Optional
 
 from .checking import Snapshot
 from .groups import (FreeGroup, GroupSpec, IntegerGroup, Window, bfs_levels,
                      child_letters)
 from .labels import ProperLabelRule
+
+
+def _consume(calls) -> None:
+    """Run an iterator of calls made for their effect, such as a ``map``
+    of ``__setitem__``, at C speed."""
+    deque(calls, maxlen=0)
 
 
 class LandscapeRule:
@@ -55,6 +66,7 @@ class LandscapeRule:
         self.spec = spec
         self.label_rule = label_rule or ProperLabelRule(spec)
         self._window_heights: dict = {}
+        self._level_sets: dict = {}
 
     def height(self, word) -> int:
         raise NotImplementedError
@@ -71,6 +83,22 @@ class LandscapeRule:
             heights = self._compute_heights(window)
             self._window_heights[key] = heights
         return heights
+
+    def level_sets(self, window: Window) -> dict[int, array]:
+        """Height -> the ascending int32 array of the window vertices at
+        that height, in increasing height.  Built in one pass over
+        :meth:`window_heights`, once per (group, radius) and kept like
+        them; callers must not mutate it."""
+        key = (window.spec, window.radius)
+        levels = self._level_sets.get(key)
+        if levels is None:
+            heights = self.window_heights(window)
+            levels = {h: array("i") for h in sorted(set(heights))}
+            # vertex i goes to the level of its height, in a C-level map
+            _consume(map(array.append, map(levels.__getitem__, heights),
+                         count()))
+            self._level_sets[key] = levels
+        return levels
 
     def _compute_heights(self, window: Window) -> list[int]:
         # the words are walked once and dropped, not cached on the window
@@ -368,32 +396,39 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
     window (value <= R - |vertex|); in a tree or on the line such values
     are exact distances in the full group.  Indices sort by word length,
     so a vertex j at BFS level k is certified exactly when
-    j < |B_(R - k)|, read from an int32 table of ball sizes.  Vertices
+    j < |B_(R - k)|, computed once per level.  Vertices
     whose value cannot be certified are excluded from the constants and
     counted in ``uncertified``.
 
-    Axiom 2 is one level walk (:func:`~riverscape.groups.bfs_levels`)
-    from the height-1 set.  Axiom 4 walks only the sublevel set
-    {h < m}: the tall vertices are marked as seen at distance 0, and the
-    walk starts from the low vertices with a tall neighbour, so its work
-    is in proportion to the sublevel set, not to the window.  Axiom 1 is
-    one signed pass per letter column.  Nothing is kept per vertex
-    beyond the heights and, for one walk at a time, a mark byte and the
-    int32 low set; words are spelled (``window.word_at``) only for the
-    height-1 vertices and for violations.
+    The height-1 set and the sublevel sets are read from the rule's
+    level sets (:meth:`LandscapeRule.level_sets`).  Axiom 2 is one level
+    walk (:func:`~riverscape.groups.bfs_levels`) from the height-1 set.
+    Axiom 4 walks only the sublevel set {h < m}: the tall vertices are
+    marked as seen at distance 0, and the walk starts from the low
+    vertices with a tall neighbour.  From one m to the next the low set
+    grows by the level m - 1, whose marks are lowered, and the new
+    frontier lies in that level or the last frontier (the tall set only
+    shrinks); it is found with one C-level ``compress`` per letter
+    column.  So axiom 4's work is in proportion to the sublevel set, not
+    to the window.  Axiom 1 is one signed pass per letter column.
+    Nothing is kept per vertex beyond the heights, their level sets and,
+    while axiom 4 runs, the tall mark and a walk's seen mark; words are
+    spelled (``window.word_at``) only for the height-1 vertices and for
+    violations.
     """
     spec = window.spec
     R = window.radius
     n = len(window)
     heights = z.window_heights(window)
+    levels = z.level_sets(window)
     columns = window.columns
-    # |B_r| for r = 0..R: vertex i has |i| <= r exactly when i < sizes[r]
-    sizes = array("i", map(spec.ball_size, range(R + 1)))
+    # vertex i has |i| <= r exactly when i < |B_r|
+    ball_size = spec.ball_size
     constants = StructureConstants()
     violations: list[str] = []
     uncertified = 0
 
-    floor = min(heights)
+    floor = min(levels)
     if floor < 1:
         for i, h in enumerate(heights):
             if h < 1:
@@ -417,8 +452,8 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
                     )
     del padded
 
-    max_height = max(heights)
-    h1 = array("i", compress(range(n), map(eq, repeat(1), heights)))
+    max_height = max(levels)
+    h1 = levels.get(1, array("i"))
 
     # axiom 2: bounded return to height 1
     if not h1:
@@ -427,14 +462,13 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
     else:
         M = constants.M
         seen = bytearray(n)
-        for i in h1:
-            seen[i] = 1
+        _consume(map(seen.__setitem__, h1, repeat(1)))
         certified = 0
         for k, level in enumerate(bfs_levels(columns, h1, seen), 1):
             if k > R:
                 # no vertex fits a level past R: the rest is uncertified
                 break
-            bound = sizes[R - k]
+            bound = ball_size(R - k)
             for j in level:
                 if j < bound:
                     M[heights[j]] = k
@@ -446,7 +480,7 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
         h1_words = [window.word_at(i) for i in h1]
         l_cap = min(DENSITY_MAX, len(h1_words) - 1)
         for i, w in zip(h1, h1_words):
-            room = R - bisect_right(sizes, i)
+            room = R - spec.length(w)
             dists = sorted(spec.dist(w, v) for v in h1_words if v != w)
             for l in range(1, l_cap + 1):
                 d = dists[l - 1]
@@ -459,37 +493,47 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
             violations.append("axiom 3: fewer than two height-1 vertices")
 
     # axiom 4: visibility of high ground, walked over {h < m} only; the
-    # tall vertices sit at distance 0 and are certified
+    # tall vertices sit at distance 0 and are certified.  The low set
+    # grows by whole levels as m rises, and ``tall`` marks the vertices
+    # of height >= m, with a pad byte that index -1 (no neighbour) reads
+    tall = bytearray(b"\1") * n + b"\0"
+    n_low = 0
+    near: set[int] = set()
+    rising = iter(levels.items())
+    nxt = next(rising, None)
     for m in range(1, max(2, max_height) + 1):
-        low = array("i", compress(range(n), map(gt, repeat(m), heights)))
-        if len(low) == n:
+        # a low vertex with a tall neighbour is new to the low set or
+        # had one at m - 1, since the tall set only shrinks
+        candidates = array("i", near)
+        while nxt is not None and nxt[0] < m:
+            level = nxt[1]
+            candidates.extend(level)
+            n_low += len(level)
+            _consume(map(tall.__setitem__, level, repeat(0)))
+            nxt = next(rising, None)
+        if n_low == n:
             violations.append(f"axiom 4: no vertex of height >= {m}")
             continue
-        seen = bytearray(b"\1") * n
-        for j in low:
-            seen[j] = 0
-        # level 1: the low vertices with a tall neighbour; index -1 (no
-        # neighbour) reads the pad byte
-        tall = seen + b"\0"
-        near = []
-        for j in low:
-            for column in columns:
-                if tall[column[j]]:
-                    near.append(j)
-                    break
-        for j in near:
-            seen[j] = 1
+        # level 1: the low vertices with a tall neighbour, one C-level
+        # compress per letter column
+        near = set().union(*(
+            compress(candidates,
+                     map(tall.__getitem__, map(column.__getitem__,
+                                               candidates)))
+            for column in columns))
+        seen = tall[:n]
+        _consume(map(seen.__setitem__, near, repeat(1)))
         certified = 0
         farthest = 0
         for k, level in enumerate(
                 chain((near,), bfs_levels(columns, near, seen)), 1):
             if k > R:
                 break
-            c = sum(map(sizes[R - k].__gt__, level))
+            c = sum(map(ball_size(R - k).__gt__, level))
             if c:
                 certified += c
                 farthest = k
-        uncertified += len(low) - certified
+        uncertified += n_low - certified
         constants.S[m] = farthest
 
     return AxiomReport(
@@ -510,7 +554,8 @@ class ComponentReport:
 
 
 def components_leq(z: LandscapeRule, window: Window, n: int) -> ComponentReport:
-    """Connected components of the height-<=n sublevel set in the window.
+    """Connected components of the height-<=n sublevel set in the window,
+    read from the rule's level sets and walked inside the set.
 
     Components touching the window boundary may be truncations of larger
     ones; ``max_interior_size`` ignores them.
@@ -519,14 +564,13 @@ def components_leq(z: LandscapeRule, window: Window, n: int) -> ComponentReport:
         raise ValueError("n must be >= 1")
     # the boundary sphere is the last block of indices
     boundary = window.core_size(window.radius - 1)
-    heights = z.window_heights(window)
     columns = window.columns
-    members = array("i", compress(range(len(window)),
-                                  map(ge, repeat(n), heights)))
+    # the sublevel set in ascending order, from its levels
+    members = sorted(chain.from_iterable(
+        level for h, level in z.level_sets(window).items() if h <= n))
     # non-members are pre-marked, so each walk stays in the sublevel set
     seen = bytearray(b"\1") * len(window)
-    for start in members:
-        seen[start] = 0
+    _consume(map(seen.__setitem__, members, repeat(0)))
     sizes: list[int] = []
     interior_sizes: list[int] = []
     truncated = 0

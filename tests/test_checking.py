@@ -17,6 +17,8 @@ from itertools import compress
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riverscape.checking
 from riverscape.checking import (BUNDLE_SCHEMA, CertificateReport,
@@ -421,6 +423,20 @@ class TestWordView:
 
 
 class TestVerifier:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_pieces_equal_one_pass_per_piece(self, data):
+        # every scanned id occurs; a set names ids, possibly shared
+        width = data.draw(st.integers(1, 12))
+        ids = data.draw(st.lists(st.integers(0, width - 1), max_size=200))
+        present = sorted(set(ids))
+        hits = data.draw(st.lists(
+            st.sets(st.sampled_from(present)) if present else st.just(set()),
+            max_size=6))
+        assert riverscape.checking._pieces(ids, hits) == [
+            list(compress(range(len(ids)), map(h.__contains__, ids)))
+            for h in hits]
+
     def test_core_past_the_window_rejected(self, bundle):
         snap, cert = bundle
         cert["coreRadius"] = R + 1

@@ -228,6 +228,49 @@ class TestGreedyColoring:
         for w in ball(F2, 3).vertices:
             assert a.color(w) == b.color(w)
 
+    @pytest.mark.parametrize("spec", [F2, Z], ids=["F2", "Z"])
+    def test_power_zero_is_one_colour(self, spec):
+        # the distance-0 graph has no edges: every vertex gets colour 1
+        space = _IndexSpace(spec)
+        space.grow(3)
+        coloring = GreedyColoring(spec, 0, space)
+        assert list(coloring.colors(5)) == [1] * 5
+        assert [coloring.color_at(i) for i in range(5)] == [1] * 5
+        assert list(coloring.colors(0)) == []
+
+
+def line_radii(k):
+    """The radii the line's tiled colours are compared at: every radius
+    up to two past the tile start 4k + 3 (the index of |v| = 2k + 2),
+    and a long window."""
+    return [*range(2 * k + 5), 1000]
+
+
+class TestLineTile:
+    """On Z the colours from index 4k + 3 on are tiled with period
+    2(k + 1); they equal the per-index greedy loop."""
+
+    @pytest.mark.parametrize("k,radius", [
+        pytest.param(k, radius, id=f"k{k}-B{radius}")
+        for k in range(1, 7) for radius in line_radii(k)
+    ])
+    def test_colors_match_index_loop(self, k, radius):
+        assert window_colors(labels, Z, k, radius) == \
+            index_loop_colors(Z, k, radius)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_grown_in_steps(self, k):
+        expected = index_loop_colors(Z, k, 1000)
+        for first in (1, 4 * k + 2, 4 * k + 3, 4 * k + 4, 4 * k + 9):
+            space = _IndexSpace(Z)
+            space.grow(1000)
+            coloring = GreedyColoring(Z, k, space)
+            assert list(coloring.colors(first)) == expected[:first]
+            assert list(coloring.colors(777)) == expected[:777]
+            for i in (1500, 1501, 2000):
+                assert coloring.color_at(i) == expected[i]
+            assert list(coloring.colors(2001)) == expected
+
 
 class TestAgainstWordOracle:
     # the index-space coloring fills every index up to the one asked
@@ -274,6 +317,12 @@ BLOCK_MUTATIONS = {
                                     "self._block(0b11, d - 1)"),
     "no-parent-colour": ("used |= 1 << colors[p]", "pass"),
     "walk-centred-at-u": ("nb = [p]", "nb = [u]"),
+    # the line's tile: a period of k, and a start one index short of the
+    # first whole period.  (A start at 4k tiles the same colours: the
+    # greedy colouring of Z happens to be periodic from index 0, and
+    # 4k + 3 is where the period is proved, not where it begins.)
+    "tile-period-k": ("period = 2 * (self.k + 1)", "period = 2 * self.k"),
+    "tile-start-2k-plus-1": ("4 * k + 3 if", "2 * k + 1 if"),
 }
 
 
@@ -319,14 +368,16 @@ class TestBlockRule:
     def test_oracle_catches_mutation(self, name):
         mutant = source_mutant(labels, *BLOCK_MUTATIONS[name])
         caught = []
-        for k in (1, 2, 3, 4):
-            try:
-                colors = window_colors(mutant, F2, k, 5)
-            except IndexError:
-                caught.append(k)
-                continue
-            if colors != index_loop_colors(F2, k, 5):
-                caught.append(k)
+        # the tree and the line, where the tile runs
+        for spec, radius in ((F2, 5), (Z, 40)):
+            for k in (1, 2, 3, 4):
+                try:
+                    colors = window_colors(mutant, spec, k, radius)
+                except IndexError:
+                    caught.append((spec, k))
+                    continue
+                if colors != index_loop_colors(spec, k, radius):
+                    caught.append((spec, k))
         assert caught, name
 
 

@@ -402,6 +402,31 @@ class TestWindowHeights:
         assert len(z.window_heights(ball(Z, 60))) == 121
         assert z.window_heights(ball(Z, 50)) is first
 
+    @pytest.mark.parametrize("make,spec,radius", [
+        (lambda: RiverLandscape(F2), F2, 6),
+        (TernaryLandscape, Z, 300),
+        (lambda: _Sunk(Z), Z, 40),
+        (lambda: _Step(Z), Z, 10),
+    ], ids=["river", "ternary", "sunk", "step"])
+    def test_level_sets_split_the_heights(self, make, spec, radius):
+        win = ball(spec, radius)
+        z = make()
+        heights = z.window_heights(win)
+        levels = z.level_sets(win)
+        assert list(levels) == sorted(set(heights))
+        for h, level in levels.items():
+            assert level.typecode == "i"
+            assert list(level) == [i for i, g in enumerate(heights)
+                                   if g == h]
+
+    def test_level_sets_kept_per_group_and_radius(self):
+        z = counting_heights(TernaryLandscape)()
+        first = z.level_sets(ball(Z, 50))
+        assert z.level_sets(ball(Z, 50)) is first
+        assert sum(map(len, z.level_sets(ball(Z, 60)).values())) == 121
+        assert z.level_sets(ball(Z, 50)) is first
+        assert z.runs == 2
+
     def test_channel_rule_holds_the_base_heights(self, river, win5):
         z = ChannelLandscape(river, win5)
         assert z.window_heights(win5) is river.window_heights(win5)
