@@ -28,12 +28,14 @@ of levels, read without a pass over the window.
 ``verify_axioms`` certifies the four landscape axioms on a window and
 reports the empirical structure constants; ``components_leq`` measures
 sublevel-set components (the hilly certificate).  Both search with the
-one level walk, :func:`~riverscape.groups.bfs_levels`, and do work in
-proportion to the sublevel sets they measure, read from the levels:
-axiom 4 and the components walk only the sublevel sets, the vertices
-outside them marked as seen before the walk starts, and a BFS level is
-certified inline against the ball sizes (indices sort by word length),
-with no per-vertex slack table.
+one level walk, :func:`~riverscape.groups.bfs_levels`, and read the
+sublevel sets from the levels: axiom 4 and the components walk only the
+sublevel sets, the vertices outside them marked as seen before the walk
+starts, and a BFS level is certified inline against the ball sizes
+(indices sort by word length), with no per-vertex slack table.  Their
+Python-level work is in proportion to the sublevel sets; each walk also
+makes one C-level window-length mark (a byte a vertex), a fill or a
+copy.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import merge
 from itertools import chain, compress, count, product, repeat
 from operator import sub
 from typing import Optional
@@ -409,8 +412,10 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
     grows by the level m - 1, whose marks are lowered, and the new
     frontier lies in that level or the last frontier (the tall set only
     shrinks); it is found with one C-level ``compress`` per letter
-    column.  So axiom 4's work is in proportion to the sublevel set, not
-    to the window.  Axiom 1 is one signed pass per letter column.
+    column.  So axiom 4's Python-level work is in proportion to the
+    sublevel sets, plus one C-level copy of the window-length tall mark
+    per m for the walk's seen mark.  Axiom 1 is one signed pass per
+    letter column.
     Nothing is kept per vertex beyond the heights, their level sets and,
     while axiom 4 runs, the tall mark and a walk's seen mark; words are
     spelled (``window.word_at``) only for the height-1 vertices and for
@@ -565,16 +570,18 @@ def components_leq(z: LandscapeRule, window: Window, n: int) -> ComponentReport:
     # the boundary sphere is the last block of indices
     boundary = window.core_size(window.radius - 1)
     columns = window.columns
-    # the sublevel set in ascending order, from its levels
-    members = sorted(chain.from_iterable(
-        level for h, level in z.level_sets(window).items() if h <= n))
+    sublevel = [level for h, level in z.level_sets(window).items()
+                if h <= n]
     # non-members are pre-marked, so each walk stays in the sublevel set
     seen = bytearray(b"\1") * len(window)
-    _consume(map(seen.__setitem__, members, repeat(0)))
+    for level in sublevel:
+        _consume(map(seen.__setitem__, level, repeat(0)))
     sizes: list[int] = []
     interior_sizes: list[int] = []
     truncated = 0
-    for start in members:
+    # the walks start in ascending index order, merged from the levels
+    # with no copy of the sublevel set
+    for start in merge(*sublevel):
         if seen[start]:
             continue
         seen[start] = 1

@@ -519,9 +519,10 @@ class TestWindowRows:
 
 
 class TestAxiomMemory:
-    """The axiom check keeps nothing per vertex beyond the heights: no
-    word tuple, no distance list, and for one level walk at a time a mark
-    byte per vertex and the int32 sublevel set."""
+    """The axiom check keeps nothing per vertex beyond the heights and
+    the rule's level sets (an int32 index a vertex): no word tuple, no
+    distance list, and while axiom 4 runs the tall mark and one walk's
+    seen mark, a byte a vertex each."""
 
     def test_ternary_build_keeps_no_words(self, tmp_path, monkeypatch):
         windows = []
