@@ -13,9 +13,10 @@ lexicographically by letter, with letter order ``+1 < -1 < +2 < -2 < ...``.
 A window B_R(G, e) is its letter columns: vertex ids are enumeration
 indices, and ``columns[a][i]`` is the neighbour of vertex i by the
 letter with index a, one array read.  Window-scale state is held as
-typed int32 arrays (the letter columns, the offset tables).  Words are
-built only at the edges: transiently where a word-level rule is
-evaluated (``ball_words``), one at a time where a few are printed
+typed int32 arrays, the letter columns; offsets are composed on them
+over the vertices at hand (:meth:`Window.offset_rows`) and not kept.
+Words are built only at the edges: transiently where a word-level rule
+is evaluated (``ball_words``), one at a time where a few are printed
 (``word_at``), and as a view cached on first use for the word-level
 oracles.  A word is ranked and unranked arithmetically (``index_of``,
 ``word_at``), never through a lookup table.  On F_k each sphere is its
@@ -475,8 +476,9 @@ class Window:
     Vertices are the indices 0 .. len - 1 in enumeration order, vertex 0
     the identity.  ``columns`` holds one int32 array per letter, in
     letter order: ``columns[a][i]`` is the neighbour of vertex i by the
-    letter with index a, or -1 when it leaves the window.  The offset
-    tables are int32 arrays composed on the columns.  :meth:`word_at`
+    letter with index a, or -1 when it leaves the window.
+    :meth:`offset_rows` composes offsets on the columns over the
+    vertices a caller asks about, and keeps nothing.  :meth:`word_at`
     spells one vertex's word arithmetically, for the places that print
     or multiply a few words (witness strings, violation messages, the
     height-1 words of the axiom check).  :attr:`vertices`, every word,
@@ -490,8 +492,6 @@ class Window:
     spec: GroupSpec
     radius: int
     columns: tuple = field(repr=False, compare=False)
-    _offset_tables: dict = field(init=False, repr=False, compare=False,
-                                 hash=False, default_factory=dict)
 
     def __len__(self) -> int:
         return self.spec.ball_size(self.radius)
@@ -526,32 +526,28 @@ class Window:
             return 0
         return self.spec.ball_size(min(core_radius, self.radius))
 
-    def offset_tables(self, m: int) -> list[array]:
-        """Where the offsets of B_m(e) take the core of radius R - m.
+    def offset_rows(self, m: int, xs: Sequence[int]) -> list[array]:
+        """Where the offsets of B_m(e) take the vertices ``xs``.
 
-        ``tables[j][v]`` is the index of vertex v times offset j (offsets
-        in enumeration order), for every v < ``core_size(R - m)``; each
-        table is an int32 array that composes one letter column onto an
-        earlier table, and no product leaves the window.  The tables are
-        kept per m; callers must not mutate them.
+        Row j holds ``xs[i]`` times offset j (offsets in enumeration
+        order) at position i, as an int32 array that composes one letter
+        column onto an earlier row.  Every product must lie in the
+        window, as it does for ``xs`` in the core of radius R - m; an m
+        outside 0 .. R is a ``ValueError``.  This is the one composer
+        of offsets, and nothing composed is kept.
         """
-        tables = self._offset_tables.get(m)
-        if tables is None:
-            if not 0 <= m <= self.radius:
-                raise ValueError(
-                    f"offset radius {m} does not fit the window radius "
-                    f"{self.radius}"
-                )
-            n = self.core_size(self.radius - m)
-            columns = self.columns
-            tables = [array("i", range(n))]
-            for p, a in offset_steps(columns, self.spec.ball_size(m)):
-                # composed onto the identity table, a column is its head;
-                # a list built by map fills an array faster than map does
-                tables.append(columns[a][:n] if p == 0 else array(
-                    "i", list(map(columns[a].__getitem__, tables[p]))))
-            self._offset_tables[m] = tables
-        return tables
+        if not 0 <= m <= self.radius:
+            raise ValueError(
+                f"offset radius {m} does not fit the window radius "
+                f"{self.radius}"
+            )
+        columns = self.columns
+        rows = [array("i", xs)]
+        for p, a in offset_steps(columns, self.spec.ball_size(m)):
+            # a list built by map fills an array faster than map does
+            rows.append(array("i", list(map(columns[a].__getitem__,
+                                            rows[p]))))
+        return rows
 
 
 def ball(spec: GroupSpec, radius: int,

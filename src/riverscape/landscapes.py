@@ -44,7 +44,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import merge
-from itertools import chain, compress, count, product, repeat
+from itertools import chain, compress, count, islice, product, repeat
 from operator import sub
 from typing import Optional
 
@@ -401,7 +401,9 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
     so a vertex j at BFS level k is certified exactly when
     j < |B_(R - k)|, computed once per level.  Vertices
     whose value cannot be certified are excluded from the constants and
-    counted in ``uncertified``.
+    counted in ``uncertified``.  A walk stops at the first level that
+    certifies no vertex: a neighbour j' of j has |j'| >= |j| - 1, so no
+    later level can certify one either.
 
     The height-1 set and the sublevel sets are read from the rule's
     level sets (:meth:`LandscapeRule.level_sets`).  Axiom 2 is one level
@@ -414,8 +416,8 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
     shrinks); it is found with one C-level ``compress`` per letter
     column.  So axiom 4's Python-level work is in proportion to the
     sublevel sets, plus one C-level copy of the window-length tall mark
-    per m for the walk's seen mark.  Axiom 1 is one signed pass per
-    letter column.
+    per m for the walk's seen mark.  Axiom 1 is one pass per letter
+    column over the core of radius R - 1.
     Nothing is kept per vertex beyond the heights, their level sets and,
     while axiom 4 runs, the tall mark and a walk's seen mark; words are
     spelled (``window.word_at``) only for the height-1 vertices and for
@@ -433,19 +435,21 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
     violations: list[str] = []
     uncertified = 0
 
-    floor = min(levels)
-    if floor < 1:
+    if min(levels) < 1:
         for i, h in enumerate(heights):
             if h < 1:
                 violations.append(
                     f"height {h} < 1 at {window.word_at(i)!r}"
                 )
 
-    # axiom 1: slope <= 1 across every window edge.  Each edge is read
-    # from both ends, so one signed pass per letter column finds a steep
-    # one; index -1 (no neighbour) reads a pad below every height.
-    padded = heights + [floor - 2]
-    if any(max(map(sub, map(padded.__getitem__, column), heights)) > 1
+    # axiom 1: slope <= 1 across every window edge.  An edge joins words
+    # whose lengths differ by one, so it has an end in the core of
+    # radius R - 1, where every column entry is a vertex: one pass per
+    # letter column over that core finds a steep one.
+    core = window.core_size(R - 1)
+    if any(max(map(abs, map(sub, map(heights.__getitem__,
+                                     islice(column, core)), heights)),
+               default=0) > 1
            for column in columns):
         for i, row in enumerate(zip(*columns)):
             for j in row:
@@ -455,7 +459,6 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
                         f"between {window.word_at(i)!r} and "
                         f"{window.word_at(j)!r}"
                     )
-    del padded
 
     max_height = max(levels)
     h1 = levels.get(1, array("i"))
@@ -474,10 +477,14 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
                 # no vertex fits a level past R: the rest is uncertified
                 break
             bound = ball_size(R - k)
+            before = certified
             for j in level:
                 if j < bound:
                     M[heights[j]] = k
                     certified += 1
+            if certified == before:
+                # no later level can fit either
+                break
         uncertified += n - len(h1) - certified
 
     # axiom 3: height-1 density
@@ -535,9 +542,10 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
             if k > R:
                 break
             c = sum(map(ball_size(R - k).__gt__, level))
-            if c:
-                certified += c
-                farthest = k
+            if not c:
+                break
+            certified += c
+            farthest = k
         uncertified += n_low - certified
         constants.S[m] = farthest
 

@@ -12,11 +12,11 @@ prefix ceiling.
 
 The flow runs on window indices: the realization, the matching, the
 maps and the pieces are index sets.  The offsets of B_(K-1) are
-composed from the letter columns over the vertices at hand only (T's
-core in the K sweep, the matched vertices in piece extraction), never as
-window-wide offset tables, and a translator is read off the offset row
-that matched a pair, as the inverse of that offset.  Words appear only
-as translators.
+composed from the letter columns over the vertices at hand only
+(:meth:`~riverscape.groups.Window.offset_rows` over T's core in the K
+sweep and over the matched vertices in piece extraction), and a
+translator is read off the offset row that matched a pair, as the
+inverse of that offset.  Words appear only as translators.
 
 One :class:`ChannelLandscape` per pipeline carries the labels: the base
 labels spread to odd positions, read from the colour arrays as one row
@@ -39,7 +39,6 @@ so reruns produce byte-identical certificates.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import compress
@@ -48,7 +47,7 @@ from typing import Optional, Sequence
 
 from .checking import (CertificateReport, DoublingCertificate, Snapshot,
                        verify_certificate)
-from .groups import Window, offset_steps
+from .groups import Window
 from .landscapes import LandscapeRule
 from .patterns import LocalSetSpec, realize
 
@@ -244,21 +243,6 @@ class _HopcroftKarp:
         return False
 
 
-def _offset_rows(window: Window, m: int, xs: Sequence[int]
-                 ) -> list[array]:
-    """Where the offsets of B_m(e) take the vertices ``xs``: row j holds
-    ``xs[i]`` times offset j (offsets in enumeration order) at position
-    i.  Each row composes one letter column onto an earlier row, as
-    :meth:`~riverscape.groups.Window.offset_tables` composes its tables,
-    but over ``xs`` only; every product must lie in the window."""
-    columns = window.columns
-    rows = [array("i", xs)]
-    for p, a in offset_steps(columns, window.spec.ball_size(m)):
-        # a list built by map fills an array faster than map does
-        rows.append(array("i", list(map(columns[a].__getitem__, rows[p]))))
-    return rows
-
-
 @dataclass
 class DoublingSearch:
     """Outcome of the displacement sweep for a doubling of T."""
@@ -282,8 +266,9 @@ def find_doubling(T: Sequence[int], window: Window,
     core index of T to an index of T.  Never claims non-existence: an
     exhausted sweep reports the largest matched fraction and leaves the
     question open.  For each K the offsets of B_(K-1) are composed over
-    T's core vertices only (:func:`_offset_rows`), and the candidates of
-    a vertex are its products, in enumeration order of the offsets.
+    T's core vertices only (:meth:`Window.offset_rows`), and the
+    candidates of a vertex are its products, in enumeration order of the
+    offsets.
     """
     R = window.radius
     if not T:
@@ -304,7 +289,7 @@ def find_doubling(T: Sequence[int], window: Window,
             continue
         per_vertex = [
             [right_pos[y] for y in reach if y in right_pos]
-            for reach in zip(*_offset_rows(window, K - 1, core))
+            for reach in zip(*window.offset_rows(K - 1, core))
         ]
         # the psi half shares the phi half's lists; the matcher only
         # reads them
@@ -361,8 +346,8 @@ def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
     The image y of x is x times an offset of B_(K-1), so y's translator
     (y^-1 x) is that offset's inverse; the pieces hold window indices.
     phi and psi map the same vertices, over which the offsets are
-    composed once (:func:`_offset_rows`); row j holds each vertex times
-    offset j at the vertex's position.  Distinct offsets take x to
+    composed once (:meth:`Window.offset_rows`); row j holds each vertex
+    times offset j at the vertex's position.  Distinct offsets take x to
     distinct vertices, so each matched pair lies on exactly one row, and
     a piece is read off its row in one pass over the pairs.
     """
@@ -372,7 +357,7 @@ def extract_pieces(search: DoublingSearch, target: LocalSetSpec,
         return trivial_certificate(target, window)
     spec = window.spec
     xs = list(search.phi)
-    rows = _offset_rows(window, search.K - 1, xs)
+    rows = window.offset_rows(search.K - 1, xs)
     # offset j of B_(K-1) is window word j; only those words are built
     inverses = list(map(spec.inverse, spec.ball_words(search.K - 1)))
     phi_pieces: dict = {}

@@ -12,9 +12,11 @@ its one speller and kept, with no window built).  Window-wide scans
 :func:`observed_patterns`) are compiled against the window instead: the
 scan reads one label row and one height per vertex (a snapshot's
 rows), each distinct (label prefix, height) pair is interned as a cell
-id, the cell ids are gathered along the window's offset tables
-(compositions of its letter columns), and a :class:`PatternBall` is built
-once per distinct pattern.  The result equals θ at every core vertex;
+id, and the ids are refined m times over the window's letter columns: a
+vertex's radius-r id interns its radius-(r - 1) id with those of its
+neighbours, letter by letter, over the core of radius R - r.  A
+:class:`PatternBall` is built once per distinct final id, from the
+offsets of its first vertex.  The result equals θ at every core vertex;
 the core of a radius-m scan is always the ball of radius R - m.  Scans
 answer in window indices: :func:`realize` returns the core indices of a
 local set, and no word is built.
@@ -204,27 +206,35 @@ def pattern_scan(rows: tuple[list[str], list[int]], window: Window, m: int,
     if m > window.radius:
         raise ValueError("window too small for the pattern radius")
     labels, heights = rows
-    # the (label, height) cells are zipped twice rather than kept as one
-    # list of pairs per window vertex
+    # round 0: each distinct (label, height) cell is an id; the cells
+    # are zipped twice rather than kept as one list of pairs per vertex
     cells = list(dict.fromkeys(zip(labels, heights)))
     position = {pair: i for i, pair in enumerate(cells)}
-    gather = list(map(position.__getitem__, zip(labels, heights))).__getitem__
-    tables = window.offset_tables(m)
-    # the first column runs over the core only, so zip stops there
-    keys = list(zip(map(gather, range(window.core_size(window.radius - m))),
-                    *(map(gather, t) for t in tables[1:])))
-    distinct, ids = _intern(keys)
-    patterns = [PatternBall(m, prefix_len, tuple(map(cells.__getitem__, key)))
-                for key in distinct]
+    cell_ids = list(map(position.__getitem__, zip(labels, heights)))
+    # round r: B_r(v) is v with the B_(r-1)(v·a), one per letter a, so
+    # a radius-r id is the radius-(r - 1) ids of v and its neighbours,
+    # interned over the core of radius R - r
+    ids = cell_ids
+    for r in range(1, m + 1):
+        n = window.core_size(window.radius - r)
+        ids = _intern(list(zip(ids, *(map(ids.__getitem__, column[:n])
+                                      for column in window.columns))))
+    # one pattern per distinct id, read at its first vertex: ids are
+    # numbered in order of first occurrence, and the pairs taken last
+    # to first leave each id at its smallest vertex
+    smallest = dict(zip(reversed(ids), reversed(range(len(ids)))))
+    reps = list(map(smallest.__getitem__, range(len(smallest))))
+    patterns = [PatternBall(m, prefix_len,
+                            tuple(cells[cell_ids[x]] for x in ball))
+                for ball in zip(*window.offset_rows(m, reps))]
     return ids, patterns
 
 
-def _intern(items: list) -> tuple[list, list[int]]:
-    """The distinct items in order of first occurrence, and the position
-    of each item among them."""
-    distinct = list(dict.fromkeys(items))
-    position = {item: i for i, item in enumerate(distinct)}
-    return distinct, list(map(position.__getitem__, items))
+def _intern(items: list) -> list[int]:
+    """The position of each item among the distinct items, numbered in
+    order of first occurrence."""
+    position = {item: i for i, item in enumerate(dict.fromkeys(items))}
+    return list(map(position.__getitem__, items))
 
 
 def realize(T: LocalSetSpec, z: LandscapeRule, window: Window) -> list[int]:

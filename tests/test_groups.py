@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,17 +194,20 @@ class TestIndexSpace:
 
     @pytest.mark.parametrize("spec,radius", WINDOWS)
     def test_offset_tables_are_products(self, spec, radius):
+        # the table of offsets that offset_rows composes over any xs
         win = ball(spec, radius)
-        for m in (0, 1, 2):
+        for m in (0, 1, 2, radius):
             offsets = bfs_ball(spec, m)[0]
-            tables = win.offset_tables(m)
-            assert win.offset_tables(m) is tables
-            assert len(tables) == len(offsets)
-            for table, off in zip(tables, offsets):
-                assert len(table) == spec.ball_size(radius - m)
-                for i, j in enumerate(table):
-                    assert win.vertices[j] == \
-                        spec.mul(win.vertices[i], off)
+            n = win.core_size(radius - m)
+            # core vertices in any order, repeats included
+            xs = [n - 1, 0, *range(n - 1, -1, -3), n - 1]
+            rows = win.offset_rows(m, xs)
+            assert len(rows) == len(offsets)
+            for row, off in zip(rows, offsets):
+                assert type(row) is array and row.typecode == "i"
+                assert [win.vertices[j] for j in row] == \
+                    [spec.mul(win.vertices[i], off) for i in xs]
+            assert win.offset_rows(m, []) == [array("i")] * len(offsets)
 
     @pytest.mark.parametrize("spec,radius",
                              [(F2, r) for r in range(7)]
@@ -223,8 +228,10 @@ class TestIndexSpace:
         assert "vertices" not in win.__dict__
 
     def test_offset_radius_past_the_window(self):
-        with pytest.raises(ValueError):
-            ball(F2, 2).offset_tables(3)
+        win = ball(F2, 2)
+        for m in (-1, 3):
+            with pytest.raises(ValueError):
+                win.offset_rows(m, [0])
 
     def test_step_table_of_a_point(self):
         assert list(map(list, F2.ball_columns(0))) == [[-1]] * 4

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import tracemalloc
-from array import array
 from dataclasses import replace
 
 import pytest
@@ -345,7 +344,7 @@ class TestCertificates:
                                         height_target({3})],
                              ids=["full-core", "height-3"])
     def test_translators_agree_with_words(self, river, win8, target):
-        # a piece's translator is read off the offset tables; with words,
+        # a piece's translator is read off the offset rows; with words,
         # every pair (x, y) of its family has y^-1 x equal to it
         target = target(river, win8)
         search = find_doubling(realize(target, river, win8), win8)
@@ -555,21 +554,13 @@ def dense9():
 
 
 class TestMemoryShape:
-    """Window-scale state stays compact: offset tables are int32 arrays,
-    no pipeline step keeps the window's words, the K sweep composes
-    offsets over T's rows only, and a snapshot is written in pieces."""
+    """Window-scale state stays compact: no pipeline step keeps the
+    window's words, the K sweep composes offsets over T's rows only, and
+    a snapshot is written in pieces."""
 
     def test_words_not_kept(self, dense9):
         win, _, _ = dense9
         assert "vertices" not in win.__dict__
-
-    def test_offset_tables_are_int32_arrays(self, dense9):
-        win, result, _ = dense9
-        cert = result.certificates[0]
-        for m in {cert.target.m, cert.l, cert.K - 1}:
-            tables = win.offset_tables(m)
-            assert all(type(t) is array and t.typecode == "i"
-                       for t in tables)
 
     def test_traced_peak(self, dense9):
         # about 19.5 MiB with list tables, the cached word tuple and a
@@ -597,18 +588,22 @@ class TestMemoryShape:
     ], ids=["sparse-B8", "dense-B9"])
     def test_doubling_reads_no_offset_table(self, monkeypatch, radius,
                                             targets):
-        # the scans still read offset tables; the K sweep and the piece
-        # extraction compose offsets over the vertices they need
+        # no window-wide table: the K sweep and the piece extraction
+        # compose offsets over at most the vertices of the step's T
         inside = []
-        tables = Window.offset_tables
+        sizes = []
+        calls = []
+        rows = Window.offset_rows
 
-        def guarded(self, m):
+        def recorded(self, m, xs):
             if inside:
-                raise AssertionError(f"{inside[-1]} read an offset table")
-            return tables(self, m)
+                calls.append((inside[-1], len(xs), sizes[-1]))
+            return rows(self, m, xs)
 
         def entered(fn):
             def run(*args, **kwargs):
+                if fn.__name__ == "find_doubling":
+                    sizes.append(len(args[0]))
                 inside.append(fn.__name__)
                 try:
                     return fn(*args, **kwargs)
@@ -616,10 +611,13 @@ class TestMemoryShape:
                     inside.pop()
             return run
 
-        monkeypatch.setattr(Window, "offset_tables", guarded)
+        monkeypatch.setattr(Window, "offset_rows", recorded)
         for name in ("find_doubling", "extract_pieces"):
             monkeypatch.setattr(paradox, name, entered(getattr(paradox, name)))
         result = paradoxicalize_sequence(RiverLandscape(F2), targets,
                                          ball(F2, radius))
         assert len(result.reports) == len(targets)
         assert result.matrix_all_pass()
+        assert {name for name, _, _ in calls} == {"find_doubling",
+                                                  "extract_pieces"}
+        assert all(0 < n <= t for _, n, t in calls)

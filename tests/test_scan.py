@@ -185,7 +185,7 @@ class TestScanAgainstTheta:
         win = window(spec, radius)
         writes = data.draw(channel_writes(len(win)))
         z, oracle = channel_rules(spec, radius, writes)
-        m = data.draw(st.sampled_from([1, 2]))
+        m = data.draw(st.sampled_from([1, 2, 3]))
         prefix_len = data.draw(st.integers(1, 40))
         want = oracle_occurrences(oracle, win, m, prefix_len)
         got = observed_patterns(z, win, m, prefix_len)
