@@ -50,8 +50,8 @@ from operator import gt, lt
 from typing import Callable, Optional
 
 from .groups import GroupSpec, Window, ball, letter_index
-from .patterns import (LocalSetSpec, PatternBall, json_expect, json_int,
-                       json_strings, pattern_scan)
+from .patterns import (InputError, LocalSetSpec, PatternBall, json_expect,
+                       json_int, json_strings, pattern_scan)
 
 SNAPSHOT_SCHEMA = "riverscape.snapshot/1"
 BUNDLE_SCHEMA = "riverscape.bundle/2"
@@ -109,8 +109,9 @@ class DoublingCertificate:
 
 
 def _ints(value, what: str) -> list:
-    """``value`` when it is a JSON array of integers; otherwise a
-    ``ValueError`` naming ``what`` and the first offending entry."""
+    """``value`` when it is a JSON array of integers; otherwise an
+    :class:`~riverscape.patterns.InputError` naming ``what`` and the
+    first offending entry."""
     json_expect(value, list, what)
     for i, item in enumerate(value):
         json_int(item, f"{what}: entry {i}")
@@ -119,15 +120,16 @@ def _ints(value, what: str) -> list:
 
 def bundle_certificates(payload) -> list:
     """The ``certificates`` array of a ``riverscape.bundle/2`` object; any
-    other file is a ``ValueError`` naming the schema."""
+    other file is an :class:`~riverscape.patterns.InputError` naming the
+    schema."""
     if not isinstance(payload, dict):
-        raise ValueError(f"certificate file must be a {BUNDLE_SCHEMA} "
+        raise InputError(f"certificate file must be a {BUNDLE_SCHEMA} "
                          f"object, not {type(payload).__name__}")
     if payload.get("schema") != BUNDLE_SCHEMA:
-        raise ValueError(f"unsupported bundle schema: "
+        raise InputError(f"unsupported bundle schema: "
                          f"{payload.get('schema')!r}, not {BUNDLE_SCHEMA!r}")
     if "certificates" not in payload:
-        raise ValueError("bundle is missing the field 'certificates'")
+        raise InputError("bundle is missing the field 'certificates'")
     return json_expect(payload["certificates"], list,
                        "bundle field 'certificates'")
 
@@ -135,11 +137,11 @@ def bundle_certificates(payload) -> list:
 def bundle_halted(payload: dict) -> Optional[str]:
     """The ``halted`` reason of a bundle that :func:`bundle_certificates`
     accepted: ``None`` when the pipeline ran to the end (or the field is
-    absent), a string when it stopped; anything else is a
-    ``ValueError`` naming the field."""
+    absent), a string when it stopped; anything else is an
+    :class:`~riverscape.patterns.InputError` naming the field."""
     halted = payload.get("halted")
     if halted is not None and type(halted) is not str:
-        raise ValueError(f"bundle field 'halted' must be a string or "
+        raise InputError(f"bundle field 'halted' must be a string or "
                          f"null, not {type(halted).__name__}")
     return halted
 
@@ -148,17 +150,18 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
     """Parse a serialized certificate; a missing or wrong-typed field,
     translators and pieces that do not number p + q, an ``m`` that is
     not its target's, or a ``displacementBound`` below the length of the
-    longest translator, are a ``ValueError``."""
+    longest translator, are an :class:`~riverscape.patterns.InputError`.
+    """
     json_expect(obj, dict, "certificate")
     if obj.get("schema") != "riverscape.certificate/1":
-        raise ValueError(
+        raise InputError(
             f"unsupported certificate schema: {obj.get('schema')!r}"
         )
     try:
         ref = json_expect(obj["windowRef"], dict,
                           "certificate field 'windowRef'")
         if ref["group"] != spec.to_dict():
-            raise ValueError(
+            raise InputError(
                 "certificate group does not match the given group")
         target = json_expect(obj["target"], dict,
                              "certificate field 'target'")
@@ -178,7 +181,7 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
                          "certificate field 'channelPositions'")
         trivial = obj.get("trivial", False)
         if type(trivial) is not bool:
-            raise ValueError(f"certificate field 'trivial' must be a "
+            raise InputError(f"certificate field 'trivial' must be a "
                              f"boolean, not {type(trivial).__name__}")
 
         def integer(name: str, default=None) -> int:
@@ -205,7 +208,7 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
             trivial=trivial,
         )
     except KeyError as exc:
-        raise ValueError(
+        raise InputError(
             f"certificate is missing the field {exc.args[0]!r}") from None
     # a negative core would be empty, a negative prefix would cut the
     # labels from the end, and a negative p or q would slice the
@@ -214,21 +217,21 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
                         ("coreRadius", cert.core_radius),
                         ("p", cert.p), ("q", cert.q)):
         if value < 0:
-            raise ValueError(
+            raise InputError(
                 f"certificate field {name!r} must be >= 0, got {value}")
     if not len(cert.translators) == len(cert.piece_patterns) \
             == cert.p + cert.q:
-        raise ValueError(
+        raise InputError(
             f"certificate has {len(cert.translators)} translators and "
             f"{len(cert.piece_patterns)} pieces, but p + q = {cert.p + cert.q}"
         )
     # the verifier reads neither; they are tied to what it verifies
     if cert.m != cert.target.m:
-        raise ValueError(f"certificate field 'm' is {cert.m}, but its "
+        raise InputError(f"certificate field 'm' is {cert.m}, but its "
                          f"target's m is {cert.target.m}")
     longest = max(map(spec.length, cert.translators), default=0)
     if cert.K < longest:
-        raise ValueError(
+        raise InputError(
             f"certificate field 'displacementBound' is {cert.K}, below "
             f"the length {longest} of its longest translator")
     return cert
@@ -311,11 +314,12 @@ class Snapshot:
 def load_snapshot(obj: dict) -> Snapshot:
     """Parse a snapshot; a missing or wrong-typed field, a height that
     is not an integer, a label that is not a string of ``labelPrefixLen``
-    0s and 1s, or rows that do not number the window's vertices, are a
-    ``ValueError`` naming the field and the row."""
+    0s and 1s, or rows that do not number the window's vertices, are an
+    :class:`~riverscape.patterns.InputError` naming the field and the
+    row."""
     json_expect(obj, dict, "snapshot")
     if obj.get("schema") != SNAPSHOT_SCHEMA:
-        raise ValueError(f"unsupported snapshot schema: {obj.get('schema')!r}")
+        raise InputError(f"unsupported snapshot schema: {obj.get('schema')!r}")
     try:
         ref = json_expect(obj["windowRef"], dict,
                           "snapshot field 'windowRef'")
@@ -329,10 +333,10 @@ def load_snapshot(obj: dict) -> Snapshot:
                               "snapshot field 'heights'")
         labels = json_expect(obj["labels"], list, "snapshot field 'labels'")
     except KeyError as exc:
-        raise ValueError(
+        raise InputError(
             f"snapshot is missing the field {exc.args[0]!r}") from None
     if radius < 0:
-        raise ValueError(f"snapshot field 'radius' is {radius}, not "
+        raise InputError(f"snapshot field 'radius' is {radius}, not "
                          f"non-negative")
     # the rows are counted before any window is built, and their count
     # is the window's budget; |B_r| > r, so a radius at or above the
@@ -342,7 +346,7 @@ def load_snapshot(obj: dict) -> Snapshot:
         if len(rows) != size:
             vertices = size if size is not None and size <= len(heights) \
                 else f"more than {len(heights)}"
-            raise ValueError(
+            raise InputError(
                 f"snapshot field {name!r} has {len(rows)} entries, the "
                 f"window of radius {radius} has {vertices} vertices"
             )
@@ -351,24 +355,24 @@ def load_snapshot(obj: dict) -> Snapshot:
     # when one fails
     if set(map(type, heights)) - {int}:
         i = next(i for i, h in enumerate(heights) if type(h) is not int)
-        raise ValueError(
+        raise InputError(
             f"snapshot field 'heights': height {i} is "
             f"{type(heights[i]).__name__}, not an integer")
     if set(map(type, labels)) - {str}:
         i = next(i for i, bits in enumerate(labels) if type(bits) is not str)
-        raise ValueError(
+        raise InputError(
             f"snapshot field 'labels': label {i} is "
             f"{type(labels[i]).__name__}, not a string")
     if set(map(len, labels)) - {prefix_len}:
         i = next(i for i, bits in enumerate(labels) if len(bits) != prefix_len)
-        raise ValueError(
+        raise InputError(
             f"snapshot field 'labels': label {i} has {len(labels[i])} bits, "
             f"'labelPrefixLen' is {prefix_len}")
     distinct = set(labels)
     bad = {bits for bits in distinct if bits.strip("01")}
     if bad:
         i = next(i for i, bits in enumerate(labels) if bits in bad)
-        raise ValueError(
+        raise InputError(
             f"snapshot field 'labels': label {i} is {labels[i]!r}, not a "
             f"string of 0s and 1s")
     # every row references the one parsed string of its value
@@ -382,8 +386,9 @@ def check_certificate_dict(snapshot: Snapshot, cert_obj: dict
     """Re-verify one serialized certificate against a loaded snapshot
     (:func:`load_snapshot`).
 
-    Raises ``ValueError`` on schema or window mismatch; verification
-    failures come back as a failing report, not an exception.
+    Raises :class:`~riverscape.patterns.InputError` on schema or window
+    mismatch; verification failures come back as a failing report, not
+    an exception.
     """
     cert = certificate_from_dict(cert_obj, snapshot.window.spec)
     return verify_certificate(snapshot, cert)
@@ -419,16 +424,29 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
     spec = window.spec
     if (cert.window_group, cert.window_radius) != \
             (spec.to_dict(), window.radius):
-        raise ValueError(
+        raise InputError(
             f"certificate window (radius {cert.window_radius}) does not "
             f"match the snapshot window (radius {window.radius})"
         )
     if cert.core_radius > window.radius:
-        raise ValueError(
+        raise InputError(
             f"certificate core radius {cert.core_radius} exceeds its "
             f"window radius {window.radius}"
         )
     target = cert.target
+    # every scan the certificate names must fit the snapshot
+    scans = [("target", target.m, target.prefix_len)]
+    if not cert.trivial:
+        scans.append(("piece", cert.l, cert.prefix_len))
+    for what, m, s in scans:
+        if not 1 <= m <= window.radius:
+            raise InputError(
+                f"certificate {what} radius {m} is not in 1 .. "
+                f"{window.radius}, the snapshot window's radius")
+        if not 0 <= s <= snapshot.prefix_len:
+            raise InputError(
+                f"certificate {what} prefix length {s} is not in 0 .. "
+                f"{snapshot.prefix_len}, the snapshot's label prefix length")
     T_ids, T_patterns = snapshot.scan(target.m, target.prefix_len)
     hit, = _select(T_patterns, [target.patterns])
     # byte t is 1 when core index t of the target's scan lies in T

@@ -1,7 +1,10 @@
 """Batch command-line surface: build, amenability, paradoxicalize, check.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
-3 budget exhausted or matching inconclusive.
+3 budget exhausted or matching inconclusive.  An input error is an
+:class:`~riverscape.patterns.InputError`, raised by the flag parsers
+here and by the file parsers; any other exception is a bug and
+propagates with its traceback, so Python exits 1.
 
 Start-up is a fixed share of every command, and without a bytecode cache
 each process compiles every module it imports.  So the top of this
@@ -28,26 +31,25 @@ EXIT_INCONCLUSIVE = 3
 MIN_RIVER_RADIUS = 2
 
 
-class InputError(ValueError):
-    pass
-
-
 def parse_group(text: str) -> GroupSpec:
     from .groups import FreeGroup, IntegerGroup
+    from .patterns import InputError
 
     t = text.strip().lower()
     if t in ("z", "int", "integers"):
         return IntegerGroup()
-    if t.startswith("f") and t[1:].isdigit():
-        return FreeGroup(int(t[1:]))
-    if t.startswith("free:") and t[5:].isdigit():
-        return FreeGroup(int(t[5:]))
+    for prefix in ("f", "free:"):
+        rank = t[len(prefix):]
+        if t.startswith(prefix) and rank.isdigit() and int(rank) >= 1:
+            return FreeGroup(int(rank))
     raise InputError(f"unknown group {text!r}; use z, f2, or free:<rank>")
 
 
 def parse_ints(text: str, flag: str) -> list[int]:
     """The comma-separated integers of ``text``, empty entries skipped;
     an entry that is not an integer is an input error naming ``flag``."""
+    from .patterns import InputError
+
     out = []
     for x in text.split(","):
         if x:
@@ -62,6 +64,7 @@ def parse_ints(text: str, flag: str) -> list[int]:
 def make_landscape(name: str, spec: GroupSpec, radius: int):
     from .landscapes import (AnchorSet, FractalLandscape, RiverLandscape,
                              TernaryLandscape)
+    from .patterns import InputError
 
     name = name.strip().lower()
     if name == "river":
@@ -134,6 +137,8 @@ def cmd_build(args) -> int:
 def _m_values(args) -> list[int]:
     """The m of the defect table, ascending and distinct (none without
     --m-values).  An m below 1 is an input error."""
+    from .patterns import InputError
+
     m_values = sorted(set(parse_ints(args.m_values, "--m-values")))
     if m_values and m_values[0] < 1:
         raise InputError(f"--m-values must be >= 1, got {m_values[0]}")
@@ -160,7 +165,8 @@ def cmd_amenability(args) -> int:
 def cmd_paradoxicalize(args) -> int:
     from .groups import ball
     from .paradox import paradoxicalize_sequence
-    from .patterns import LocalSetSpec, center_height_local_set, json_expect
+    from .patterns import (InputError, LocalSetSpec, center_height_local_set,
+                           json_expect)
     from .snapshots import (bundle_pipeline, dump_json, final_snapshot,
                             load_json)
 
@@ -171,7 +177,14 @@ def cmd_paradoxicalize(args) -> int:
     if args.targets:
         targets.extend(map(LocalSetSpec.from_dict, json_expect(
             load_json(args.targets), list, "targets file")))
+        for i, target in enumerate(targets):
+            if target.m > window.radius:
+                raise InputError(f"target {i}: m = {target.m} exceeds the "
+                                 f"window radius {window.radius}")
     if args.target_heights:
+        if window.radius < 1:
+            raise InputError("--target-heights reads radius-1 patterns; "
+                             "the window radius must be >= 1")
         for item in args.target_heights.split(";"):
             heights = frozenset(parse_ints(item, "--target-heights"))
 
@@ -269,6 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     from .groups import BudgetExceededError
+    from .patterns import InputError
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -277,7 +291,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (InputError, ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -106,6 +106,12 @@ class GroupSpec:
         """The word-metric distance |u^-1 v|."""
         raise NotImplementedError
 
+    def lcp(self, u, v) -> int:
+        """The length of the longest common prefix of the geodesic
+        spellings of ``u`` and ``v``; the Cayley graph is a tree, so
+        d(u, v) = |u| + |v| - 2 lcp(u, v)."""
+        raise NotImplementedError
+
     def sort_key(self, u):
         raise NotImplementedError
 
@@ -140,7 +146,20 @@ class GroupSpec:
         raise NotImplementedError
 
     def word_from_json(self, obj):
+        """The word a JSON array of letters spells; a letter outside
+        +-1 .. +-rank is an :class:`~riverscape.patterns.InputError`."""
         raise NotImplementedError
+
+    def _letters_from_json(self, obj) -> list[int]:
+        # the parsers' error type lives with them, above this module
+        from .patterns import InputError
+
+        letters = [int(x) for x in obj]
+        for letter in letters:
+            if not 1 <= abs(letter) <= self.rank:
+                raise InputError(f"letter {letter} out of range for "
+                                 f"rank-{self.rank} group")
+        return letters
 
     # -- spec (de)serialization ------------------------------------------
 
@@ -149,15 +168,25 @@ class GroupSpec:
 
     @staticmethod
     def from_dict(obj: dict) -> "GroupSpec":
+        """The group that :meth:`to_dict` wrote; an unknown kind or a
+        rank the kind cannot have is an
+        :class:`~riverscape.patterns.InputError`."""
+        # the parsers' error type lives with them, above this module
+        from .patterns import InputError
+
         kind = obj["kind"]
         if kind == "free":
-            return FreeGroup(int(obj["rank"]))
+            rank = int(obj["rank"])
+            if rank < 1:
+                raise InputError(f"group field 'rank' is {rank}; a free "
+                                 f"group has rank >= 1")
+            return FreeGroup(rank)
         if kind == "integers":
             if obj["rank"] != 1:
-                raise ValueError(f"group field 'rank' is {obj['rank']!r}; "
+                raise InputError(f"group field 'rank' is {obj['rank']!r}; "
                                  f"the integers have rank 1")
             return IntegerGroup()
-        raise ValueError(f"unknown group kind: {kind!r}")
+        raise InputError(f"unknown group kind: {kind!r}")
 
     def _check_letter(self, letter: int) -> None:
         if not (1 <= abs(letter) <= self.rank):
@@ -275,12 +304,15 @@ class FreeGroup(GroupSpec):
 
     def dist(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
         # the geodesic between reduced words turns at their common prefix
+        return len(u) + len(v) - 2 * self.lcp(u, v)
+
+    def lcp(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
         c = 0
         for a, b in zip(u, v):
             if a != b:
                 break
             c += 1
-        return len(u) + len(v) - 2 * c
+        return c
 
     def last_letters(self, radius: int) -> bytes:
         """The letter index of every word's last letter in B_radius(e),
@@ -362,7 +394,7 @@ class FreeGroup(GroupSpec):
         return out
 
     def word_from_json(self, obj) -> tuple[int, ...]:
-        return self.reduce(int(x) for x in obj)
+        return self.reduce(self._letters_from_json(obj))
 
 
 class IntegerGroup(GroupSpec):
@@ -399,6 +431,10 @@ class IntegerGroup(GroupSpec):
 
     def dist(self, u: int, v: int) -> int:
         return abs(v - u)
+
+    def lcp(self, u: int, v: int) -> int:
+        # words on the same side of 0 share the shorter one's letters
+        return min(abs(u), abs(v)) if u * v > 0 else 0
 
     def sort_key(self, u: int):
         return (abs(u), 0 if u >= 0 else 1)
@@ -437,7 +473,7 @@ class IntegerGroup(GroupSpec):
             return 0
         if len(obj) == 1 and abs(obj[0]) != 1:
             return int(obj[0])
-        return self.reduce(int(x) for x in obj)
+        return self.reduce(self._letters_from_json(obj))
 
 
 def child_letters(degree: int) -> list[bytes]:
@@ -555,10 +591,14 @@ def ball(spec: GroupSpec, radius: int,
     """B_radius(G, e) in the deterministic order, as its letter columns.
 
     Raises :class:`BudgetExceededError` before building anything when
-    the ball holds more than ``budget`` vertices.
+    the ball holds more than ``budget`` vertices, and a negative radius
+    is an :class:`~riverscape.patterns.InputError`.
     """
     if radius < 0:
-        raise ValueError("radius must be non-negative")
+        # the parsers' error type lives with them, above this module
+        from .patterns import InputError
+
+        raise InputError("radius must be non-negative")
     if spec.ball_size(radius) > budget:
         raise BudgetExceededError(
             f"ball of radius {radius} exceeds vertex budget {budget}"
@@ -576,7 +616,9 @@ def bfs_levels(columns: Sequence[array], frontier: Iterable[int],
     ``seen`` is a window-length bytearray marking vertices visited or
     excluded; the caller marks the frontier, the walk marks each vertex
     it reaches, and a marked vertex is never entered.  This is the one
-    graph walk: pre-marking the vertices outside a set walks inside it.
+    graph walk, used in trees by the axiom check and on every group by
+    the sublevel components (on the line the axiom check reads runs
+    instead): pre-marking the vertices outside a set walks inside it.
     """
     while True:
         level = []

@@ -27,15 +27,20 @@ of levels, read without a pass over the window.
 
 ``verify_axioms`` certifies the four landscape axioms on a window and
 reports the empirical structure constants; ``components_leq`` measures
-sublevel-set components (the hilly certificate).  Both search with the
-one level walk, :func:`~riverscape.groups.bfs_levels`, and read the
-sublevel sets from the levels: axiom 4 and the components walk only the
-sublevel sets, the vertices outside them marked as seen before the walk
-starts, and a BFS level is certified inline against the ball sizes
-(indices sort by word length), with no per-vertex slack table.  Their
-Python-level work is in proportion to the sublevel sets; each walk also
-makes one C-level window-length mark (a byte a vertex), a fill or a
-copy.
+sublevel-set components (the hilly certificate).  Axiom 1 reads each
+edge of the window once, from the parent formula of the enumeration.
+Axiom 3 finds each height-1 vertex's nearest others in a compressed
+trie of the height-1 words, with no pairwise distance.  On the line,
+axioms 2 and 4 take the runs of unmarked vertices in position order
+(one C-level regular expression search per mark) and certify each run
+in closed form, with no walk.  In a tree they search with the one
+level walk, :func:`~riverscape.groups.bfs_levels`, as the components do
+on every group, and read the sublevel sets from the levels: axiom 4
+and the components walk only the sublevel sets, the vertices outside
+them marked as seen before the walk starts, and a BFS level is
+certified inline against the ball sizes (indices sort by word length),
+with no per-vertex slack table.  Each walk or run search also makes a
+C-level window-length mark (a byte a vertex), a fill or a copy.
 """
 
 from __future__ import annotations
@@ -45,8 +50,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from heapq import merge
 from itertools import chain, compress, count, islice, product, repeat
-from operator import sub
-from typing import Optional
+from operator import attrgetter, sub
+from re import finditer
+from typing import Iterator, Optional
 
 from .checking import Snapshot
 from .groups import (FreeGroup, GroupSpec, IntegerGroup, Window, bfs_levels,
@@ -389,43 +395,178 @@ class AxiomReport:
 DENSITY_MAX = 8
 
 
+def _line_runs(mark, R: int) -> Iterator[tuple[int, int, int]]:
+    """The runs of unmarked vertices of a window of radius R on the
+    line (degree 2), as (start, length, certified).
+
+    ``mark`` holds a byte a window index, nonzero on the marked
+    vertices, and is read in position order, x = -R .. R at positions
+    0 .. 2R, so a run is a stretch of consecutive integers and
+    ``start`` is the position of its first vertex.  The runs are found
+    by one C-level regular expression search.  A vertex x is certified
+    when its distance d to the marked set fits the window,
+    d <= R - |x|.  A run with marked vertices on both sides is wholly
+    certified: the nearer end is reached by a geodesic that stays in
+    the window.  A run that ends at the window's edge has a marked
+    vertex on one side only; at the right end, with the mark at
+    x = a - 1, exactly x = a .. (R + a - 1) // 2 are certified, at
+    distances 1, 2, ..., and the left end is the mirror image.  Some
+    vertex must be marked.
+    """
+    n = 2 * R + 1
+    # u > 0 sits at index 2u - 1 and -u at index 2u
+    in_order = mark[2:n:2][::-1] + mark[:1] + mark[1:n:2]
+    for run in finditer(rb"\0+", in_order):
+        s, e = run.span()
+        if s and e < n:
+            yield s, e - s, e - s
+        else:
+            # the run's vertex next to its mark, at x = a - R after
+            # mirroring a left end run to the right
+            a = s if s else n - e
+            yield s, e - s, R + 1 - a + (a - 1) // 2
+
+
+class _TrieNode:
+    """A node of the compressed trie of :func:`_nearest_distances`."""
+
+    __slots__ = ("depth", "parent", "children", "end", "lows")
+
+    def __init__(self, depth: int, parent, children: list):
+        self.depth = depth
+        self.parent = parent
+        self.children = children
+        # the length of the word ending here, if one does
+        self.end: Optional[int] = None
+        # the k smallest lengths of the words at or below, ascending
+        self.lows: list[int] = []
+
+
+def _nearest_distances(spec: GroupSpec, words: list, k: int
+                       ) -> list[list[int]]:
+    """For each word, the sorted distances to its k nearest others.
+
+    The Cayley graph is a tree, so d(u, v) = |u| + |v| - 2 lcp(u, v)
+    (:meth:`~riverscape.groups.GroupSpec.lcp`).  The words go into a
+    compressed trie, built from their sorted order and the lcp of
+    neighbours in it, with at most 2 len(words) nodes; each node keeps
+    the k smallest lengths of the words at or below it.  A word climbs
+    its ancestors: at depth t the words off its own branch offer
+    |w| + |v| - 2t, and the climb stops once |w| - t, a lower bound for
+    every word above, is no better than the k-th distance found.
+    """
+    if k < 1:
+        return [[] for _ in words]
+    root = _TrieNode(0, None, [])
+    nodes = [root]
+    node_of = {}
+    stack = [root]
+    prev = None
+    # sorting keeps the words through one prefix together: tuples
+    # compare letter by letter, and on Z the words through a prefix
+    # are one side of 0, where a prefix may follow its extensions
+    for w in sorted(words):
+        t = 0 if prev is None else spec.lcp(prev, w)
+        last = None
+        while stack[-1].depth > t:
+            last = stack.pop()
+        top = stack[-1]
+        if top.depth < t:
+            # w leaves the last branch below top at depth t: split it
+            mid = _TrieNode(t, top, [last])
+            top.children[-1] = last.parent = mid
+            nodes.append(mid)
+            stack.append(mid)
+            top = mid
+        length = spec.length(w)
+        if length > t:
+            top = _TrieNode(length, top, [])
+            stack[-1].children.append(top)
+            nodes.append(top)
+            stack.append(top)
+        top.end = length
+        node_of[w] = top
+        prev = w
+    # a child is deeper than its parent
+    for node in sorted(nodes, key=attrgetter("depth"), reverse=True):
+        own = [] if node.end is None else [node.end]
+        node.lows = list(islice(merge(own, *(c.lows for c in node.children)),
+                                k))
+    out = []
+    for w in words:
+        length = spec.length(w)
+        node = node_of[w]
+        best: list[int] = []
+        child = None
+        while node is not None:
+            t = node.depth
+            if len(best) == k and length - t >= best[-1]:
+                break
+            # above w's own node, a word ending at the node is an other
+            offered = [] if child is None or node.end is None \
+                else [length - t]
+            for c in node.children:
+                if c is not child:
+                    offered.extend(length + v - 2 * t for v in c.lows)
+            best = sorted(best + offered)[:k]
+            child, node = node, node.parent
+        out.append(best)
+    return out
+
+
 def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
     """Check the four landscape axioms on the window, empirically.
 
     Axiom 3 reads the distances to the nearest ``DENSITY_MAX`` other
     height-1 vertices, and axiom 4 runs m = 1 .. max(2, max height).
 
-    A BFS value at a vertex is trusted only when it fits inside the
+    A distance at a vertex is trusted only when it fits inside the
     window (value <= R - |vertex|); in a tree or on the line such values
-    are exact distances in the full group.  Indices sort by word length,
-    so a vertex j at BFS level k is certified exactly when
-    j < |B_(R - k)|, computed once per level.  Vertices
-    whose value cannot be certified are excluded from the constants and
-    counted in ``uncertified``.  A walk stops at the first level that
-    certifies no vertex: a neighbour j' of j has |j'| >= |j| - 1, so no
-    later level can certify one either.
+    are exact distances in the full group.  Vertices whose value cannot
+    be certified are excluded from the constants and counted in
+    ``uncertified``.
 
     The height-1 set and the sublevel sets are read from the rule's
-    level sets (:meth:`LandscapeRule.level_sets`).  Axiom 2 is one level
-    walk (:func:`~riverscape.groups.bfs_levels`) from the height-1 set.
-    Axiom 4 walks only the sublevel set {h < m}: the tall vertices are
-    marked as seen at distance 0, and the walk starts from the low
-    vertices with a tall neighbour.  From one m to the next the low set
-    grows by the level m - 1, whose marks are lowered, and the new
-    frontier lies in that level or the last frontier (the tall set only
-    shrinks); it is found with one C-level ``compress`` per letter
-    column.  So axiom 4's Python-level work is in proportion to the
-    sublevel sets, plus one C-level copy of the window-length tall mark
-    per m for the walk's seen mark.  Axiom 1 is one pass per letter
-    column over the core of radius R - 1.
+    level sets (:meth:`LandscapeRule.level_sets`).  Axiom 1 reads each
+    edge once: the root's d edges, then every vertex j > d against its
+    parent (j - 2) // (d - 1), in d - 1 strided C-level passes.  Axiom 3
+    finds each height-1 vertex's nearest others in a compressed trie of
+    the height-1 words (:func:`_nearest_distances`), with no pairwise
+    distance.  Axioms 2 and 4 depend on the group:
+
+    * On the line (degree 2), they take the runs of unmarked vertices
+      of the height-1 mark and of the tall mark {h >= m}, in position
+      order (:func:`_line_runs`), and certify each run in closed form.
+      Axiom 4 needs each run's certified count and farthest distance
+      only; axiom 2 fills one int32 distance array a run at a time (-1
+      where uncertified) and reads each ``M[h]`` as one C-level ``max``
+      over the level h.  No Python step is taken per vertex or per
+      distance.
+    * In a tree, they walk levels with
+      :func:`~riverscape.groups.bfs_levels`.  Indices sort by word
+      length, so a vertex j at BFS level k is certified exactly when
+      j < |B_(R - k)|, computed once per level.  A walk stops at the
+      first level that certifies no vertex: a neighbour j' of j has
+      |j'| >= |j| - 1, so no later level can certify one either.
+      Axiom 2 is one walk from the height-1 set.  Axiom 4 walks only
+      the sublevel set {h < m}: the tall vertices are marked as seen at
+      distance 0, and the walk starts from the low vertices with a
+      tall neighbour.  From one m to the next the low set grows by the
+      level m - 1, whose marks are lowered, and the new frontier lies
+      in that level or the last frontier (the tall set only shrinks);
+      it is found with one C-level ``compress`` per letter column.
+
     Nothing is kept per vertex beyond the heights, their level sets and,
-    while axiom 4 runs, the tall mark and a walk's seen mark; words are
-    spelled (``window.word_at``) only for the height-1 vertices and for
-    violations.
+    while axiom 4 runs, the tall mark and a walk's seen mark, or on the
+    line a position-order copy of the mark and, for axiom 2, the
+    distance array; words are spelled (``window.word_at``) only for the
+    height-1 vertices and for violations.
     """
     spec = window.spec
     R = window.radius
     n = len(window)
+    d = spec.degree
+    line = d == 2
     heights = z.window_heights(window)
     levels = z.level_sets(window)
     columns = window.columns
@@ -442,15 +583,16 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
                     f"height {h} < 1 at {window.word_at(i)!r}"
                 )
 
-    # axiom 1: slope <= 1 across every window edge.  An edge joins words
-    # whose lengths differ by one, so it has an end in the core of
-    # radius R - 1, where every column entry is a vertex: one pass per
-    # letter column over that core finds a steep one.
-    core = window.core_size(R - 1)
-    if any(max(map(abs, map(sub, map(heights.__getitem__,
-                                     islice(column, core)), heights)),
-               default=0) > 1
-           for column in columns):
+    # axiom 1: slope <= 1 across every window edge, each read once.  The
+    # root's children are 1 .. d; the t-th children of the vertices
+    # 1, 2, ... are d + 1 + t, d + t + d, ..., stepping by d - 1
+    steep = max(map(abs, map(sub, islice(heights, 1, d + 1),
+                             repeat(heights[0]))), default=0)
+    for t in range(d - 1):
+        steep = max(steep, max(map(abs, map(
+            sub, islice(heights, d + 1 + t, None, d - 1),
+            islice(heights, 1, None))), default=0))
+    if steep > 1:
         for i, row in enumerate(zip(*columns)):
             for j in row:
                 if j > i and abs(heights[i] - heights[j]) > 1:
@@ -472,42 +614,76 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
         seen = bytearray(n)
         _consume(map(seen.__setitem__, h1, repeat(1)))
         certified = 0
-        for k, level in enumerate(bfs_levels(columns, h1, seen), 1):
-            if k > R:
-                # no vertex fits a level past R: the rest is uncertified
-                break
-            bound = ball_size(R - k)
-            before = certified
-            for j in level:
-                if j < bound:
-                    M[heights[j]] = k
-                    certified += 1
-            if certified == before:
-                # no later level can fit either
-                break
+        if line:
+            # the distances in position order: 0 on the marks, -1 where
+            # uncertified, then read in index order
+            by_position = array("i")
+            done = 0
+            for s, length, c in _line_runs(seen, R):
+                by_position.extend(repeat(0, s - done))
+                if s and s + length < n:
+                    by_position.extend(range(1, (length + 1) // 2 + 1))
+                    by_position.extend(range(length // 2, 0, -1))
+                elif s:
+                    by_position.extend(range(1, c + 1))
+                    by_position.extend(repeat(-1, length - c))
+                else:
+                    by_position.extend(repeat(-1, length - c))
+                    by_position.extend(range(c, 0, -1))
+                certified += c
+                done = s + length
+            by_position.extend(repeat(0, n - done))
+            # into index order through views, with no copied half
+            dist = array("i", [0]) * n
+            source, target = memoryview(by_position), memoryview(dist)
+            target[0] = source[R]
+            target[1::2] = source[R + 1:]
+            target[2::2] = source[:R][::-1]
+            source.release()
+            target.release()
+            for h, level in levels.items():
+                if h != 1:
+                    far = max(map(dist.__getitem__, level))
+                    if far > 0:
+                        M[h] = far
+            del by_position, dist
+        else:
+            for k, level in enumerate(bfs_levels(columns, h1, seen), 1):
+                if k > R:
+                    # no vertex fits a level past R: the rest is
+                    # uncertified
+                    break
+                bound = ball_size(R - k)
+                before = certified
+                for j in level:
+                    if j < bound:
+                        M[heights[j]] = k
+                        certified += 1
+                if certified == before:
+                    # no later level can fit either
+                    break
         uncertified += n - len(h1) - certified
 
     # axiom 3: height-1 density
     if h1:
         h1_words = [window.word_at(i) for i in h1]
         l_cap = min(DENSITY_MAX, len(h1_words) - 1)
-        for i, w in zip(h1, h1_words):
+        nearest = _nearest_distances(spec, h1_words, max(l_cap, 0))
+        for w, dists in zip(h1_words, nearest):
             room = R - spec.length(w)
-            dists = sorted(spec.dist(w, v) for v in h1_words if v != w)
-            for l in range(1, l_cap + 1):
-                d = dists[l - 1]
-                if d <= room:
-                    constants.N[l] = max(constants.N.get(l, 0), d)
+            for l, dist_l in enumerate(dists, 1):
+                if dist_l <= room:
+                    constants.N[l] = max(constants.N.get(l, 0), dist_l)
                 else:
                     uncertified += 1
                     break
         if l_cap < 1 and len(h1) > 0 and len(window) > 1:
             violations.append("axiom 3: fewer than two height-1 vertices")
 
-    # axiom 4: visibility of high ground, walked over {h < m} only; the
-    # tall vertices sit at distance 0 and are certified.  The low set
-    # grows by whole levels as m rises, and ``tall`` marks the vertices
-    # of height >= m, with a pad byte that index -1 (no neighbour) reads
+    # axiom 4: visibility of high ground over {h < m} only; the tall
+    # vertices sit at distance 0 and are certified.  The low set grows
+    # by whole levels as m rises, and ``tall`` marks the vertices of
+    # height >= m, with a pad byte that index -1 (no neighbour) reads
     tall = bytearray(b"\1") * n + b"\0"
     n_low = 0
     near: set[int] = set()
@@ -519,33 +695,42 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
         candidates = array("i", near)
         while nxt is not None and nxt[0] < m:
             level = nxt[1]
-            candidates.extend(level)
+            if not line:
+                candidates.extend(level)
             n_low += len(level)
             _consume(map(tall.__setitem__, level, repeat(0)))
             nxt = next(rising, None)
         if n_low == n:
             violations.append(f"axiom 4: no vertex of height >= {m}")
             continue
-        # level 1: the low vertices with a tall neighbour, one C-level
-        # compress per letter column
-        near = set().union(*(
-            compress(candidates,
-                     map(tall.__getitem__, map(column.__getitem__,
-                                               candidates)))
-            for column in columns))
-        seen = tall[:n]
-        _consume(map(seen.__setitem__, near, repeat(1)))
         certified = 0
         farthest = 0
-        for k, level in enumerate(
-                chain((near,), bfs_levels(columns, near, seen)), 1):
-            if k > R:
-                break
-            c = sum(map(ball_size(R - k).__gt__, level))
-            if not c:
-                break
-            certified += c
-            farthest = k
+        if line:
+            for s, length, c in _line_runs(tall, R):
+                certified += c
+                # an interior run is certified whole; an end run's
+                # certified vertices sit at distances 1 .. c
+                farthest = max(farthest, c if not s or s + length == n
+                               else (length + 1) // 2)
+        else:
+            # level 1: the low vertices with a tall neighbour, one
+            # C-level compress per letter column
+            near = set().union(*(
+                compress(candidates,
+                         map(tall.__getitem__, map(column.__getitem__,
+                                                   candidates)))
+                for column in columns))
+            seen = tall[:n]
+            _consume(map(seen.__setitem__, near, repeat(1)))
+            for k, level in enumerate(
+                    chain((near,), bfs_levels(columns, near, seen)), 1):
+                if k > R:
+                    break
+                c = sum(map(ball_size(R - k).__gt__, level))
+                if not c:
+                    break
+                certified += c
+                farthest = k
         uncertified += n_low - certified
         constants.S[m] = farthest
 

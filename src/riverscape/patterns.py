@@ -82,8 +82,8 @@ class PatternBall:
     @staticmethod
     def deserialize(text: str, what: str) -> "PatternBall":
         """The pattern that :meth:`serialize` wrote as ``text``; a
-        malformed one is a ``ValueError`` naming ``what`` (the field it
-        was read from) and quoting ``text``."""
+        malformed one is an :class:`InputError` naming ``what`` (the
+        field it was read from) and quoting ``text``."""
         try:
             m_str, p_str, body = text.split("|", 2)
             entries = []
@@ -93,7 +93,7 @@ class PatternBall:
                     entries.append((bits, int(h)))
             return PatternBall(int(m_str), int(p_str), tuple(entries))
         except ValueError:
-            raise ValueError(
+            raise InputError(
                 f"{what}: pattern {text!r} is not of the form "
                 f"'m|prefixLen|bits:height;...'") from None
 
@@ -113,31 +113,39 @@ def theta(z: LandscapeRule, gamma, m: int,
     return PatternBall(m, prefix_len, tuple(entries))
 
 
+class InputError(ValueError):
+    """Input that the command line or a parser was handed, such as a
+    flag, a JSON file or a field of one, is malformed or does not fit;
+    the command line reports it as exit status 2.  Parsers raise it, so
+    a ``ValueError`` from a bug is not taken for the user's mistake."""
+
+
 def json_int(value, what: str) -> int:
     """``value`` when it is a JSON integer (an ``int``, not a ``bool``);
-    otherwise a ``ValueError`` naming ``what``."""
+    otherwise an :class:`InputError` naming ``what``."""
     if type(value) is not int:
-        raise ValueError(
+        raise InputError(
             f"{what} must be an integer, not {type(value).__name__}")
     return value
 
 
 def json_expect(value, kind: type, what: str):
     """``value`` when it is a JSON object (``dict``) or array (``list``)
-    as ``kind`` asks; otherwise a ``ValueError`` naming ``what``."""
+    as ``kind`` asks; otherwise an :class:`InputError` naming
+    ``what``."""
     if not isinstance(value, kind):
         name = "an object" if kind is dict else "an array"
-        raise ValueError(f"{what} must be {name}, not {type(value).__name__}")
+        raise InputError(f"{what} must be {name}, not {type(value).__name__}")
     return value
 
 
 def json_strings(value, what: str) -> list:
-    """``value`` when it is a JSON array of strings; otherwise a
-    ``ValueError`` naming ``what`` and the first offending entry."""
+    """``value`` when it is a JSON array of strings; otherwise an
+    :class:`InputError` naming ``what`` and the first offending entry."""
     json_expect(value, list, what)
     for i, item in enumerate(value):
         if type(item) is not str:
-            raise ValueError(
+            raise InputError(
                 f"{what}: entry {i} is {type(item).__name__}, not a string")
     return value
 
@@ -153,7 +161,7 @@ class LocalSetSpec:
     def __post_init__(self):
         for p in self.patterns:
             if p.m != self.m or p.prefix_len != self.prefix_len:
-                raise ValueError(
+                raise InputError(
                     "all member patterns must share the spec's radius "
                     "and prefix length"
                 )
@@ -170,7 +178,7 @@ class LocalSetSpec:
     def from_dict(obj: dict) -> "LocalSetSpec":
         json_expect(obj, dict, "local set")
         if obj.get("schema") != "riverscape.localset/1":
-            raise ValueError(
+            raise InputError(
                 f"unsupported local set schema: {obj.get('schema')!r}"
             )
         try:
@@ -178,13 +186,18 @@ class LocalSetSpec:
             patterns = frozenset(PatternBall.deserialize(text, what)
                                  for text in json_strings(obj["patterns"],
                                                           what))
-            return LocalSetSpec(
-                json_int(obj["m"], "local set field 'm'"),
-                json_int(obj["prefixLen"], "local set field 'prefixLen'"),
-                patterns)
+            m = json_int(obj["m"], "local set field 'm'")
+            prefix_len = json_int(obj["prefixLen"],
+                                  "local set field 'prefixLen'")
         except KeyError as exc:
-            raise ValueError(
+            raise InputError(
                 f"local set is missing the field {exc.args[0]!r}") from None
+        if m < 1:
+            raise InputError(f"local set field 'm' must be >= 1, got {m}")
+        if prefix_len < 0:
+            raise InputError(f"local set field 'prefixLen' must be >= 0, "
+                             f"got {prefix_len}")
+        return LocalSetSpec(m, prefix_len, patterns)
 
 
 def pattern_scan(rows: tuple[list[str], list[int]], window: Window, m: int,

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 from .checking import BUNDLE_SCHEMA, SNAPSHOT_SCHEMA
 from .groups import Window
+from .patterns import InputError
 
 if TYPE_CHECKING:
     from .landscapes import LandscapeRule
@@ -104,4 +105,10 @@ def dump_json(obj: dict, path) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON document in the file at ``path``; a file that is not
+    JSON text is an :class:`~riverscape.patterns.InputError` naming
+    it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{path}: not a JSON file: {exc}") from None

@@ -4,9 +4,12 @@ sublevel components and the graph distances, kept as test oracles.
 ``verify_axioms`` runs axiom 2 and each m >= 2 of axiom 4 as a BFS over
 the entire window (m = 1, where every vertex is tall, is set to 0
 without a search) and certifies each distance against a per-vertex
-slack array; ``components_leq`` and ``bfs_distances`` keep their own
-BFS loops.  The shipped code walks only the sublevel sets, with one
-level walk; its reports must equal these as ``asdict``.
+slack array; axiom 3 reads every pairwise distance among the height-1
+words (:func:`nearest_distances`); ``components_leq`` and
+``bfs_distances`` keep their own BFS loops.  The shipped code takes
+runs on the line, walks only the sublevel sets in a tree and finds
+nearest height-1 words in a trie; its reports must equal these as
+``asdict``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ def bfs_distances(window: Window, sources: Sequence[int]) -> list[int]:
                     nxt.append(j)
         frontier = nxt
     return dist
+
+
+def nearest_distances(spec, words: list, k: int) -> list[list[int]]:
+    """For each word, the sorted distances to its k nearest others, from
+    every pairwise distance."""
+    return [sorted(spec.dist(w, v) for v in words if v != w)[:k]
+            for w in words]
 
 
 def _slack(window: Window) -> array:

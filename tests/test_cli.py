@@ -836,3 +836,79 @@ class TestCheck:
         assert run(["check", "--snapshot", "/nonexistent.json",
                     "--certificate",
                     bundle_dir / "certificates.json"]) == 2
+
+
+class TestInputErrors:
+    """Exit 2 is kept for input errors, raised as ``InputError`` by the
+    parsers; any other exception is a bug and propagates."""
+
+    def test_negative_radius(self, tmp_path, capsys):
+        assert run(["build", "--group", "z", "--landscape", "ternary",
+                    "--radius", -1, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == \
+            "error: radius must be non-negative\n"
+
+    @pytest.mark.parametrize("group", ["f0", "free:0"])
+    def test_free_group_of_rank_zero(self, tmp_path, capsys, group):
+        assert run(["build", "--group", group, "--radius", 3,
+                    "--out", tmp_path]) == 2
+        assert "unknown group" in capsys.readouterr().err
+
+    def test_a_bug_is_not_an_input_error(self, tmp_path, monkeypatch):
+        from riverscape import landscapes
+
+        def broken(z, window):
+            raise ValueError("slice of the wrong length")
+
+        monkeypatch.setattr(landscapes, "verify_axioms", broken)
+        with pytest.raises(ValueError, match="wrong length"):
+            run(["build", "--group", "z", "--landscape", "ternary",
+                 "--radius", 30, "--out", tmp_path])
+
+    def test_file_that_is_not_json(self, bundle_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        assert run(["check", "--snapshot", bad,
+                    "--certificate", bundle_dir / "certificates.json"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: not a JSON file: ")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("translators.0", [5], "letter 5 out of range for rank-2 group"),
+        ("l", 9, "certificate piece radius 9 is not in 1 .. 8, the "
+                 "snapshot window's radius"),
+        ("prefixLen", 100, "certificate piece prefix length 100 is not in "
+                           "0 .. 6, the snapshot's label prefix length"),
+        ("target.m", 0, "local set field 'm' must be >= 1, got 0"),
+    ], ids=["letter", "piece-radius", "piece-prefix", "target-m"])
+    def test_certificate_that_does_not_fit(self, bundle_dir, tmp_path,
+                                           capsys, field, value, message):
+        doc = load_json(bundle_dir / "certificates.json")
+        cert = doc["certificates"][0]
+        parent, _, key = field.rpartition(".")
+        if parent == "translators":
+            cert[parent][int(key)] = value
+        else:
+            (cert[parent] if parent else cert)[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["check",
+                    "--snapshot", bundle_dir / "final_snapshot.json",
+                    "--certificate", bad]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_target_wider_than_the_window(self, tmp_path, capsys):
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps([{
+            "schema": "riverscape.localset/1", "m": 5, "prefixLen": 1,
+            "patterns": []}]))
+        assert run(["paradoxicalize", "--group", "f2", "--radius", 4,
+                    "--targets", targets, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err == \
+            "error: target 0: m = 5 exceeds the window radius 4\n"
+
+    def test_target_heights_on_a_point(self, tmp_path, capsys):
+        assert run(["paradoxicalize", "--group", "z", "--landscape",
+                    "ternary", "--radius", 0, "--target-heights", "1",
+                    "--out", tmp_path]) == 2
+        assert "window radius must be >= 1" in capsys.readouterr().err

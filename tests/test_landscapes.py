@@ -1,6 +1,7 @@
 import tracemalloc
 from dataclasses import asdict
 from functools import lru_cache
+from operator import le
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -213,6 +214,10 @@ class _Sunk(LandscapeRule):
         return 0 if word == 5 else ternary_height(word)
 
 
+EDGE_RADII = sorted({r for k in range(5)
+                     for r in (10**k - 1, 10**k, 10**k + 1, 3 * 10**k)})
+
+
 # the whole-window oracle with axiom 4 searched by BFS at every m, the
 # m = 1 pass included
 ALWAYS_BFS = source_mutant(oracle, "if len(tall) == len(heights):",
@@ -240,14 +245,39 @@ def walk_visits(monkeypatch, z, win):
 
 
 class TestAxiomFourShortcut:
-    """Axiom 4 walks only the sublevel sets {h < m}; its report equals
-    the whole-window BFS at every m."""
+    """Axiom 4 takes runs on the line and walks only the sublevel sets
+    {h < m} in a tree; its report equals the whole-window BFS at every
+    m."""
 
     @settings(max_examples=25, deadline=None, phases=NO_SHRINK)
     @given(radius=st.integers(0, 3000))
     def test_ternary_report_equals_always_bfs(self, radius):
         win = ball(Z, radius)
         z = TernaryLandscape()
+        assert asdict(verify_axioms(z, win)) == \
+            asdict(ALWAYS_BFS.verify_axioms(z, win))
+
+    @pytest.mark.parametrize("radius", sorted({0, 1, 2, *EDGE_RADII}))
+    def test_ternary_report_equals_always_bfs_at_scale_edges(self, radius):
+        win = ball(Z, radius)
+        z = TernaryLandscape()
+        assert asdict(verify_axioms(z, win)) == \
+            asdict(ALWAYS_BFS.verify_axioms(z, win))
+
+    @pytest.mark.parametrize("radius",
+                             [0, 1, 2, 3, 29, 30, 31, 299, 300, 301, 1000])
+    def test_fractal_on_the_line_equals_always_bfs(self, radius):
+        win = ball(Z, radius)
+        z = FractalLandscape(Z, AnchorSet(Z, (3, 30, 300)))
+        assert asdict(verify_axioms(z, win)) == \
+            asdict(ALWAYS_BFS.verify_axioms(z, win))
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 29, 30, 31, 100])
+    def test_free_group_of_rank_one_is_a_line(self, radius):
+        # F_1 has degree 2 and Z's index layout, so it takes the runs
+        F1 = FreeGroup(1)
+        win = ball(F1, radius)
+        z = FractalLandscape(F1, AnchorSet(F1, ((1,) * 3, (1,) * 30)))
         assert asdict(verify_axioms(z, win)) == \
             asdict(ALWAYS_BFS.verify_axioms(z, win))
 
@@ -263,19 +293,89 @@ class TestAxiomFourShortcut:
         assert report.constants.S[1] == 0
         assert visits[1] == 0
 
-    def test_walks_visit_only_the_sublevel_sets(self, monkeypatch):
-        win = ball(Z, 1000)
-        z = TernaryLandscape()
-        heights = z.window_heights(win)
-        report, visits = walk_visits(monkeypatch, z, win)
+    def test_walks_visit_only_the_sublevel_sets(self, monkeypatch, river):
+        win = ball(F2, 6)
+        heights = river.window_heights(win)
+        report, visits = walk_visits(monkeypatch, river, win)
         assert report.passed
-        # axiom 4 walks each {h < m} once; axiom 2 walks the window up
-        # to the first level that fits in no core, 1,335 of its 2,001
-        # vertices
+        # axiom 2 walks from the 53 river points up to the first level
+        # that fits in no core; axiom 4 walks inside each {h < m} once,
+        # up to the first level that certifies no vertex
         low = [sum(h < m for h in heights)
                for m in range(1, max(heights) + 1)]
-        assert low == [0, 15, 147, 603]
-        assert visits == [1335] + low
+        assert low == [0, 53, 105, 209, 305, 593, 809]
+        assert visits == [593, 0, 53, 105, 101, 197, 125, 341]
+        assert all(map(le, visits[1:], low))
+
+    def test_line_takes_no_level_walk(self, monkeypatch):
+        report, visits = walk_visits(monkeypatch, TernaryLandscape(),
+                                     ball(Z, 1000))
+        assert report.passed
+        assert visits == []
+
+
+# the line's runs with the end runs certified whole, and with the mark
+# read in index order instead of position order
+END_RUNS_WHOLE = source_mutant(landscapes, "if s and e < n:", "if True:")
+INDEX_ORDER = source_mutant(
+    landscapes, "in_order = mark[2:n:2][::-1] + mark[:1] + mark[1:n:2]",
+    "in_order = mark[:n]")
+
+
+class TestLineRunMutants:
+    """Each broken reading of the line's runs changes a report, so the
+    oracle comparisons above would catch it."""
+
+    @pytest.mark.parametrize("mutant", [END_RUNS_WHOLE, INDEX_ORDER],
+                             ids=["end-runs-whole", "index-order"])
+    @pytest.mark.parametrize("make", [
+        TernaryLandscape,
+        lambda: FractalLandscape(Z, AnchorSet(Z, (3, 30, 300))),
+    ], ids=["ternary", "fractal"])
+    def test_mutant_report_differs(self, mutant, make):
+        win = ball(Z, 1000)
+        z = make()
+        assert asdict(mutant.verify_axioms(z, win)) != \
+            asdict(oracle.verify_axioms(z, win))
+
+
+# the integers with the lcp of two words on one side one too short
+LCP_MINUS_ONE = source_mutant(
+    groups, "return min(abs(u), abs(v)) if u * v > 0 else 0",
+    "return min(abs(u), abs(v)) - 1 if u * v > 0 else 0")
+
+
+class TestAxiomThreeTrie:
+    """Each height-1 vertex's nearest distances from the trie equal the
+    pairwise oracle's, and so do N and the uncertified count."""
+
+    @pytest.mark.parametrize("make,spec,radius", [
+        *(pytest.param(lambda: RiverLandscape(F2), F2, r, id=f"river-{r}")
+          for r in range(2, 9)),
+        pytest.param(lambda: RiverLandscape(F3), F3, 5, id="river-F3-5"),
+        pytest.param(TernaryLandscape, Z, 20_000, id="ternary-20000"),
+        pytest.param(lambda: FractalLandscape(Z, AnchorSet(Z, (3, 30, 300))),
+                     Z, 400, id="fractal-400"),
+    ])
+    def test_nearest_distances_equal_pairwise(self, make, spec, radius):
+        win = ball(spec, radius)
+        z = make()
+        words = [win.word_at(i) for i in z.level_sets(win)[1]]
+        k = min(landscapes.DENSITY_MAX, len(words) - 1)
+        assert landscapes._nearest_distances(spec, words, k) == \
+            oracle.nearest_distances(spec, words, k)
+        got, want = verify_axioms(z, win), oracle.verify_axioms(z, win)
+        assert (got.constants.N, got.uncertified) == \
+            (want.constants.N, want.uncertified)
+
+    def test_lcp_mutant_differs(self):
+        win = ball(Z, 20_000)
+        words = [win.word_at(i)
+                 for i in TernaryLandscape().level_sets(win)[1]]
+        k = landscapes.DENSITY_MAX
+        assert landscapes._nearest_distances(LCP_MINUS_ONE.IntegerGroup(),
+                                             words, k) != \
+            oracle.nearest_distances(Z, words, k)
 
 
 class TestAxiomOracle:
@@ -339,10 +439,6 @@ def ternary_table(limit):
 def ternary_oracle(win):
     table = ternary_table(win.radius)
     return [table[abs(n)] for n in win.vertices]
-
-
-EDGE_RADII = sorted({r for k in range(5)
-                     for r in (10**k - 1, 10**k, 10**k + 1, 3 * 10**k)})
 
 
 def counting_heights(rule_class):
@@ -525,9 +621,12 @@ class TestWindowRows:
 
 class TestAxiomMemory:
     """The axiom check keeps nothing per vertex beyond the heights and
-    the rule's level sets (an int32 index a vertex): no word tuple, no
-    distance list, and while axiom 4 runs the tall mark and one walk's
-    seen mark, a byte a vertex each."""
+    the rule's level sets (an int32 index a vertex): no word tuple and
+    no distance list of Python ints.  While axiom 4 runs it keeps the
+    tall mark and a byte a vertex besides: a walk's seen mark in a tree,
+    the mark's position-order copy on the line; axiom 2 on the line
+    fills an int32 distance array in position order and one in index
+    order."""
 
     def test_ternary_build_keeps_no_words(self, tmp_path, monkeypatch):
         windows = []
