@@ -45,6 +45,13 @@ class BudgetExceededError(RuntimeError):
     """Raised when a ball enumeration would exceed the vertex budget."""
 
 
+class InputError(ValueError):
+    """Input that the command line or a parser was handed, such as a
+    flag, a JSON file or a field of one, is malformed or does not fit;
+    the command line reports it as exit status 2.  Parsers raise it, so
+    a ``ValueError`` from a bug is not taken for the user's mistake."""
+
+
 def letter_key(letter: int) -> tuple[int, int]:
     """Sort key realizing the letter order +1 < -1 < +2 < -2 < ..."""
     return (abs(letter), 0 if letter > 0 else 1)
@@ -147,13 +154,10 @@ class GroupSpec:
 
     def word_from_json(self, obj):
         """The word a JSON array of letters spells; a letter outside
-        +-1 .. +-rank is an :class:`~riverscape.patterns.InputError`."""
+        +-1 .. +-rank is an :class:`InputError`."""
         raise NotImplementedError
 
     def _letters_from_json(self, obj) -> list[int]:
-        # the parsers' error type lives with them, above this module
-        from .patterns import InputError
-
         letters = [int(x) for x in obj]
         for letter in letters:
             if not 1 <= abs(letter) <= self.rank:
@@ -170,10 +174,7 @@ class GroupSpec:
     def from_dict(obj: dict) -> "GroupSpec":
         """The group that :meth:`to_dict` wrote; an unknown kind or a
         rank the kind cannot have is an
-        :class:`~riverscape.patterns.InputError`."""
-        # the parsers' error type lives with them, above this module
-        from .patterns import InputError
-
+        :class:`InputError`."""
         kind = obj["kind"]
         if kind == "free":
             rank = int(obj["rank"])
@@ -592,12 +593,9 @@ def ball(spec: GroupSpec, radius: int,
 
     Raises :class:`BudgetExceededError` before building anything when
     the ball holds more than ``budget`` vertices, and a negative radius
-    is an :class:`~riverscape.patterns.InputError`.
+    is an :class:`InputError`.
     """
     if radius < 0:
-        # the parsers' error type lives with them, above this module
-        from .patterns import InputError
-
         raise InputError("radius must be non-negative")
     if spec.ball_size(radius) > budget:
         raise BudgetExceededError(

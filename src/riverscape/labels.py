@@ -20,11 +20,15 @@ c's earlier siblings, or an index below f(u) whose geodesic to u leaves
 through u's parent p (u's other neighbours are its children), so that
 d(p, x) <= k - 2.  Every vertex of B_(k-2)(p) is within k of c.  So
 one colour mask, c(u), and for k >= 2 c(p) and the colours of
-B_(k-2)(p) below f(u) (read along its offsets from p = (u - 2) //
-(d - 1), or 0 when u <= d, composing the window's letter columns),
-decides the colours of u's whole child block, and the block is
-memoized on that mask.  Balls in trees and on the line are convex, so
-the geodesic from p to such an x never leaves the grown ball.
+B_(k-2)(p) below f(u), decides the colours of u's whole child block,
+and the block is memoized on that mask.  The ball is read from the
+index arithmetic alone, with no window: p is (u - 2) // (d - 1), or 0
+when u <= d, and B_(k-2)(p) is p's ancestors a up to t <= k - 2 steps
+with their descendants within k - 2 - t, which at each depth are one
+index range.  That mask is sliced from the colour array once per p,
+at the first child block of p that is coloured; p's later children add
+only the blocks coloured since, their earlier siblings' children, which
+are at distance 2 from p and so count only for k >= 4.
 
 On the line (Z, degree 2) the colouring is periodic, and past a short
 head the colours are tiled, not looped.  A vertex v with |v| > k has
@@ -43,9 +47,8 @@ words are stored, and no label is cached per word:
 from __future__ import annotations
 
 from array import array
-from typing import Optional
 
-from .groups import GroupSpec, Window, offset_steps
+from .groups import GroupSpec, Window
 
 
 def separation_index(spec: GroupSpec, r: int) -> int:
@@ -56,39 +59,6 @@ def separation_index(spec: GroupSpec, r: int) -> int:
     return sum(d**k + 1 for k in range(1, r + 1))
 
 
-class _IndexSpace:
-    """B_R(e) as a :class:`Window` of enumeration indices; no words.
-
-    One space serves every power k of a labeling.  It holds the caller's
-    window when one is handed in, and otherwise grows its own on demand
-    for the word-level oracles: with degree > 2 the spheres grow
-    geometrically, so the ball is rebuilt at exactly the longest word
-    asked for; on the line (degree 2) the radius at least doubles,
-    because words arrive in the order 0, 1, -1, 2, ... and a rebuild per
-    radius would be quadratic.
-    """
-
-    def __init__(self, spec: GroupSpec):
-        self.spec = spec
-        self.window = Window(spec, 0, spec.ball_columns(0))
-
-    def grow(self, radius: int, window: Optional[Window] = None) -> None:
-        """Reach B_radius; ``window`` is that ball when the caller holds
-        it already, so it is not built twice."""
-        if radius > self.window.radius:
-            if window is None:
-                if self.spec.degree == 2:
-                    radius = max(radius, 2 * self.window.radius)
-                window = Window(self.spec, radius,
-                                self.spec.ball_columns(radius))
-            self.window = window
-
-    def index(self, word) -> int:
-        """The enumeration index of ``word``, with the ball grown to it."""
-        self.grow(self.spec.length(word))
-        return self.spec.index_of(word)
-
-
 class GreedyColoring:
     """Greedy proper coloring of the distance-<=k graph, in enumeration order.
 
@@ -97,13 +67,11 @@ class GreedyColoring:
     are fewer than the ball size.
     """
 
-    def __init__(self, spec: GroupSpec, k: int,
-                 space: Optional[_IndexSpace] = None):
+    def __init__(self, spec: GroupSpec, k: int):
         if k < 0:
             raise ValueError("k must be non-negative")
         self.spec = spec
         self.k = k
-        self._space = space or _IndexSpace(spec)
         self._colors = array("i")
         # on the line the colours repeat with period 2(k + 1) in indices
         # from index 4k + 3 on (see the module docstring); on trees the
@@ -111,20 +79,12 @@ class GreedyColoring:
         self._tile_from = 4 * k + 3 if spec.degree == 2 else None
         # the colours of a (d - 1)-child block, by the mask of its parent
         self._blocks: dict[int, array] = {}
-        # B_(k-2) minus the identity as steps (q, a) in enumeration
-        # order: offset j is offset q times the letter with index a
-        self._ops: list[tuple[int, int]] = []
-        if k > 2:
-            self._space.grow(k - 2)
-            self._ops = offset_steps(self._space.window.columns,
-                                     spec.ball_size(k - 2))
 
     def color(self, word) -> int:
-        return self.color_at(self._space.index(word))
+        return self.color_at(self.spec.index_of(word))
 
     def colors(self, n: int) -> array:
-        """The colors of enumeration indices 0 .. n-1; the index space
-        must already reach them."""
+        """The colors of enumeration indices 0 .. n-1."""
         if self.k == 0:
             return array("i", [1]) * n
         if n:
@@ -143,10 +103,9 @@ class GreedyColoring:
         return out
 
     def color_at(self, i: int) -> int:
-        """The color of the word with enumeration index ``i``; the index
-        space must already reach that word.  Whole child blocks are
-        colored, up to the one that holds ``i``; on the line, indices
-        from 4k + 3 on are tiled."""
+        """The color of the word with enumeration index ``i``.  Whole
+        child blocks are colored, up to the one that holds ``i``; on the
+        line, indices from 4k + 3 on are tiled."""
         if self.k == 0:
             return 1
         colors = self._colors
@@ -181,34 +140,59 @@ class GreedyColoring:
             # only the identity
             colors.append(1)
             colors.extend(self._block(0b11, d))
-        columns = self._space.window.columns
-        ops = self._ops
         blocks = self._blocks
-        near = self.k >= 2
+        k = self.k
         # colors always end at a block boundary: the first child f of
         # the next parent u; bit c of ``used`` marks color c (bit 0 is
         # set so the lowest clear bit is a color >= 1)
         f = len(colors)
+        last = -1
         for u in range((f - 2) // (d - 1), (i - 2) // (d - 1) + 1):
             used = 1 | 1 << colors[u]
-            if near:
-                # u's parent p and the rest of B_(k-2)(p) below f
+            if k >= 2:
+                # u's parent p and, for k >= 3, the rest of B_(k-2)(p)
+                # below f
                 p = (u - 2) // (d - 1) if u > d else 0
-                used |= 1 << colors[p]
-                if ops:
-                    # empty for k = 2, where B_0(p) is p alone
-                    nb = [p]
-                    for q, a in ops:
-                        x = nb[q]
-                        x = columns[a][x] if x >= 0 else -1
-                        nb.append(x)
-                        if -1 < x < f:
-                            used |= 1 << colors[x]
+                if k == 2:
+                    used |= 1 << colors[p]
+                else:
+                    if p != last:
+                        last, near = p, self._near(p)
+                    elif k >= 4:
+                        # the block of u's previous sibling, coloured
+                        # since: at distance 2 from p
+                        for c in colors[f - d + 1:f]:
+                            near |= 1 << c
+                    used |= near
             block = blocks.get(used)
             if block is None:
                 block = blocks[used] = self._block(used, d - 1)
             colors.extend(block)
             f += d - 1
+
+    def _near(self, p: int) -> int:
+        """The colour mask of B_(k-2)(p) below the end f of the colours.
+        It is every ancestor a of p up to t <= k - 2 steps, and a's
+        descendants within k - 2 - t steps, which at each depth are one
+        index range: j >= 1 has children (d - 1)j + 2 .. (d - 1)j + d,
+        the identity 1 .. d."""
+        colors = self._colors
+        d1 = self.spec.degree - 1
+        f = len(colors)
+        a, reach = p, self.k - 2
+        used = 1 << colors[a]
+        while True:
+            lo, hi = d1 * a + 2 if a else 1, d1 * a + d1 + 2
+            for _ in range(reach):
+                if lo >= f:
+                    break
+                for c in colors[lo:hi]:
+                    used |= 1 << c
+                lo, hi = d1 * lo + 2, d1 * hi + 2
+            if not a or not reach:
+                return used
+            a, reach = (a - 2) // d1 if a > d1 + 1 else 0, reach - 1
+            used |= 1 << colors[a]
 
 
 class ProperLabelRule:
@@ -216,13 +200,12 @@ class ProperLabelRule:
 
     def __init__(self, spec: GroupSpec):
         self.spec = spec
-        self._space = _IndexSpace(spec)
         self._colorings: dict[int, GreedyColoring] = {}
 
     def _coloring(self, k: int) -> GreedyColoring:
         coloring = self._colorings.get(k)
         if coloring is None:
-            coloring = GreedyColoring(self.spec, k, self._space)
+            coloring = GreedyColoring(self.spec, k)
             self._colorings[k] = coloring
         return coloring
 
@@ -245,7 +228,6 @@ class ProperLabelRule:
         n = len(window)
         if s <= 0:
             return [""] * n
-        self._space.grow(window.radius, window)
         d = self.spec.degree
         zero, one = "0" + pad, "1" + pad
         blocks: list[list[str]] = []
@@ -275,7 +257,7 @@ class ProperLabelRule:
         if s < 0:
             raise ValueError("prefix length must be non-negative")
         d = self.spec.degree
-        i = self._space.index(word)
+        i = self.spec.index_of(word)
         parts: list[str] = []
         have = 0
         k = 1

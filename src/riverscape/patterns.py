@@ -36,7 +36,7 @@ from functools import cache
 from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from .groups import GroupSpec, Window
+from .groups import GroupSpec, InputError, Window
 
 if TYPE_CHECKING:
     from .landscapes import LandscapeRule
@@ -111,13 +111,6 @@ def theta(z: LandscapeRule, gamma, m: int,
         w = spec.mul(gamma, delta)
         entries.append((z.label(w, prefix_len), z.height(w)))
     return PatternBall(m, prefix_len, tuple(entries))
-
-
-class InputError(ValueError):
-    """Input that the command line or a parser was handed, such as a
-    flag, a JSON file or a field of one, is malformed or does not fit;
-    the command line reports it as exit status 2.  Parsers raise it, so
-    a ``ValueError`` from a bug is not taken for the user's mistake."""
 
 
 def json_int(value, what: str) -> int:

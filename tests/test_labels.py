@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from riverscape import (FreeGroup, GreedyColoring, IntegerGroup,
                         ProperLabelRule, ball, labels, separation_index)
-from riverscape.groups import offset_steps
-from riverscape.labels import _IndexSpace
+from riverscape.groups import Window, offset_steps
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -117,10 +116,9 @@ def source_mutant(module, old, new):
 
 
 def window_colors(module, spec, k, radius):
-    """The colors of B_radius from ``module``'s ``GreedyColoring``."""
-    space = module._IndexSpace(spec)
-    space.grow(radius)
-    return list(module.GreedyColoring(spec, k, space)
+    """The colors of B_radius from a new ``GreedyColoring`` of
+    ``module``, asked for its colours before any word."""
+    return list(module.GreedyColoring(spec, k)
                 .colors(spec.ball_size(radius)))
 
 
@@ -231,9 +229,7 @@ class TestGreedyColoring:
     @pytest.mark.parametrize("spec", [F2, Z], ids=["F2", "Z"])
     def test_power_zero_is_one_colour(self, spec):
         # the distance-0 graph has no edges: every vertex gets colour 1
-        space = _IndexSpace(spec)
-        space.grow(3)
-        coloring = GreedyColoring(spec, 0, space)
+        coloring = GreedyColoring(spec, 0)
         assert list(coloring.colors(5)) == [1] * 5
         assert [coloring.color_at(i) for i in range(5)] == [1] * 5
         assert list(coloring.colors(0)) == []
@@ -262,9 +258,7 @@ class TestLineTile:
     def test_grown_in_steps(self, k):
         expected = index_loop_colors(Z, k, 1000)
         for first in (1, 4 * k + 2, 4 * k + 3, 4 * k + 4, 4 * k + 9):
-            space = _IndexSpace(Z)
-            space.grow(1000)
-            coloring = GreedyColoring(Z, k, space)
+            coloring = GreedyColoring(Z, k)
             assert list(coloring.colors(first)) == expected[:first]
             assert list(coloring.colors(777)) == expected[:777]
             for i in (1500, 1501, 2000):
@@ -311,12 +305,20 @@ BLOCK_CASES = [
 
 # each edit breaks one part of the block rule
 BLOCK_MUTATIONS = {
-    "no-bound-below-first-child": ("if -1 < x < f:", "if x > -1:"),
     "no-sibling-competition": ("if self.k >= 2:", "if False:"),
     "identity-block-of-d-minus-1": ("self._block(0b11, d)",
                                     "self._block(0b11, d - 1)"),
     "no-parent-colour": ("used |= 1 << colors[p]", "pass"),
-    "walk-centred-at-u": ("nb = [p]", "nb = [u]"),
+    # B_(k-2)(p): the walk from p bounded only by the first child f,
+    # not by depth k - 2 - t below the ancestor t steps up; the walk
+    # from u; no ancestor steps; one mask for every parent in a call;
+    # and for k >= 4 the earlier siblings' blocks left out
+    "no-bound-below-first-child": ("for _ in range(reach):",
+                                   "while True:"),
+    "walk-centred-at-u": ("self._near(p)", "self._near(u)"),
+    "no-ancestor-steps": ("if not a or not reach:", "if True:"),
+    "mask-kept-across-parents": ("if p != last:", "if last < 0:"),
+    "no-earlier-sibling-blocks": ("elif k >= 4:", "elif False:"),
     # the line's tile: a period of k, and a start one index short of the
     # first whole period.  (A start at 4k tiles the same colours: the
     # greedy colouring of Z happens to be periodic from index 0, and
@@ -349,9 +351,7 @@ class TestBlockRule:
                    if not block_aligned(spec, i)]
         rng = random.Random(seed)
         picked = rng.sample(indices, min(len(indices), 60))
-        space = _IndexSpace(spec)
-        space.grow(radius)
-        colorings = {k: GreedyColoring(spec, k, space) for k in (1, 2, 3)}
+        colorings = {k: GreedyColoring(spec, k) for k in (1, 2, 3)}
         rule = ProperLabelRule(spec)
         for i in picked:
             w = words[i]
@@ -428,10 +428,17 @@ class TestProperLabel:
         assert rule.padded_rows(win5, 0) == [""] * len(win5)
         assert rule.label_rows(win5, 0) == [""] * len(win5)
 
-    def test_rows_reuse_the_window_step_table(self, win5):
-        rule = ProperLabelRule(F2)
-        rule.label_rows(win5, 22)
-        assert rule._space.window is win5
+    def test_rows_need_no_letter_columns(self):
+        # a window's rows read its size only, not its letter columns
+        for spec, radius in ((F2, 5), (F3, 4), (Z, 100)):
+            s3 = separation_index(spec, 3)
+            bare = Window(spec, radius, columns=())
+            win = ball(spec, radius)
+            rule = ProperLabelRule(spec)
+            assert ProperLabelRule(spec).label_rows(bare, s3) == \
+                rule.label_rows(win, s3)
+            assert ProperLabelRule(spec).padded_rows(bare, s3) == \
+                rule.padded_rows(win, s3)
 
     def test_integer_separation(self):
         rule = ProperLabelRule(Z)
