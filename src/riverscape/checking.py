@@ -447,6 +447,33 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
             raise InputError(
                 f"certificate {what} prefix length {s} is not in 0 .. "
                 f"{snapshot.prefix_len}, the snapshot's label prefix length")
+    # a scanned pattern has its scan's radius and prefix, and one entry
+    # per offset of its ball
+    wanted = [("target field 'patterns'", target.m, target.prefix_len,
+               target.patterns)]
+    if not cert.trivial:
+        wanted += [(f"certificate field 'pieces': piece {i}", cert.l,
+                    cert.prefix_len, pats)
+                   for i, pats in enumerate(cert.piece_patterns)]
+    for what, m, s, pats in wanted:
+        size = spec.ball_size(m)
+        for pat in pats:
+            if (pat.m, pat.prefix_len) != (m, s):
+                raise InputError(
+                    f"{what}: pattern {pat.serialize()!r} has radius "
+                    f"{pat.m} and prefix length {pat.prefix_len}, not its "
+                    f"scan's {m} and {s}")
+            if len(pat.entries) != size:
+                raise InputError(
+                    f"{what}: pattern {pat.serialize()!r} has "
+                    f"{len(pat.entries)} entries, not |B_{m}| = {size}")
+    # past the core of radius R - m T's patterns do not fit the window,
+    # and the scan would read T as empty there
+    if cert.core_radius > window.radius - target.m:
+        raise InputError(
+            f"certificate field 'coreRadius' is {cert.core_radius}, above "
+            f"R - m = {window.radius - target.m}, where the target's "
+            f"patterns fit the window")
     T_ids, T_patterns = snapshot.scan(target.m, target.prefix_len)
     hit, = _select(T_patterns, [target.patterns])
     # byte t is 1 when core index t of the target's scan lies in T

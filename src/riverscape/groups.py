@@ -26,7 +26,9 @@ sphere at a time from the parent row (``last_letters``, the river
 heights) share that one convention.  :meth:`FreeGroup.spell_ball` is
 the one speller of a ball: past the first sphere, a child's entry is
 its parent's entry plus a piece for its last letter, which spells the
-words (``ball_words``) and the defect table's vertex names alike.
+words (``ball_words``) and the defect table's vertex names alike.  On
+the line u > 0 sits at index 2u - 1 and -u at 2u; :func:`line_positions`
+and :func:`line_indices` map that order to -R .. R and back.
 """
 
 from __future__ import annotations
@@ -450,24 +452,14 @@ class IntegerGroup(GroupSpec):
         return (i + 1) // 2 if i % 2 else -(i // 2)
 
     def ball_columns(self, radius: int) -> tuple[array, ...]:
-        # u > 0 sits at index 2u - 1 and -u at 2u, so each step moves two
-        # indices away from or towards 0; filled by strided slices
-        n = self.ball_size(radius)
-        plus, minus = array("i", [-1]) * n, array("i", [-1]) * n
-        if radius == 0:
-            return plus, minus
-        top = 2 * radius
-        plus[0], minus[0] = 1, 2
-        plus[1::2] = array("i", range(3, top + 2, 2))   # u > 0, +1
-        minus[1::2] = array("i", range(-1, top - 2, 2))  # u > 0, -1
-        plus[2::2] = array("i", range(0, top - 1, 2))    # -u, +1
-        minus[2::2] = array("i", range(4, top + 3, 2))   # -u, -1
-        minus[1] = 0
-        plus[top - 1] = minus[top] = -1
-        return plus, minus
+        """In position order each letter shifts the indices by one."""
+        order = line_positions(array("i", range(self.ball_size(radius))))
+        edge = array("i", [-1])
+        return (line_indices(order[1:] + edge),
+                line_indices(edge + order[:-1]))
 
     def ball_words(self, radius: int) -> list:
-        return [0] + [u for n in range(1, radius + 1) for u in (n, -n)]
+        return line_indices(list(range(-radius, radius + 1)))
 
     def word_from_json(self, obj) -> int:
         if not obj:
@@ -475,6 +467,24 @@ class IntegerGroup(GroupSpec):
         if len(obj) == 1 and abs(obj[0]) != 1:
             return int(obj[0])
         return self.reduce(self._letters_from_json(obj))
+
+
+def line_positions(seq):
+    """The entries ``seq`` of a degree-2 window, one a window index, in
+    position order, x = -R .. R at positions 0 .. 2R; a list, bytes, a
+    bytearray or an int32 array keeps its type."""
+    n = len(seq)
+    return seq[n - 1:0:-2] + seq[:1] + seq[1::2]
+
+
+def line_indices(seq):
+    """The inverse of :func:`line_positions`."""
+    R = len(seq) // 2
+    out = bytearray(seq) if isinstance(seq, bytes) else seq[:]
+    out[0] = seq[R]
+    out[1::2] = seq[R + 1:]
+    out[2::2] = seq[:R][::-1]
+    return bytes(out) if isinstance(seq, bytes) else out
 
 
 def child_letters(degree: int) -> list[bytes]:

@@ -16,7 +16,7 @@ returns every window vertex's height in window order, computed once per
 goes through it.  The ternary rule paints its heights instead of
 evaluating each integer: height 1 on the ternary n in 0..R, then for
 k = 1, 2, ... height 1 + k on every unpainted n within 10^k of a
-ternary multiple of 10^k, spread to the window indices of n and -n.
+ternary multiple of 10^k, and reads the line back into index order.
 The river rule reads each height off the parent's, a sphere at a time,
 from the parent's height and last letter, and spells no word.
 ``height`` and ``label`` stay as the word-level oracles.
@@ -32,15 +32,15 @@ edge of the window once, from the parent formula of the enumeration.
 Axiom 3 finds each height-1 vertex's nearest others in a compressed
 trie of the height-1 words, with no pairwise distance.  On the line,
 axioms 2 and 4 take the runs of unmarked vertices in position order
-(one C-level regular expression search per mark) and certify each run
-in closed form, with no walk.  In a tree they search with the one
-level walk, :func:`~riverscape.groups.bfs_levels`, as the components do
-on every group, and read the sublevel sets from the levels: axiom 4
-and the components walk only the sublevel sets, the vertices outside
-them marked as seen before the walk starts, and a BFS level is
-certified inline against the ball sizes (indices sort by word length),
-with no per-vertex slack table.  Each walk or run search also makes a
-C-level window-length mark (a byte a vertex), a fill or a copy.
+and certify each run in closed form, with no walk.  In a tree they
+search with the one level walk, :func:`~riverscape.groups.bfs_levels`,
+as the components do on every group, and read the sublevel sets from
+the levels: axiom 4 and the components walk only the sublevel sets,
+the vertices outside them marked as seen before the walk starts, and a
+BFS level is certified inline against the ball sizes (indices sort by
+word length), with no per-vertex slack table.  Each walk or run search
+also makes a C-level window-length mark (a byte a vertex), a fill or a
+copy.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import Iterator, Optional
 
 from .checking import Snapshot
 from .groups import (FreeGroup, GroupSpec, IntegerGroup, Window, bfs_levels,
-                     child_letters)
+                     child_letters, line_indices, line_positions)
 from .labels import ProperLabelRule
 
 
@@ -198,11 +198,7 @@ class TernaryLandscape(LandscapeRule):
             if step >= R:
                 break
             k, step = k + 1, step * 10
-        # u > 0 sits at index 2u - 1 and -u at index 2u
-        heights = [painted[0]] * (2 * R + 1)
-        heights[1::2] = painted[1:]
-        heights[2::2] = painted[1:]
-        return heights
+        return line_indices(painted[:0:-1] + painted)
 
 
 # ---------------------------------------------------------------------------
@@ -399,24 +395,22 @@ def _line_runs(mark, R: int) -> Iterator[tuple[int, int, int]]:
     """The runs of unmarked vertices of a window of radius R on the
     line (degree 2), as (start, length, certified).
 
-    ``mark`` holds a byte a window index, nonzero on the marked
-    vertices, and is read in position order, x = -R .. R at positions
-    0 .. 2R, so a run is a stretch of consecutive integers and
-    ``start`` is the position of its first vertex.  The runs are found
-    by one C-level regular expression search.  A vertex x is certified
-    when its distance d to the marked set fits the window,
-    d <= R - |x|.  A run with marked vertices on both sides is wholly
-    certified: the nearer end is reached by a geodesic that stays in
-    the window.  A run that ends at the window's edge has a marked
-    vertex on one side only; at the right end, with the mark at
-    x = a - 1, exactly x = a .. (R + a - 1) // 2 are certified, at
-    distances 1, 2, ..., and the left end is the mirror image.  Some
-    vertex must be marked.
+    ``mark`` holds a byte a window index (and may hold a pad byte),
+    nonzero on the marked vertices, and is read in position order
+    (:func:`~riverscape.groups.line_positions`), so a run is a stretch
+    of consecutive integers and ``start`` is the position of its first
+    vertex.  The runs are found by one C-level regular expression
+    search.  A vertex x is certified when its distance d to the marked
+    set fits the window, d <= R - |x|.  A run with marked vertices on
+    both sides is wholly certified: the nearer end is reached by a
+    geodesic that stays in the window.  A run that ends at the window's
+    edge has a marked vertex on one side only; at the right end, with
+    the mark at x = a - 1, exactly x = a .. (R + a - 1) // 2 are
+    certified, at distances 1, 2, ..., and the left end is the mirror
+    image.  Some vertex must be marked.
     """
     n = 2 * R + 1
-    # u > 0 sits at index 2u - 1 and -u at index 2u
-    in_order = mark[2:n:2][::-1] + mark[:1] + mark[1:n:2]
-    for run in finditer(rb"\0+", in_order):
+    for run in finditer(rb"\0+", line_positions(mark[:n])):
         s, e = run.span()
         if s and e < n:
             yield s, e - s, e - s
@@ -539,9 +533,10 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
       order (:func:`_line_runs`), and certify each run in closed form.
       Axiom 4 needs each run's certified count and farthest distance
       only; axiom 2 fills one int32 distance array a run at a time (-1
-      where uncertified) and reads each ``M[h]`` as one C-level ``max``
-      over the level h.  No Python step is taken per vertex or per
-      distance.
+      where uncertified), reads it into index order
+      (:func:`~riverscape.groups.line_indices`) and each ``M[h]`` as
+      one C-level ``max`` over the level h.  No Python step is taken
+      per vertex or per distance.
     * In a tree, they walk levels with
       :func:`~riverscape.groups.bfs_levels`.  Indices sort by word
       length, so a vertex j at BFS level k is certified exactly when
@@ -633,14 +628,7 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
                 certified += c
                 done = s + length
             by_position.extend(repeat(0, n - done))
-            # into index order through views, with no copied half
-            dist = array("i", [0]) * n
-            source, target = memoryview(by_position), memoryview(dist)
-            target[0] = source[R]
-            target[1::2] = source[R + 1:]
-            target[2::2] = source[:R][::-1]
-            source.release()
-            target.release()
+            dist = line_indices(by_position)
             for h, level in levels.items():
                 if h != 1:
                     far = max(map(dist.__getitem__, level))

@@ -14,7 +14,8 @@ scan reads one label row and one height per vertex (a snapshot's
 rows), each distinct (label prefix, height) pair is interned as a cell
 id, and the ids are refined m times over the window's letter columns: a
 vertex's radius-r id interns its radius-(r - 1) id with those of its
-neighbours, letter by letter, over the core of radius R - r.  A
+neighbours, letter by letter, over the core of radius R - r.  Every
+round is one :func:`_intern` and builds no list of its keys.  A
 :class:`PatternBall` is built once per distinct final id, from the
 offsets of its first vertex.  The result equals θ at every core vertex;
 the core of a radius-m scan is always the ball of radius R - m.  Scans
@@ -31,9 +32,10 @@ distinct scan of a pipeline runs once.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
+from itertools import compress, count
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .groups import GroupSpec, InputError, Window
@@ -82,8 +84,9 @@ class PatternBall:
     @staticmethod
     def deserialize(text: str, what: str) -> "PatternBall":
         """The pattern that :meth:`serialize` wrote as ``text``; a
-        malformed one is an :class:`InputError` naming ``what`` (the
-        field it was read from) and quoting ``text``."""
+        malformed one, or label bits that are not ``prefixLen`` 0s and
+        1s, is an :class:`InputError` naming ``what`` (the field it was
+        read from) and quoting ``text``."""
         try:
             m_str, p_str, body = text.split("|", 2)
             entries = []
@@ -91,11 +94,17 @@ class PatternBall:
                 for item in body.split(";"):
                     bits, h = item.rsplit(":", 1)
                     entries.append((bits, int(h)))
-            return PatternBall(int(m_str), int(p_str), tuple(entries))
+            pattern = PatternBall(int(m_str), int(p_str), tuple(entries))
         except ValueError:
             raise InputError(
                 f"{what}: pattern {text!r} is not of the form "
                 f"'m|prefixLen|bits:height;...'") from None
+        for bits, _ in entries:
+            if len(bits) != pattern.prefix_len or bits.strip("01"):
+                raise InputError(
+                    f"{what}: pattern {text!r} has label {bits!r}, not a "
+                    f"string of prefixLen = {pattern.prefix_len} 0s and 1s")
+        return pattern
 
 
 def theta(z: LandscapeRule, gamma, m: int,
@@ -212,19 +221,16 @@ def pattern_scan(rows: tuple[list[str], list[int]], window: Window, m: int,
     if m > window.radius:
         raise ValueError("window too small for the pattern radius")
     labels, heights = rows
-    # round 0: each distinct (label, height) cell is an id; the cells
-    # are zipped twice rather than kept as one list of pairs per vertex
-    cells = list(dict.fromkeys(zip(labels, heights)))
-    position = {pair: i for i, pair in enumerate(cells)}
-    cell_ids = list(map(position.__getitem__, zip(labels, heights)))
+    # round 0: each distinct (label, height) cell is an id
+    cell_ids, cells = _intern(zip(labels, heights))
     # round r: B_r(v) is v with the B_(r-1)(v·a), one per letter a, so
     # a radius-r id is the radius-(r - 1) ids of v and its neighbours,
     # interned over the core of radius R - r
     ids = cell_ids
     for r in range(1, m + 1):
         n = window.core_size(window.radius - r)
-        ids = _intern(list(zip(ids, *(map(ids.__getitem__, column[:n])
-                                      for column in window.columns))))
+        ids, _ = _intern(zip(ids, *(map(ids.__getitem__, column[:n])
+                                    for column in window.columns)))
     # one pattern per distinct id, read at its first vertex: ids are
     # numbered in order of first occurrence, and the pairs taken last
     # to first leave each id at its smallest vertex
@@ -236,11 +242,12 @@ def pattern_scan(rows: tuple[list[str], list[int]], window: Window, m: int,
     return ids, patterns
 
 
-def _intern(items: list) -> list[int]:
-    """The position of each item among the distinct items, numbered in
-    order of first occurrence."""
-    position = {item: i for i, item in enumerate(dict.fromkeys(items))}
-    return list(map(position.__getitem__, items))
+def _intern(keys: Iterable) -> tuple[list[int], list]:
+    """The id of each of a scan round's keys, numbered in order of first
+    occurrence, and the distinct keys; ``keys`` is read once, a key new
+    to the round taking the next id, and no list of keys is built."""
+    position = defaultdict(count().__next__)
+    return list(map(position.__getitem__, keys)), list(position)
 
 
 def realize(T: LocalSetSpec, z: LandscapeRule, window: Window) -> list[int]:

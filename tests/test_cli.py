@@ -204,6 +204,15 @@ def bundle_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def bundle12_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle12")
+    code = run(["paradoxicalize", "--group", "f2", "--radius", 6,
+                "--target-heights", "1;2", "--out", out])
+    assert code == 0
+    return out
+
+
 class TestParadoxicalize:
     def test_bundle_written(self, bundle_dir):
         doc = load_json(bundle_dir / "certificates.json")
@@ -599,6 +608,73 @@ class TestCheck:
                     "--certificate", bad])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda cert: ("target field 'patterns'", cert["target"]["patterns"],
+                      "1|1|2:1;x:2;0:2;0:2;0:2",
+                      "has label '2', not a string of prefixLen = 1 0s and "
+                      "1s"),
+        lambda cert: ("certificate field 'pieces': piece 0",
+                      cert["pieces"][0],
+                      cert["pieces"][0][0].replace("|6|", "|7|"),
+                      "has label '110000', not a string of prefixLen = 7 "
+                      "0s and 1s"),
+        lambda cert: ("certificate field 'pieces': piece 0",
+                      cert["pieces"][0],
+                      cert["pieces"][0][0].replace("2|6|", "3|6|"),
+                      "has radius 3 and prefix length 6, not its scan's "
+                      "2 and 6"),
+        lambda cert: ("target field 'patterns'", cert["target"]["patterns"],
+                      "1|1|0:1;0:2", "has 2 entries, not |B_1| = 5"),
+        lambda cert: ("certificate field 'pieces': piece 0",
+                      cert["pieces"][0],
+                      cert["pieces"][0][0].rsplit(";", 1)[0],
+                      "has 16 entries, not |B_2| = 17"),
+    ], ids=["target-bits", "piece-prefix", "piece-radius",
+            "target-entries", "piece-entries"])
+    def test_pattern_no_scan_produces_is_input_error(
+            self, bundle12_dir, tmp_path, capsys, edit):
+        # each such pattern used to be read and to match no vertex, so
+        # the check passed
+        doc = load_json(bundle12_dir / "certificates.json")
+        cert = doc["certificates"][0]
+        assert (cert["l"], cert["prefixLen"]) == (2, 6)
+        what, patterns, text, complaint = edit(cert)
+        patterns.append(text)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["check",
+                    "--snapshot", bundle12_dir / "final_snapshot.json",
+                    "--certificate", bad])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: {what}: pattern {text!r} {complaint}\n"
+
+    def test_core_past_the_target_patterns_is_input_error(self, tmp_path,
+                                                          capsys):
+        # the true radius-1 patterns of centre height 7, which B_6 holds
+        # at |w| = 6 only: the scan cannot read them there, so a core of
+        # radius 6 used to pass with T read as empty
+        assert run(["paradoxicalize", "--group", "f2", "--radius", 6,
+                    "--target-heights", 7, "--out", tmp_path]) == 0
+        capsys.readouterr()
+        doc = load_json(tmp_path / "certificates.json")
+        cert = doc["certificates"][0]
+        assert cert["trivial"] and cert["coreRadius"] == 5
+        target = center_height_local_set(RiverLandscape(F2), ball(F2, 7), 1,
+                                         {7}, prefix_len=1)
+        assert len(target.patterns) == 4
+        cert["target"] = target.to_dict()
+        for core, want in ((6, 2), (5, 0)):
+            cert["coreRadius"] = core
+            bad = tmp_path / f"core{core}.json"
+            bad.write_text(json.dumps(doc))
+            assert run(["check",
+                        "--snapshot", tmp_path / "final_snapshot.json",
+                        "--certificate", bad]) == want
+        assert capsys.readouterr().err == (
+            "error: certificate field 'coreRadius' is 6, above R - m = 5, "
+            "where the target's patterns fit the window\n")
 
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc["windowRef"].__setitem__("radius", 8.7),

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from riverscape import (BudgetExceededError, FreeGroup, GroupSpec,
                         IntegerGroup, ball)
-from riverscape.groups import bfs_levels, letter_index, letter_key
+from riverscape.groups import (bfs_levels, letter_index, letter_key,
+                               line_indices, line_positions)
 
 import landscape_oracles as oracle
 
@@ -236,6 +237,29 @@ class TestIndexSpace:
     def test_step_table_of_a_point(self):
         assert list(map(list, F2.ball_columns(0))) == [[-1]] * 4
         assert list(map(list, Z.ball_columns(0))) == [[-1]] * 2
+
+
+class TestLineOrder:
+    """The two maps between a degree-2 window's index order and its
+    position order, held to the arithmetic ``index_of``."""
+
+    @pytest.mark.parametrize("spec,radii", [(Z, range(61)),
+                                            (FreeGroup(1), range(31))],
+                             ids=["Z", "F1"])
+    @pytest.mark.parametrize("kind", [list, bytes, bytearray,
+                                      lambda xs: array("i", xs)],
+                             ids=["list", "bytes", "bytearray", "int32"])
+    def test_positions_and_indices_are_inverse(self, spec, radii, kind):
+        for R in radii:
+            seq = kind(range(2 * R + 1))
+            positions = line_positions(seq)
+            assert type(positions) is type(seq)
+            # position p holds the vertex of p - R
+            assert list(positions) == [
+                spec.index_of(spec.reduce(Z.word_letters(p - R)))
+                for p in range(2 * R + 1)]
+            assert line_indices(positions) == seq
+            assert line_positions(line_indices(seq)) == seq
 
 
 class TestBall:

@@ -318,8 +318,8 @@ class TestAxiomFourShortcut:
 # read in index order instead of position order
 END_RUNS_WHOLE = source_mutant(landscapes, "if s and e < n:", "if True:")
 INDEX_ORDER = source_mutant(
-    landscapes, "in_order = mark[2:n:2][::-1] + mark[:1] + mark[1:n:2]",
-    "in_order = mark[:n]")
+    landscapes, 'finditer(rb"\\0+", line_positions(mark[:n]))',
+    'finditer(rb"\\0+", mark[:n])')
 
 
 class TestLineRunMutants:

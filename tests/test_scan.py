@@ -7,6 +7,7 @@ wrappers the channel rule replaced; they stay here as its oracle, and
 ``relabel`` writes into certificates, with each piece's binary code.
 """
 
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -19,6 +20,7 @@ from riverscape import (ChannelLandscape, FreeGroup, IntegerGroup,
                         observed_patterns, realize, relabel, theta,
                         trivial_certificate)
 from riverscape.landscapes import LandscapeRule
+from riverscape.patterns import pattern_scan
 
 from test_labels import interleave
 
@@ -253,3 +255,18 @@ class TestScanBounds:
         want = oracle_occurrences(river, win, 2, 7)
         assert list(observed_patterns(river, win, 2, 7).items()) \
             == list(index_occurrences(win, want))
+
+    def test_scan_builds_no_list_of_keys(self):
+        # one m = 1 scan of the river B_10 rows at prefix 6: about 4.8 MiB
+        # traced with a list of one key tuple per core vertex, about
+        # 1.9 MiB interning each round's keys as they are zipped
+        win = ball(F2, 10)
+        rows = RiverLandscape(F2).snapshot(win, 6).rows(6)
+        tracemalloc.start()
+        try:
+            ids, _ = pattern_scan(rows, win, 1, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ids) == win.core_size(9)
+        assert peak < 3 * 2**20
