@@ -11,10 +11,12 @@ What the checker shares with construction is window enumeration
 (``ball``, the letter columns, core sizes) and the row-level
 :func:`~riverscape.patterns.pattern_scan`, which is checked against
 word-level θ.  It shares no rule, channel, matcher or relabeling code.
-:meth:`Snapshot.scan` memoizes the scan per ``(m, s)`` for
-the life of the snapshot.  A loaded bundle therefore scans each distinct
-(pattern radius, prefix) pair once.  In a pipeline, rules that share
-rows share one snapshot, and a rule's snapshot hands a scan at a
+:meth:`Snapshot.scan` memoizes the scan per ``(m, s)`` for the life
+of the snapshot, and hands the scan the snapshot's own rows at any
+``s`` up to its prefix; no cut copy of the labels is made, the scan
+cutting each distinct cell once.  A loaded bundle therefore scans each
+distinct (pattern radius, prefix) pair once.  In a pipeline, rules that
+share rows share one snapshot, and a rule's snapshot hands a scan at a
 shorter prefix to the rule's snapshot there (``shorter``), so the
 verifier reuses the scans that construction made.  Every rule hands
 out its rows as a snapshot (``LandscapeRule.snapshot``).
@@ -266,8 +268,9 @@ class Snapshot:
 
     The rows are never mutated after the snapshot is built: callers must
     not mutate them, nor the scans :meth:`scan` returns, which it keeps
-    for the life of the snapshot.  ``shorter``, when given, returns the
-    snapshot its owner keeps for a shorter prefix, whose scans
+    for the life of the snapshot.  The scans read the rows themselves,
+    at any prefix up to ``prefix_len``.  ``shorter``, when given, returns
+    the snapshot its owner keeps for a shorter prefix, whose scans
     :meth:`scan` then reuses.
     """
 
@@ -280,24 +283,6 @@ class Snapshot:
     _scans: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
 
-    def rows(self, s: int) -> tuple[list[str], list[int]]:
-        """Label prefixes of length s and heights, for
-        :func:`~riverscape.patterns.pattern_scan`."""
-        if s < 0:
-            raise ValueError(f"prefix {s} is negative")
-        if s > self.prefix_len:
-            raise ValueError(
-                f"prefix {s} exceeds snapshot prefix length "
-                f"{self.prefix_len}"
-            )
-        if s == self.prefix_len:
-            return self.labels, self.heights
-        # each distinct row is cut once, and equal cuts are one string
-        cuts: dict[str, str] = {}
-        cut = {bits: cuts.setdefault(bits[:s], bits[:s])
-               for bits in set(self.labels)}
-        return list(map(cut.__getitem__, self.labels)), self.heights
-
     def scan(self, m: int, s: int) -> tuple[list[int], list[PatternBall]]:
         """:func:`~riverscape.patterns.pattern_scan` of the rows at prefix
         s, computed once per ``(m, s)`` and kept."""
@@ -306,7 +291,8 @@ class Snapshot:
         key = (m, s)
         got = self._scans.get(key)
         if got is None:
-            got = pattern_scan(self.rows(s), self.window, m, s)
+            got = pattern_scan((self.labels, self.heights), self.window,
+                               m, s)
             self._scans[key] = got
         return got
 
@@ -474,6 +460,18 @@ def verify_certificate(snapshot: Snapshot, cert: DoublingCertificate
             f"certificate field 'coreRadius' is {cert.core_radius}, above "
             f"R - m = {window.radius - target.m}, where the target's "
             f"patterns fit the window")
+    # a translate y·g in the core of radius c comes from a piece point
+    # with |y| <= c + |g|, and the piece scan reads only the core of
+    # radius R - l, so past R - l - |g| it would read the pieces as empty
+    if not cert.trivial:
+        longest = max(map(spec.length, cert.translators), default=0)
+        reach = window.radius - cert.l - longest
+        if cert.core_radius > reach:
+            raise InputError(
+                f"certificate field 'coreRadius' is {cert.core_radius}, "
+                f"above R - l - |g| = {reach}, |g| = {longest} the length "
+                f"of its longest translator, where every translate's "
+                f"piece point lies in the piece scan's core")
     T_ids, T_patterns = snapshot.scan(target.m, target.prefix_len)
     hit, = _select(T_patterns, [target.patterns])
     # byte t is 1 when core index t of the target's scan lies in T

@@ -11,23 +11,25 @@ its one speller and kept, with no window built).  Window-wide scans
 (:func:`pattern_scan`, behind :func:`realize` and
 :func:`observed_patterns`) are compiled against the window instead: the
 scan reads one label row and one height per vertex (a snapshot's
-rows), each distinct (label prefix, height) pair is interned as a cell
-id, and the ids are refined m times over the window's letter columns: a
-vertex's radius-r id interns its radius-(r - 1) id with those of its
-neighbours, letter by letter, over the core of radius R - r.  Every
-round is one :func:`_intern` and builds no list of its keys.  A
-:class:`PatternBall` is built once per distinct final id, from the
-offsets of its first vertex.  The result equals θ at every core vertex;
-the core of a radius-m scan is always the ball of radius R - m.  Scans
-answer in window indices: :func:`realize` returns the core indices of a
-local set, and no word is built.
+rows, at any prefix up to their own), each distinct (label, height)
+pair is interned as a cell id, cut once to the asked prefix when the
+rows are longer, and the ids are refined m times over the window's
+letter columns: a vertex's radius-r id interns its radius-(r - 1) id
+with those of its neighbours, letter by letter, over the core of radius
+R - r.  Every round is one :func:`_intern` and builds no list of its
+keys.  A :class:`PatternBall` is built once per distinct final id, from
+the offsets of its first vertex.  The result equals θ at every core
+vertex; the core of a radius-m scan is always the ball of radius R - m.
+Scans answer in window indices: :func:`realize` returns the core indices
+of a local set, and no word is built.
 
 :func:`pattern_scan` is the one scan implementation.  ``realize`` and
 ``observed_patterns`` scan the :class:`~riverscape.checking.Snapshot`
 that the rule's ``snapshot`` hook hands out: a plain rule builds a
 fresh one on each call, while a channel rule hands out the snapshot
 that owns its rows at that prefix, which memoizes its scans, so each
-distinct scan of a pipeline runs once.
+distinct scan of a pipeline runs once.  No pipeline scan cuts rows:
+only a snapshot with no ``shorter`` read below its prefix does.
 """
 
 from __future__ import annotations
@@ -206,9 +208,10 @@ def pattern_scan(rows: tuple[list[str], list[int]], window: Window, m: int,
                  prefix_len: int) -> tuple[list[int], list[PatternBall]]:
     """The pattern of every core vertex, compiled against the window.
 
-    ``rows`` is ``(labels, heights)``: the label prefix of length
-    ``prefix_len`` and the height of every window vertex, in window
-    order (a snapshot's rows).  The core is the ball of radius R - m,
+    ``rows`` is ``(labels, heights)``: the label row and the height of
+    every window vertex, in window order (a snapshot's rows), read at
+    any ``prefix_len`` up to the rows' own length, each distinct (label,
+    height) cell cut once.  The core is the ball of radius R - m,
     the first ``window.core_size(R - m)`` indices, where every pattern
     fits inside the window.  Returns ``(ids, patterns)``: core vertex v
     has the pattern ``patterns[ids[v]]``, which equals ``theta(z,
@@ -221,8 +224,16 @@ def pattern_scan(rows: tuple[list[str], list[int]], window: Window, m: int,
     if m > window.radius:
         raise ValueError("window too small for the pattern radius")
     labels, heights = rows
-    # round 0: each distinct (label, height) cell is an id
+    width = len(labels[0])
+    if not 0 <= prefix_len <= width:
+        raise ValueError(f"prefix {prefix_len} is not in 0 .. {width}, "
+                         f"the labels' length")
+    # round 0: each distinct (label, height) cell is an id, and the cut
+    # cells are re-interned in order of first occurrence
     cell_ids, cells = _intern(zip(labels, heights))
+    if prefix_len < width:
+        cut_ids, cells = _intern((bits[:prefix_len], h) for bits, h in cells)
+        cell_ids = list(map(cut_ids.__getitem__, cell_ids))
     # round r: B_r(v) is v with the B_(r-1)(v·a), one per letter a, so
     # a radius-r id is the radius-(r - 1) ids of v and its neighbours,
     # interned over the core of radius R - r

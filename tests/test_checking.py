@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import riverscape.checking
 from riverscape.checking import (BUNDLE_SCHEMA, CertificateReport,
                                  ClauseResult)
-from riverscape.groups import letter_index
+from riverscape.groups import InputError, letter_index
 from riverscape import (FreeGroup, IntegerGroup, LocalSetSpec, PatternBall,
                         RiverLandscape, Snapshot, TernaryLandscape, ball,
                         certificate_from_dict, check_certificate_dict,
@@ -31,7 +31,7 @@ from riverscape import (FreeGroup, IntegerGroup, LocalSetSpec, PatternBall,
                         paradoxicalize_sequence, realize,
                         trivial_certificate, verify_certificate)
 from riverscape.cli import main
-from riverscape.patterns import center_height_local_set
+from riverscape.patterns import center_height_local_set, pattern_scan
 from riverscape.snapshots import bundle_pipeline, final_snapshot
 
 F2 = FreeGroup(2)
@@ -165,6 +165,8 @@ def clear_member_bit(snap, cert):
 
 
 def grow_core(snap, cert):
+    # past R - l - |g| (g the longest translator) the piece scan cannot
+    # read the piece points of the core's translates: an input error
     cert["coreRadius"] = R - cert["l"]
     return snap, cert
 
@@ -182,9 +184,14 @@ MUTATIONS = [
     (drop_pattern("phi"), {"phi-cover"}),
     (drop_pattern("psi"), {"psi-cover"}),
     (clear_member_bit, {"phi-cover", "psi-cover"}),
-    (grow_core, {"phi-cover", "psi-cover"}),
+    (grow_core, InputError),
     (shrink_core, set()),
 ]
+
+# the error grow_core raises on the B_8 bundle: l = 2 and |g| <= 2
+GROWN_CORE = ("certificate field 'coreRadius' is 6, above R - l - |g| = 4, "
+              "|g| = 2 the length of its longest translator, where every "
+              "translate's piece point lies in the piece scan's core")
 
 
 def failing_via_library(snap, cert):
@@ -223,17 +230,26 @@ class TestClauseMutations:
                              ids=[m.__name__ for m, _ in MUTATIONS])
     def test_library(self, bundle, mutate, expected):
         snap, cert = mutate(*bundle)
-        assert failing_via_library(snap, cert) == expected
+        if expected is InputError:
+            with pytest.raises(InputError) as exc:
+                failing_via_library(snap, cert)
+            assert str(exc.value) == GROWN_CORE
+        else:
+            assert failing_via_library(snap, cert) == expected
 
     @pytest.mark.parametrize("mutate,expected", MUTATIONS,
                              ids=[m.__name__ for m, _ in MUTATIONS])
     def test_riverscape_check(self, bundle, tmp_path, capsys, mutate,
                               expected):
         snap, cert = mutate(*bundle)
-        assert failing_via_cli(snap, cert, tmp_path, capsys) == expected
+        if expected is InputError:
+            assert run_check(snap, cert, tmp_path) == 2
+            assert capsys.readouterr().err == f"error: {GROWN_CORE}\n"
+        else:
+            assert failing_via_cli(snap, cert, tmp_path, capsys) == expected
 
     def test_witness_names_the_least_uncovered_vertex(self, bundle):
-        snap, cert = grow_core(*bundle)
+        snap, cert = drop_pattern("phi")(*bundle)
         least = least_uncovered(snap, cert)
         report = check_certificate_dict(load_snapshot(snap), cert)
         phi = next(c for c in report.clauses if c.name == "phi-cover")
@@ -371,7 +387,19 @@ class TestSetOracle:
                                                   for m, _ in MUTATIONS])
     def test_clause_mutations(self, bundle, mutate):
         snap, cert = bundle if mutate is None else mutate(*bundle)
-        agree_with_set_verify(snap, cert)
+        if mutate is grow_core:
+            # the verifier refuses the core before any clause runs; the
+            # set-based clauses, which know no reach, read the pieces
+            # past it as empty and fail both covers
+            parsed = certificate_from_dict(cert, F2)
+            loaded = load_snapshot(snap)
+            with pytest.raises(InputError, match="'coreRadius' is 6"):
+                verify_certificate(loaded, parsed)
+            failing = {c.name for c in set_verify(loaded, parsed).clauses
+                       if not c.passed}
+            assert failing == {"phi-cover", "psi-cover"}
+        else:
+            agree_with_set_verify(snap, cert)
 
     @pytest.mark.parametrize("text", [b7_bundle_text, bundle_text],
                              ids=["B7", "B8"])
@@ -405,7 +433,7 @@ class TestWordView:
 
     def test_failing_check_names_the_word(self, bundle, tmp_path, capsys,
                                           monkeypatch):
-        snap, cert = grow_core(*bundle)
+        snap, cert = drop_pattern("phi")(*bundle)
         least = least_uncovered(snap, cert)
         built = []
         words = FreeGroup.ball_words
@@ -456,13 +484,24 @@ class TestVerifier:
         with pytest.raises(ValueError, match="prefix"):
             check_certificate_dict(short, cert)
 
-    def test_rows_truncate_to_the_asked_prefix(self, bundle):
-        snap, _ = bundle
-        loaded = load_snapshot(snap)
-        labels, heights = loaded.rows(3)
-        assert labels == [bits[:3] for bits in snap["labels"]]
-        assert heights is loaded.heights
-        assert loaded.rows(loaded.prefix_len)[0] is loaded.labels
+    def test_scans_below_the_prefix_equal_scans_of_cut_rows(self, bundle):
+        # a loaded snapshot hands the scan its own rows, which the scan
+        # cuts; the oracle cuts every label before scanning
+        loaded = load_snapshot(bundle[0])
+        for s in range(loaded.prefix_len + 1):
+            cut = [bits[:s] for bits in loaded.labels], loaded.heights
+            for m in (1, 2):
+                assert loaded.scan(m, s) == pattern_scan(cut, loaded.window,
+                                                         m, s)
+
+    def test_scan_rejects_a_prefix_past_the_rows(self, bundle):
+        # bits[:7] of the 6-bit rows would read 7-bit patterns as 6 bits
+        loaded = load_snapshot(bundle[0])
+        assert loaded.prefix_len == 6
+        rows = loaded.labels, loaded.heights
+        with pytest.raises(ValueError, match=r"^prefix 7 is not in 0 \.\. "
+                                             r"6, the labels' length$"):
+            pattern_scan(rows, loaded.window, 1, 7)
 
     @pytest.mark.parametrize("p, q", [(-3, 10), (10, -3)])
     def test_negative_p_or_q_rejected(self, bundle, p, q):
@@ -478,26 +517,34 @@ class TestVerifier:
 
     def test_rows_reject_a_negative_prefix(self, bundle):
         # bits[:-1] would cut every label from the end
-        with pytest.raises(ValueError, match="negative"):
-            load_snapshot(bundle[0]).rows(-1)
+        with pytest.raises(ValueError, match=r"^prefix -1 is not in 0 \.\. "
+                                             r"6, the labels' length$"):
+            load_snapshot(bundle[0]).scan(1, -1)
 
-    @pytest.mark.parametrize("n", [0, 3, -3, 300, 500, -500])
-    def test_translates_on_the_line_against_words(self, n):
-        # on B_400(Z) one phi piece and one psi piece, both all of T (the
-        # ternary height-1 points), moved by n and -n; covers computed
-        # with integer words, translates leaving the window included
-        win = ball(Z, 400)
+    @staticmethod
+    def line_certificate(n: int, rc: int):
+        """On B_600(Z), one phi piece and one psi piece, both all of T
+        (the ternary height-1 points), moved by n and -n, claimed on the
+        core of radius rc; with T's words and the snapshot."""
+        win = ball(Z, 600)
         rule = TernaryLandscape(Z)
-        snap = rule.snapshot(win, 2)
         ones = frozenset(pat for pat in observed_patterns(rule, win, 1, 2)
                          if pat.center_height == 1)
         target = LocalSetSpec(1, 2, ones)
         T = [win.vertices[i] for i in realize(target, rule, win)]
-        rc = 390
         cert = replace(
             trivial_certificate(target, win), trivial=False, l=1, p=1, q=1,
             translators=(n, -n), piece_patterns=(ones, ones),
             pieces_vertices=(frozenset(), frozenset()), core_radius=rc)
+        return rule.snapshot(win, 2), cert, T
+
+    @pytest.mark.parametrize("n", [0, 3, -3, 300, 500, -500])
+    def test_translates_on_the_line_against_words(self, n):
+        # covers computed with integer words on the widest core within
+        # the pieces' reach, R - l - |n|, translates leaving the window
+        # included
+        rc = 600 - 1 - abs(n)
+        snap, cert, T = self.line_certificate(n, rc)
         report = verify_certificate(snap, cert)
         core = {t for t in T if abs(t) <= rc}
         want = [f"vertex {T[0]!r} in pieces 0 and 1"]
@@ -515,6 +562,16 @@ class TestVerifier:
                 want.append(None)
         assert [c.witness for c in report.clauses[1:]] == want
         assert report.clauses[0].passed
+
+    def test_core_past_the_pieces_reach_on_the_line_rejected(self):
+        # one more than R - l - |n| = 99: the core vertex 100 is the
+        # translate by -500 of 600, past the piece scan's core of 599
+        snap, cert, _ = self.line_certificate(-500, 100)
+        with pytest.raises(
+                InputError,
+                match=r"^certificate field 'coreRadius' is 100, above "
+                      r"R - l - \|g\| = 99, \|g\| = 500 "):
+            verify_certificate(snap, cert)
 
 
 def line_snapshot(radius: int, rows: int) -> dict:
@@ -582,8 +639,8 @@ class TestSnapshotSize:
 
 
 class TestSharedRows:
-    """A loaded or truncated snapshot keeps one string per distinct
-    label row, which every vertex holding it references."""
+    """A loaded snapshot keeps one string per distinct label row, which
+    every vertex holding it references."""
 
     def test_loaded_rows_are_shared(self, bundle):
         snap, _ = bundle
@@ -593,13 +650,6 @@ class TestSharedRows:
         rows = loaded.labels
         assert rows == snap["labels"]
         assert len(set(map(id, rows))) == len(set(rows)) < len(rows)
-
-    def test_truncated_rows_are_shared(self, bundle):
-        loaded = load_snapshot(bundle[0])
-        for s in range(loaded.prefix_len):
-            rows = loaded.rows(s)[0]
-            assert rows == [bits[:s] for bits in loaded.labels]
-            assert len(set(map(id, rows))) == len(set(rows))
 
 
 class TestImports:

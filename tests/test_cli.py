@@ -676,6 +676,33 @@ class TestCheck:
             "error: certificate field 'coreRadius' is 6, above R - m = 5, "
             "where the target's patterns fit the window\n")
 
+    def test_core_past_the_pieces_reach_is_input_error(self, tmp_path,
+                                                       capsys):
+        # certificates 1 and 2 of the sparse B_9 bundle have l = 2 and
+        # longest translators g of length 2 and 4, so the piece scan
+        # reaches the core's translates within R - l - |g| = 5 and 3; in
+        # a core one wider it would read the pieces as empty
+        assert run(["paradoxicalize", "--group", "f2", "--radius", 9,
+                    "--target-heights", "1;2;3", "--out", tmp_path]) == 0
+        capsys.readouterr()
+        doc = load_json(tmp_path / "certificates.json")
+        certs = doc["certificates"]
+        assert [c["coreRadius"] for c in certs[1:]] == [5, 3]
+        bad = tmp_path / "wide.json"
+        # both raised, then certificate 2 alone: check stops at the first
+        for cores, (core, reach, length) in (((6, 4), (6, 5, 2)),
+                                             ((5, 4), (4, 3, 4))):
+            certs[1]["coreRadius"], certs[2]["coreRadius"] = cores
+            bad.write_text(json.dumps(doc))
+            assert run(["check",
+                        "--snapshot", tmp_path / "final_snapshot.json",
+                        "--certificate", bad]) == 2
+            assert capsys.readouterr().err == (
+                f"error: certificate field 'coreRadius' is {core}, above "
+                f"R - l - |g| = {reach}, |g| = {length} the length of its "
+                f"longest translator, where every translate's piece point "
+                f"lies in the piece scan's core\n")
+
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc["windowRef"].__setitem__("radius", 8.7),
          "'radius' must be an integer, not float"),

@@ -316,8 +316,12 @@ class TestCertificates:
     def test_tampered_translator_fails(self, pipeline8, win8):
         import dataclasses
 
+        # a letter of translator 1 flipped, so no translator grows and
+        # the core stays within the pieces' reach
         cert = pipeline8.certificates[0]
-        bad_translators = ((1, 2, 1),) + cert.translators[1:]
+        assert cert.translators[1] == (1, 1)
+        bad_translators = (cert.translators[0], (1, 2)) \
+            + cert.translators[2:]
         bad = dataclasses.replace(cert, translators=bad_translators)
         report = verify_certificate(
             rule_snapshot(pipeline8.rules[1], win8, bad.prefix_len), bad)
@@ -464,7 +468,8 @@ class TestScanMemo:
                  for key, got in snap._scans.items()]
         assert len(scans) == 4
         for snap, (m, s), got in scans:
-            assert got == patterns.pattern_scan(snap.rows(s), win8, m, s)
+            cut = [bits[:s] for bits in snap.labels], snap.heights
+            assert got == patterns.pattern_scan(cut, win8, m, s)
 
     def test_scans_counted_in_the_pipeline_and_its_check(self, win8,
                                                          monkeypatch):
@@ -490,8 +495,9 @@ class TestScanMemo:
         for rule in pipeline8_3.rules:
             snap = rule.snapshot(win8, s_max)
             for s in (1, 2, 3, 15, s_max - 1):
+                cut = [bits[:s] for bits in snap.labels], snap.heights
                 assert snap.scan(1, s) == patterns.pattern_scan(
-                    snap.rows(s), win8, 1, s)
+                    cut, win8, 1, s)
 
     def test_shared_rows_share_the_snapshot(self, pipeline8_3):
         first, later = pipeline8_3.rules[1], pipeline8_3.rules[-1]

@@ -261,7 +261,8 @@ class TestScanBounds:
         # traced with a list of one key tuple per core vertex, about
         # 1.9 MiB interning each round's keys as they are zipped
         win = ball(F2, 10)
-        rows = RiverLandscape(F2).snapshot(win, 6).rows(6)
+        snap = RiverLandscape(F2).snapshot(win, 6)
+        rows = snap.labels, snap.heights
         tracemalloc.start()
         try:
             ids, _ = pattern_scan(rows, win, 1, 6)
