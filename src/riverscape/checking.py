@@ -159,6 +159,7 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
         raise InputError(
             f"unsupported certificate schema: {obj.get('schema')!r}"
         )
+    # the field reads only: a KeyError from a nested parser is a bug
     try:
         ref = json_expect(obj["windowRef"], dict,
                           "certificate field 'windowRef'")
@@ -169,12 +170,9 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
                              "certificate field 'target'")
         pieces = json_expect(obj["pieces"], list,
                              "certificate field 'pieces'")
-        piece_patterns = []
-        for i, pats in enumerate(pieces):
-            what = f"certificate field 'pieces': piece {i}"
-            piece_patterns.append(frozenset(
-                PatternBall.deserialize(s, what)
-                for s in json_strings(pats, what)))
+        texts = [json_strings(pats, f"certificate field 'pieces': "
+                                    f"piece {i}")
+                 for i, pats in enumerate(pieces)]
         translators = json_expect(obj["translators"], list,
                                   "certificate field 'translators'")
         for i, t in enumerate(translators):
@@ -185,33 +183,31 @@ def certificate_from_dict(obj: dict, spec: GroupSpec) -> DoublingCertificate:
         if type(trivial) is not bool:
             raise InputError(f"certificate field 'trivial' must be a "
                              f"boolean, not {type(trivial).__name__}")
-
-        def integer(name: str, default=None) -> int:
-            value = obj[name] if default is None else obj.get(name, default)
-            return json_int(value, f"certificate field {name!r}")
-
-        cert = DoublingCertificate(
-            m=integer("m"),
-            target=LocalSetSpec.from_dict(target),
-            l=integer("l"),
-            prefix_len=integer("prefixLen"),
-            translators=tuple(
-                spec.word_from_json(t) for t in translators),
-            p=integer("p"),
-            q=integer("q"),
-            pieces_vertices=tuple(frozenset() for _ in pieces),
-            piece_patterns=tuple(piece_patterns),
-            channel_positions=tuple(channels),
-            window_group=ref["group"],
-            window_radius=json_int(ref["radius"],
-                                   "certificate field 'windowRef.radius'"),
-            core_radius=integer("coreRadius"),
-            K=integer("displacementBound", 0),
-            trivial=trivial,
-        )
+        m, l, prefix_len, p, q = (
+            json_int(obj[name], f"certificate field {name!r}")
+            for name in ("m", "l", "prefixLen", "p", "q"))
+        radius = json_int(ref["radius"],
+                          "certificate field 'windowRef.radius'")
+        core_radius = json_int(obj["coreRadius"],
+                               "certificate field 'coreRadius'")
+        K = json_int(obj.get("displacementBound", 0),
+                     "certificate field 'displacementBound'")
     except KeyError as exc:
         raise InputError(
             f"certificate is missing the field {exc.args[0]!r}") from None
+    cert = DoublingCertificate(
+        m=m, target=LocalSetSpec.from_dict(target), l=l,
+        prefix_len=prefix_len,
+        translators=tuple(map(spec.word_from_json, translators)), p=p, q=q,
+        pieces_vertices=tuple(frozenset() for _ in texts),
+        piece_patterns=tuple(
+            frozenset(PatternBall.deserialize(
+                text, f"certificate field 'pieces': piece {i}")
+                for text in piece)
+            for i, piece in enumerate(texts)),
+        channel_positions=tuple(channels), window_group=ref["group"],
+        window_radius=radius, core_radius=core_radius, K=K,
+        trivial=trivial)
     # a negative core would be empty, a negative prefix would cut the
     # labels from the end, and a negative p or q would slice the
     # translators from the end
@@ -306,12 +302,13 @@ def load_snapshot(obj: dict) -> Snapshot:
     json_expect(obj, dict, "snapshot")
     if obj.get("schema") != SNAPSHOT_SCHEMA:
         raise InputError(f"unsupported snapshot schema: {obj.get('schema')!r}")
+    # the field reads only: a KeyError from a nested parser is a bug
     try:
         ref = json_expect(obj["windowRef"], dict,
                           "snapshot field 'windowRef'")
         group = json_expect(ref["group"], dict, "snapshot field 'group'")
-        json_int(group["rank"], "snapshot field 'rank'")
-        spec = GroupSpec.from_dict(group)
+        rank = json_int(group["rank"], "snapshot field 'rank'")
+        group = {"kind": group["kind"], "rank": rank}
         radius = json_int(ref["radius"], "snapshot field 'radius'")
         prefix_len = json_int(obj["labelPrefixLen"],
                               "snapshot field 'labelPrefixLen'")
@@ -321,6 +318,7 @@ def load_snapshot(obj: dict) -> Snapshot:
     except KeyError as exc:
         raise InputError(
             f"snapshot is missing the field {exc.args[0]!r}") from None
+    spec = GroupSpec.from_dict(group)
     if radius < 0:
         raise InputError(f"snapshot field 'radius' is {radius}, not "
                          f"non-negative")

@@ -216,6 +216,7 @@ def cmd_paradoxicalize(args) -> int:
 def cmd_check(args) -> int:
     from .checking import (bundle_certificates, bundle_halted,
                            check_certificate_dict, load_snapshot)
+    from .patterns import InputError
     from .snapshots import load_json
 
     snapshot = load_snapshot(load_json(args.snapshot))
@@ -224,7 +225,10 @@ def cmd_check(args) -> int:
     halted = bundle_halted(bundle)
     all_pass = True
     for i, cert_obj in enumerate(certificates):
-        report = check_certificate_dict(snapshot, cert_obj)
+        try:
+            report = check_certificate_dict(snapshot, cert_obj)
+        except InputError as exc:
+            raise InputError(f"certificate {i}: {exc}") from None
         status = "pass" if report.passed else "FAIL"
         print(f"certificate {i}: {status}")
         for clause in report.clauses:

@@ -10,11 +10,12 @@ Enumeration order is the global convention used everywhere for
 tie-breaking and serialization: words sorted by length, then
 lexicographically by letter, with letter order ``+1 < -1 < +2 < -2 < ...``.
 
-A window B_R(G, e) is its letter columns: vertex ids are enumeration
-indices, and ``columns[a][i]`` is the neighbour of vertex i by the
-letter with index a, one array read.  Window-scale state is held as
-typed int32 arrays, the letter columns; offsets are composed on them
-over the vertices at hand (:meth:`Window.offset_rows`) and not kept.
+A window B_R(G, e) is its group and radius, its vertex ids the
+enumeration indices.  Its letter columns, int32 arrays in which
+``columns[a][i]`` is the neighbour of vertex i by the letter with
+index a, are built on first read (:attr:`Window.columns`); offsets are
+composed on them over the vertices at hand (:meth:`Window.offset_rows`)
+and not kept.
 Words are built only at the edges: transiently where a word-level rule
 is evaluated (``ball_words``), one at a time where a few are printed
 (``word_at``), and as a view cached on first use for the word-level
@@ -34,7 +35,7 @@ and :func:`line_indices` map that order to -R .. R and back.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from operator import add
@@ -518,12 +519,13 @@ def offset_steps(columns: Sequence[array], count: int
 
 @dataclass(frozen=True)
 class Window:
-    """The ball B_R(G, e) as its letter columns.
+    """The ball B_R(G, e), which is its group and radius.
 
     Vertices are the indices 0 .. len - 1 in enumeration order, vertex 0
-    the identity.  ``columns`` holds one int32 array per letter, in
-    letter order: ``columns[a][i]`` is the neighbour of vertex i by the
-    letter with index a, or -1 when it leaves the window.
+    the identity.  :attr:`columns`, built on first read and kept, holds
+    one int32 array per letter, in letter order: ``columns[a][i]`` is
+    the neighbour of vertex i by the letter with index a, or -1 when it
+    leaves the window; only the code that walks the window reads them.
     :meth:`offset_rows` composes offsets on the columns over the
     vertices a caller asks about, and keeps nothing.  :meth:`word_at`
     spells one vertex's word arithmetically, for the places that print
@@ -532,16 +534,19 @@ class Window:
     is a view cached on first use for the word-level oracles; pipeline
     code that reads each word once walks ``spec.ball_words(radius)``
     instead, so the words are not kept.
-    A window is determined by its group and radius, so code that must
-    know whether two windows agree compares ``(spec, radius)``.
     """
 
     spec: GroupSpec
     radius: int
-    columns: tuple = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.spec.ball_size(self.radius)
+
+    @cached_property
+    def columns(self) -> tuple[array, ...]:
+        """The letter columns (:meth:`GroupSpec.ball_columns`), built on
+        first read and kept."""
+        return self.spec.ball_columns(self.radius)
 
     @cached_property
     def vertices(self) -> tuple:
@@ -599,11 +604,11 @@ class Window:
 
 def ball(spec: GroupSpec, radius: int,
          budget: int = DEFAULT_VERTEX_BUDGET) -> Window:
-    """B_radius(G, e) in the deterministic order, as its letter columns.
+    """B_radius(G, e) in the deterministic order; nothing is built.
 
-    Raises :class:`BudgetExceededError` before building anything when
-    the ball holds more than ``budget`` vertices, and a negative radius
-    is an :class:`InputError`.
+    Raises :class:`BudgetExceededError` when the ball holds more than
+    ``budget`` vertices, and a negative radius is an
+    :class:`InputError`.
     """
     if radius < 0:
         raise InputError("radius must be non-negative")
@@ -611,7 +616,7 @@ def ball(spec: GroupSpec, radius: int,
         raise BudgetExceededError(
             f"ball of radius {radius} exceeds vertex budget {budget}"
         )
-    return Window(spec, radius, spec.ball_columns(radius))
+    return Window(spec, radius)
 
 
 def bfs_levels(columns: Sequence[array], frontier: Iterable[int],

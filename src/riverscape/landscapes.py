@@ -32,15 +32,16 @@ edge of the window once, from the parent formula of the enumeration.
 Axiom 3 finds each height-1 vertex's nearest others in a compressed
 trie of the height-1 words, with no pairwise distance.  On the line,
 axioms 2 and 4 take the runs of unmarked vertices in position order
-and certify each run in closed form, with no walk.  In a tree they
-search with the one level walk, :func:`~riverscape.groups.bfs_levels`,
-as the components do on every group, and read the sublevel sets from
-the levels: axiom 4 and the components walk only the sublevel sets,
-the vertices outside them marked as seen before the walk starts, and a
-BFS level is certified inline against the ball sizes (indices sort by
-word length), with no per-vertex slack table.  Each walk or run search
-also makes a C-level window-length mark (a byte a vertex), a fill or a
-copy.
+and certify each run in closed form, with no walk and no letter
+column.  In a tree they search with the one level walk,
+:func:`~riverscape.groups.bfs_levels`, over the window's letter
+columns, as the components do on every group, and read the sublevel
+sets from the levels: axiom 4 and the components walk only the
+sublevel sets, the vertices outside them marked as seen before the
+walk starts, and a BFS level is certified inline against the ball
+sizes (indices sort by word length), with no per-vertex slack table.
+Each walk or run search also makes a C-level window-length mark (a
+byte a vertex), a fill or a copy.
 """
 
 from __future__ import annotations
@@ -314,9 +315,6 @@ class RiverLandscape(LandscapeRule):
             raise ValueError("river landscape needs a free group of rank >= 2")
         super().__init__(spec)
 
-    def is_river(self, word: tuple) -> bool:
-        return len(word) % 2 == 0 and _paired_prefix_len(word) == len(word)
-
     def dist_to_river(self, word: tuple) -> int:
         return len(word) - _paired_prefix_len(word)
 
@@ -536,9 +534,10 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
       where uncertified), reads it into index order
       (:func:`~riverscape.groups.line_indices`) and each ``M[h]`` as
       one C-level ``max`` over the level h.  No Python step is taken
-      per vertex or per distance.
+      per vertex or per distance, and no letter column is read.
     * In a tree, they walk levels with
-      :func:`~riverscape.groups.bfs_levels`.  Indices sort by word
+      :func:`~riverscape.groups.bfs_levels` over
+      :attr:`~riverscape.groups.Window.columns`.  Indices sort by word
       length, so a vertex j at BFS level k is certified exactly when
       j < |B_(R - k)|, computed once per level.  A walk stops at the
       first level that certifies no vertex: a neighbour j' of j has
@@ -555,7 +554,8 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
     while axiom 4 runs, the tall mark and a walk's seen mark, or on the
     line a position-order copy of the mark and, for axiom 2, the
     distance array; words are spelled (``window.word_at``) only for the
-    height-1 vertices and for violations.
+    height-1 vertices and for violations.  The letter columns are read
+    only by the tree walks and by the listing of axiom-1 violations.
     """
     spec = window.spec
     R = window.radius
@@ -564,7 +564,6 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
     line = d == 2
     heights = z.window_heights(window)
     levels = z.level_sets(window)
-    columns = window.columns
     # vertex i has |i| <= r exactly when i < |B_r|
     ball_size = spec.ball_size
     constants = StructureConstants()
@@ -588,7 +587,7 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
             sub, islice(heights, d + 1 + t, None, d - 1),
             islice(heights, 1, None))), default=0))
     if steep > 1:
-        for i, row in enumerate(zip(*columns)):
+        for i, row in enumerate(zip(*window.columns)):
             for j in row:
                 if j > i and abs(heights[i] - heights[j]) > 1:
                     violations.append(
@@ -636,7 +635,8 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
                         M[h] = far
             del by_position, dist
         else:
-            for k, level in enumerate(bfs_levels(columns, h1, seen), 1):
+            for k, level in enumerate(
+                    bfs_levels(window.columns, h1, seen), 1):
                 if k > R:
                     # no vertex fits a level past R: the rest is
                     # uncertified
@@ -703,6 +703,7 @@ def verify_axioms(z: LandscapeRule, window: Window) -> AxiomReport:
         else:
             # level 1: the low vertices with a tall neighbour, one
             # C-level compress per letter column
+            columns = window.columns
             near = set().union(*(
                 compress(candidates,
                          map(tall.__getitem__, map(column.__getitem__,

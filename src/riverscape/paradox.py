@@ -467,10 +467,6 @@ class PipelineResult:
     halted: Optional[str] = None
 
     @property
-    def initial_rule(self) -> LandscapeRule:
-        return self.rules[0]
-
-    @property
     def final_rule(self) -> LandscapeRule:
         return self.rules[-1]
 

@@ -185,17 +185,18 @@ class LocalSetSpec:
             raise InputError(
                 f"unsupported local set schema: {obj.get('schema')!r}"
             )
+        what = "target field 'patterns'"
+        # the field reads only: a KeyError from a nested parser is a bug
         try:
-            what = "target field 'patterns'"
-            patterns = frozenset(PatternBall.deserialize(text, what)
-                                 for text in json_strings(obj["patterns"],
-                                                          what))
+            texts = json_strings(obj["patterns"], what)
             m = json_int(obj["m"], "local set field 'm'")
             prefix_len = json_int(obj["prefixLen"],
                                   "local set field 'prefixLen'")
         except KeyError as exc:
             raise InputError(
                 f"local set is missing the field {exc.args[0]!r}") from None
+        patterns = frozenset(PatternBall.deserialize(text, what)
+                             for text in texts)
         if m < 1:
             raise InputError(f"local set field 'm' must be >= 1, got {m}")
         if prefix_len < 0:

@@ -11,19 +11,21 @@ both witness paths of a row are geodesic rays toward the same end of the
 ray, so |kappa_m(g) symdiff kappa_m(g sigma)| = 2 min(m, max(t, t')),
 where t and t' are the positions at which the two paths merge.  For
 neighbours max(t, t') is the length difference of their undoubled
-nearest river points, read off the river's window heights.  The table
-is held as columns, one ceiling per core vertex and one merge position
-per (letter, core vertex), none depending on m; :func:`write_defects`
+nearest river points, a 0/1 flag read off the river's window heights
+and the last letters; no letter column is read.  The table is held as
+columns, one ceiling per core vertex and one merge flag per (letter,
+core vertex), none depending on m; :func:`write_defects`
 streams it to CSV, rendering the lines of each distinct row shape once.
 Its vertex names come from the group's one ball speller
 (:meth:`~riverscape.groups.FreeGroup.spell_ball`), which spells the
 window's words too.
 
 The code serializes, per element, the index of its witness set in a
-canonical enumeration of the subsets of a reference ball (its offsets
-are :func:`~riverscape.patterns.offset_ball`), in unary blocks of the
-string 010 framed by 11.  The parser is strict: any malformed framing
-is a :class:`CodeFormatError` at the first bad bit.
+canonical enumeration of the subsets of a reference ball, in unary
+blocks of the string 010 framed by 11.  The ball's words are ranked and
+unranked arithmetically (``index_of``, ``word_at``), so no ball of
+words is built.  The parser is strict: any malformed framing is a
+:class:`CodeFormatError` at the first bad bit.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from math import comb
-from operator import sub
+from operator import getitem
 
 from .groups import FreeGroup, Window
 from .landscapes import RiverLandscape, double_word, undouble_word
-from .patterns import offset_ball
 
 DEFAULT_INDEX_BUDGET = 200_000
 
@@ -103,26 +105,8 @@ def defect_bound(river: RiverLandscape, gamma: tuple, m: int) -> Fraction:
     return Fraction(2 * (river.height(gamma) + 2) * c, m)
 
 
-def river_rays(river: RiverLandscape, window: Window) -> list[int]:
-    """|s| for every window index: the length of the undoubled nearest
-    river point s, where the index's witness path starts.
-
-    The nearest river point of a word w is its paired prefix, of length
-    |w| - h(w) + 1, so |s| = (|w| - h + 1) // 2 is read from the rule's
-    window heights a sphere at a time.
-    """
-    spec = window.spec
-    heights = river.window_heights(window)
-    size = [0]
-    for r in range(1, window.radius + 1):
-        half = [(r - h + 1) // 2 for h in range(r + 2)]
-        size += map(half.__getitem__,
-                    heights[spec.ball_size(r - 1):spec.ball_size(r)])
-    return size
-
-
 def defect_table(river: RiverLandscape, window: Window
-                 ) -> tuple[list[int], list[list[int]]]:
+                 ) -> tuple[list[int], list[bytes]]:
     """The defect table of the core vertices i (word length at most
     R - 1) as columns ``(ceilings, merges)``: at every m >= 1 the defect
     of i by the letter with index a is 2 min(m, merges[a][i]) / m, and
@@ -134,18 +118,30 @@ def defect_table(river: RiverLandscape, window: Window
     neighbour k merge.  The nearest river points s and s' of neighbours
     are nested and differ by at most one letter (a paired prefix gains
     or loses at most one pair), so the two paths are equal or one path
-    has one more vertex before they join, and max(t, t') = ||s| - |s'||.
-    Each column is a few C-level ``map`` passes over the core.
+    has one more vertex before they join, and max(t, t') = ||s| - |s'||,
+    a 0/1 flag.  It is 1 exactly when the deeper end of the edge is on
+    the river (height 1): i's parent edge when h_i = 1, i's child edge
+    by its own last letter when h_i = 2, the child that completes its
+    pair.  So the one flagged letter of i is a function of h_i and its
+    last letter, and each column is one ``bytes.translate`` of those
+    letters; no letter column is read.
     """
-    size = river_rays(river, window)
+    spec = window.spec
+    d = spec.degree
     core = window.core_size(window.radius - 1)
     ceiling = 2 * river.bilipschitz
-    heights = river.window_heights(window)
-    ceilings = [ceiling * (h + 2) for h in heights[:core]]
-    own = size[:core]
-    merges = [list(map(abs, map(sub, own, map(size.__getitem__,
-                                              column[:core]))))
-              for column in window.columns]
+    heights = river.window_heights(window)[:core]
+    ceilings = [ceiling * (h + 2) for h in heights]
+    # by_height[h][a]: the flagged letter of a vertex of height h whose
+    # last letter has index a, or d for none; the identity reads a = d
+    none = bytes([d]) * (d + 1)
+    by_height = [none, bytes(a ^ 1 for a in range(d)) + bytes([d]),
+                 bytes(range(d + 1))] + [none] * window.radius
+    flags = bytes(map(getitem, map(by_height.__getitem__, heights),
+                      chain((d,), islice(spec.last_letters(
+                          window.radius - 1), 1, None))))
+    merges = [flags.translate(bytes(b == a for b in range(256)))
+              for a in range(d)]
     return ceilings, merges
 
 
@@ -216,8 +212,10 @@ def subset_index(positions: tuple[int, ...], n: int) -> int:
     prev = -1
     remaining = s
     for pos in positions:
-        for skipped in range(prev + 1, pos):
-            rank += comb(n - skipped - 1, remaining - 1)
+        # the subsets whose next element skips to prev + 1 .. pos - 1:
+        # the sum of comb(n - k - 1, remaining - 1) over those k, in
+        # closed form by the hockey-stick identity
+        rank += comb(n - prev - 1, remaining) - comb(n - pos, remaining)
         prev = pos
         remaining -= 1
     return rank + 1
@@ -263,20 +261,17 @@ def witness_subset_index(river: RiverLandscape, gamma: tuple, m: int) -> int:
     an index past ``DEFAULT_INDEX_BUDGET`` is a :class:`CodeBudgetError`."""
     spec = river.spec
     radius = reference_radius(river, m, river.height(gamma))
-    base = offset_ball(spec, radius)
-    base_pos = {w: i for i, w in enumerate(base)}
     inv = spec.inverse(gamma)
     positions = []
     for point in kappa(river, gamma, m):
         local = spec.mul(inv, point)
-        pos = base_pos.get(local)
-        if pos is None:
+        if spec.length(local) > radius:
             raise AssertionError(
                 "witness point outside the reference ball; containment "
                 "bound violated"
             )
-        positions.append(pos)
-    index = subset_index(tuple(sorted(positions)), len(base))
+        positions.append(spec.index_of(local))
+    index = subset_index(tuple(sorted(positions)), spec.ball_size(radius))
     if index > DEFAULT_INDEX_BUDGET:
         raise CodeBudgetError(f"witness index {index} exceeds unary "
                               f"budget {DEFAULT_INDEX_BUDGET}")
@@ -341,8 +336,7 @@ def decode_witness(bits: str, center_height: int) -> list[CodeBlock]:
 
 def block_subset(river: RiverLandscape, block: CodeBlock) -> frozenset:
     """The recentred witness set a code block addresses."""
+    spec = river.spec
     radius = reference_radius(river, block.m, block.n)
-    base = offset_ball(river.spec, radius)
-    return frozenset(
-        base[i] for i in subset_from_index(block.index, len(base))
-    )
+    return frozenset(map(spec.word_at, subset_from_index(
+        block.index, spec.ball_size(radius))))

@@ -198,7 +198,7 @@ def test_criterion_08_pipeline_stability(pipeline10, win10):
             assert entry is None or entry.passed
     assert sum(e is not None for row in pipeline10.matrix for e in row) == 6
     prefix = 2 * max(c.prefix_len for c in pipeline10.certificates)
-    z0, zN = pipeline10.initial_rule, pipeline10.final_rule
+    z0, zN = pipeline10.rules[0], pipeline10.final_rule
     for w in win10.vertices:
         if len(w) <= win10.radius - 1:
             assert project_odd(zN.label(w, prefix)) \

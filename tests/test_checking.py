@@ -244,7 +244,8 @@ class TestClauseMutations:
         snap, cert = mutate(*bundle)
         if expected is InputError:
             assert run_check(snap, cert, tmp_path) == 2
-            assert capsys.readouterr().err == f"error: {GROWN_CORE}\n"
+            assert capsys.readouterr().err == \
+                f"error: certificate 0: {GROWN_CORE}\n"
         else:
             assert failing_via_cli(snap, cert, tmp_path, capsys) == expected
 

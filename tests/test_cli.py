@@ -7,7 +7,8 @@ import pytest
 from riverscape import (ChannelLandscape, FreeGroup, RiverLandscape, ball,
                         checking, witness)
 from riverscape.cli import main
-from riverscape.patterns import center_height_local_set
+from riverscape.groups import GroupSpec
+from riverscape.patterns import LocalSetSpec, center_height_local_set
 from riverscape.snapshots import dump_json, load_json
 
 from conftest import bundle_v1
@@ -513,7 +514,8 @@ class TestCheck:
                     "--certificate", bad])
         assert code == 2
         assert capsys.readouterr().err == \
-            "error: certificate must be an object, not int\n"
+            "error: certificate 0: certificate must be an object, not " \
+            "int\n"
 
     def test_window_ref_of_the_wrong_type_is_input_error(
             self, bundle_dir, tmp_path, capsys):
@@ -564,33 +566,37 @@ class TestCheck:
         (lambda doc: doc.__setitem__("certificates", 5),
          "bundle field 'certificates' must be an array, not int"),
         (lambda doc: doc["certificates"][0].__setitem__("target", [1]),
-         "certificate field 'target' must be an object, not list"),
+         "certificate 0: certificate field 'target' must be an object, "
+         "not list"),
         (lambda doc: doc["certificates"][0]["target"].__setitem__(
             "patterns", "1|1|0:1"),
-         "target field 'patterns' must be an array, not str"),
+         "certificate 0: target field 'patterns' must be an array, not "
+         "str"),
         (lambda doc: doc["certificates"][0]["target"]["patterns"].insert(
             0, [1]),
-         "target field 'patterns': entry 0 is list, not a string"),
-        (lambda doc: doc["certificates"][0]["pieces"][1].insert(0, 7),
-         "certificate field 'pieces': piece 1: entry 0 is int, not a "
+         "certificate 0: target field 'patterns': entry 0 is list, not a "
          "string"),
+        (lambda doc: doc["certificates"][0]["pieces"][1].insert(0, 7),
+         "certificate 0: certificate field 'pieces': piece 1: entry 0 is "
+         "int, not a string"),
         (lambda doc: doc["certificates"][0]["pieces"][1].insert(
             0, "1|1|0:1;"),
-         "certificate field 'pieces': piece 1: pattern '1|1|0:1;' is not of "
-         "the form 'm|prefixLen|bits:height;...'"),
+         "certificate 0: certificate field 'pieces': piece 1: pattern "
+         "'1|1|0:1;' is not of the form 'm|prefixLen|bits:height;...'"),
         (lambda doc: doc["certificates"][0].__setitem__("translators", 5),
-         "certificate field 'translators' must be an array, not int"),
+         "certificate 0: certificate field 'translators' must be an "
+         "array, not int"),
         (lambda doc: doc["certificates"][0]["translators"].__setitem__(1, 7),
-         "certificate field 'translators': translator 1 must be an array, "
-         "not int"),
+         "certificate 0: certificate field 'translators': translator 1 "
+         "must be an array, not int"),
         (lambda doc: doc["certificates"][0]["translators"].__setitem__(
             0, ["1"]),
-         "certificate field 'translators': translator 0: entry 0 must be "
-         "an integer, not str"),
+         "certificate 0: certificate field 'translators': translator 0: "
+         "entry 0 must be an integer, not str"),
         (lambda doc: doc["certificates"][0]["translators"].__setitem__(
             0, [True]),
-         "certificate field 'translators': translator 0: entry 0 must be "
-         "an integer, not bool"),
+         "certificate 0: certificate field 'translators': translator 0: "
+         "entry 0 must be an integer, not bool"),
     ], ids=["certificates-number", "target-array", "patterns-string",
             "pattern-array", "piece-number", "piece-empty-entry",
             "translators-number",
@@ -648,7 +654,8 @@ class TestCheck:
                     "--certificate", bad])
         assert code == 2
         assert capsys.readouterr().err == \
-            f"error: {what}: pattern {text!r} {complaint}\n"
+            f"error: certificate 0: {what}: pattern {text!r} " \
+            f"{complaint}\n"
 
     def test_core_past_the_target_patterns_is_input_error(self, tmp_path,
                                                           capsys):
@@ -673,8 +680,8 @@ class TestCheck:
                         "--snapshot", tmp_path / "final_snapshot.json",
                         "--certificate", bad]) == want
         assert capsys.readouterr().err == (
-            "error: certificate field 'coreRadius' is 6, above R - m = 5, "
-            "where the target's patterns fit the window\n")
+            "error: certificate 0: certificate field 'coreRadius' is 6, "
+            "above R - m = 5, where the target's patterns fit the window\n")
 
     def test_core_past_the_pieces_reach_is_input_error(self, tmp_path,
                                                        capsys):
@@ -690,18 +697,23 @@ class TestCheck:
         assert [c["coreRadius"] for c in certs[1:]] == [5, 3]
         bad = tmp_path / "wide.json"
         # both raised, then certificate 2 alone: check stops at the first
-        for cores, (core, reach, length) in (((6, 4), (6, 5, 2)),
-                                             ((5, 4), (4, 3, 4))):
+        for cores, (i, core, reach, length) in (((6, 4), (1, 6, 5, 2)),
+                                                ((5, 4), (2, 4, 3, 4))):
             certs[1]["coreRadius"], certs[2]["coreRadius"] = cores
             bad.write_text(json.dumps(doc))
             assert run(["check",
                         "--snapshot", tmp_path / "final_snapshot.json",
                         "--certificate", bad]) == 2
-            assert capsys.readouterr().err == (
-                f"error: certificate field 'coreRadius' is {core}, above "
-                f"R - l - |g| = {reach}, |g| = {length} the length of its "
-                f"longest translator, where every translate's piece point "
-                f"lies in the piece scan's core\n")
+            # the certificates before the failing one are reported, and
+            # the error names it
+            captured = capsys.readouterr()
+            assert captured.out == "".join(
+                f"certificate {j}: pass\n" for j in range(i))
+            assert captured.err == (
+                f"error: certificate {i}: certificate field 'coreRadius' "
+                f"is {core}, above R - l - |g| = {reach}, |g| = {length} "
+                f"the length of its longest translator, where every "
+                f"translate's piece point lies in the piece scan's core\n")
 
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc["windowRef"].__setitem__("radius", 8.7),
@@ -783,7 +795,8 @@ class TestCheck:
                     "--snapshot", bundle_dir / "final_snapshot.json",
                     "--certificate", bad])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == \
+            f"error: certificate 0: {message}\n"
 
     @pytest.mark.parametrize("field,value,message", [
         ("m", -1, "'m' is -1, but its target's m is 1"),
@@ -808,7 +821,7 @@ class TestCheck:
                     "--certificate", bad])
         assert code == 2
         assert capsys.readouterr().err == \
-            f"error: certificate field {message}\n"
+            f"error: certificate 0: certificate field {message}\n"
 
     @pytest.mark.parametrize("field, value", [
         ("coreRadius", -5), ("prefixLen", -1)])
@@ -825,7 +838,8 @@ class TestCheck:
                     "--certificate", bad])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: certificate field {field!r} must be >= 0, "
+            f"error: certificate 0: certificate field {field!r} must be "
+            f">= 0, "
             f"got {value}\n")
 
     @pytest.mark.parametrize("p, q", [(-3, 10), (10, -3)])
@@ -845,7 +859,8 @@ class TestCheck:
         assert code == 2
         name, value = ("p", p) if p < 0 else ("q", q)
         assert capsys.readouterr().err == (
-            f"error: certificate field {name!r} must be >= 0, "
+            f"error: certificate 0: certificate field {name!r} must be "
+            f">= 0, "
             f"got {value}\n")
 
     def test_certificate_file_of_the_wrong_type_is_input_error(
@@ -968,6 +983,32 @@ class TestInputErrors:
             run(["build", "--group", "z", "--landscape", "ternary",
                  "--radius", 30, "--out", tmp_path])
 
+    @pytest.mark.parametrize("parser", [
+        (LocalSetSpec, "from_dict"), (GroupSpec, "from_dict")],
+        ids=["local-set", "group"])
+    def test_a_parsers_key_error_is_not_a_missing_field(
+            self, bundle_dir, monkeypatch, parser):
+        # the certificate and snapshot parsers name a missing field only
+        # for their own reads, not for a KeyError of a parser they call
+        def broken(obj):
+            raise KeyError("bug")
+
+        monkeypatch.setattr(*parser, staticmethod(broken))
+        with pytest.raises(KeyError, match="bug"):
+            run(["check", "--snapshot", bundle_dir / "final_snapshot.json",
+                 "--certificate", bundle_dir / "certificates.json"])
+
+    def test_snapshot_group_without_kind(self, bundle_dir, tmp_path,
+                                         capsys):
+        doc = load_json(bundle_dir / "final_snapshot.json")
+        del doc["windowRef"]["group"]["kind"]
+        bad = tmp_path / "bad_snapshot.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["check", "--snapshot", bad,
+                    "--certificate", bundle_dir / "certificates.json"]) == 2
+        assert capsys.readouterr().err == \
+            "error: snapshot is missing the field 'kind'\n"
+
     def test_file_that_is_not_json(self, bundle_dir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -998,7 +1039,8 @@ class TestInputErrors:
         assert run(["check",
                     "--snapshot", bundle_dir / "final_snapshot.json",
                     "--certificate", bad]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == \
+            f"error: certificate 0: {message}\n"
 
     def test_target_wider_than_the_window(self, tmp_path, capsys):
         targets = tmp_path / "targets.json"

@@ -432,13 +432,14 @@ class TestProperLabel:
         # a window's rows read its size only, not its letter columns
         for spec, radius in ((F2, 5), (F3, 4), (Z, 100)):
             s3 = separation_index(spec, 3)
-            bare = Window(spec, radius, columns=())
-            win = ball(spec, radius)
+            bare = Window(spec, radius)
             rule = ProperLabelRule(spec)
-            assert ProperLabelRule(spec).label_rows(bare, s3) == \
-                rule.label_rows(win, s3)
-            assert ProperLabelRule(spec).padded_rows(bare, s3) == \
-                rule.padded_rows(win, s3)
+            assert rule.label_rows(bare, s3) == \
+                [rule.label(w, s3) for w in bare.vertices]
+            assert rule.padded_rows(bare, s3) == [
+                interleave(rule.label(w, s3), "0" * s3)[:s3]
+                for w in bare.vertices]
+            assert "columns" not in bare.__dict__
 
     def test_integer_separation(self):
         rule = ProperLabelRule(Z)

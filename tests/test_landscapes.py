@@ -27,7 +27,7 @@ NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 def river_points(river, window):
     """Oracle: the window indices of the river points, ascending."""
-    return [i for i, w in enumerate(window.vertices) if river.is_river(w)]
+    return [i for i, w in enumerate(window.vertices) if river.height(w) == 1]
 
 
 def all_ternary_up_to(limit):
@@ -150,7 +150,7 @@ class TestRiver:
 
     def test_distance_matches_bfs_oracle(self, river, win8):
         sources = [
-            i for i, w in enumerate(win8.vertices) if river.is_river(w)
+            i for i, w in enumerate(win8.vertices) if river.height(w) == 1
         ]
         dist = oracle.bfs_distances(win8, sources)
         for i, w in enumerate(win8.vertices):
@@ -160,7 +160,7 @@ class TestRiver:
     def test_nearest_river_is_nearest(self, river):
         for w in ball(F2, 6).vertices:
             p = river.nearest_river(w)
-            assert river.is_river(p)
+            assert river.height(p) == 1
             assert F2.dist(w, p) == river.dist_to_river(w)
 
     def test_nearest_river_tie_break(self, river):
@@ -642,6 +642,14 @@ class TestAxiomMemory:
                          "--radius", "3000", "--out", str(tmp_path)]) == 0
         [win] = windows
         assert "vertices" not in win.__dict__
+
+    def test_line_axioms_build_no_letter_columns(self):
+        # the line reads runs; a tree walks its letter columns
+        line, tree = ball(Z, 3000), ball(F2, 6)
+        assert verify_axioms(TernaryLandscape(), line).passed
+        assert "columns" not in line.__dict__
+        assert verify_axioms(RiverLandscape(F2), tree).passed
+        assert "columns" in tree.__dict__
 
     def test_violations_name_their_words(self):
         report = verify_axioms(_Step(Z), ball(Z, 10))

@@ -82,7 +82,7 @@ class TestChannels:
         # after every relabel equal rows are one string, and the bits
         # are those of the word-level padded labels plus the members'
         result = pipeline8_3
-        base = result.initial_rule
+        base = result.rules[0]
         for rule, cert in zip(result.rules[1:], result.certificates):
             s = cert.prefix_len
             rows = rule.snapshot(rule.window, s).labels
@@ -307,7 +307,7 @@ class TestCertificates:
         assert used == sorted(used)
 
     def test_odd_projection_untouched(self, pipeline8, win8):
-        z0 = pipeline8.initial_rule
+        z0 = pipeline8.rules[0]
         zN = pipeline8.final_rule
         for w in win8.vertices[:500]:
             assert project_odd(zN.label(w, 30)) \
@@ -505,7 +505,7 @@ class TestScanMemo:
         win = first.window
         assert later.snapshot(win, s) is first.snapshot(win, s)
         assert later.snapshot(win, 1).labels \
-            is pipeline8_3.initial_rule.snapshot(win, 1).labels
+            is pipeline8_3.rules[0].snapshot(win, 1).labels
         assert later.snapshot(win, s + 2) is not first.snapshot(win, s + 2)
 
     def test_snapshot_equality_ignores_the_memo(self, win8):
@@ -546,8 +546,10 @@ class TestScanMemo:
 @pytest.fixture(scope="module")
 def dense9():
     """The dense B_9 pipeline (every core vertex, heights 1..10) on a
-    window of its own, with its tracemalloc peak in bytes."""
+    window of its own, with its tracemalloc peak in bytes; the window's
+    letter columns are built before tracing."""
     win = ball(F2, 9)
+    win.columns
     tracemalloc.start()
     try:
         result = paradoxicalize_sequence(

@@ -108,7 +108,7 @@ class TestLocalSets:
         got = [win8.vertices[i] for i in realize(spec, river, win8)]
         want = [
             w for w in win8.vertices
-            if len(w) <= win8.radius - 1 and river.is_river(w)
+            if len(w) <= win8.radius - 1 and river.height(w) == 1
         ]
         assert got == want
 

@@ -259,10 +259,12 @@ class TestScanBounds:
     def test_scan_builds_no_list_of_keys(self):
         # one m = 1 scan of the river B_10 rows at prefix 6: about 4.8 MiB
         # traced with a list of one key tuple per core vertex, about
-        # 1.9 MiB interning each round's keys as they are zipped
+        # 1.9 MiB interning each round's keys as they are zipped; the
+        # window's letter columns are built before tracing
         win = ball(F2, 10)
         snap = RiverLandscape(F2).snapshot(win, 6)
         rows = snap.labels, snap.heights
+        win.columns
         tracemalloc.start()
         try:
             ids, _ = pattern_scan(rows, win, 1, 6)

@@ -12,9 +12,8 @@ from riverscape import (CodeBlock, CodeBudgetError, CodeFormatError,
                         parse_code, reference_radius, subset_from_index,
                         subset_index, tree_witness_path, undouble_word,
                         witness_subset_index)
-from riverscape import witness
-from riverscape.witness import (defect_table, river_rays, vertex_names,
-                                write_defects)
+from riverscape import cli, groups, witness
+from riverscape.witness import defect_table, vertex_names, write_defects
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
@@ -71,7 +70,7 @@ class TestKappa:
     def test_values_on_river(self, river):
         for w in ball(F2, 4).vertices:
             for p in kappa(river, w, 4):
-                assert river.is_river(p)
+                assert river.height(p) == 1
 
     def test_containment_radius(self, river):
         # kappa_m(g) within (H(g) - 1) + C m of g, C = 2
@@ -157,15 +156,6 @@ class TestDefectTable:
                     assert len(sym) == \
                         2 * min(m, len(long_) - len(short)), (g, sigma, m)
 
-    @pytest.mark.parametrize("spec,radius", [(F2, 6), (F3, 4)])
-    def test_river_rays_against_words(self, spec, radius):
-        river = RiverLandscape(spec)
-        win = ball(spec, radius)
-        size = river_rays(river, win)
-        assert len(size) == len(win)
-        for w, n in zip(win.vertices, size):
-            assert n == len(undouble_word(river.nearest_river(w)))
-
     @pytest.mark.parametrize("spec,radius", [(F2, 7), (F3, 5), (F2, 0),
                                              (F2, 1), (F3, 1)])
     def test_every_row_against_the_oracle(self, spec, radius):
@@ -177,6 +167,23 @@ class TestDefectTable:
                              unique=True))
     def test_drawn_windows_against_the_oracle(self, spec, radius, m_values):
         assert_table_matches_oracle(spec, radius, m_values)
+
+    def test_amenability_builds_no_letter_columns(self, tmp_path,
+                                                  monkeypatch):
+        windows = []
+        real_ball = groups.ball
+
+        def keeping_ball(*args, **kwargs):
+            windows.append(real_ball(*args, **kwargs))
+            return windows[-1]
+
+        # the command imports ball from groups when it runs
+        monkeypatch.setattr(groups, "ball", keeping_ball)
+        assert cli.main(["amenability", "--group", "f3", "--radius", "4",
+                         "--m-values", "1,3", "--out", str(tmp_path)]) == 0
+        [win] = windows
+        assert "columns" not in win.__dict__
+        assert "vertices" not in win.__dict__
 
     def test_m_below_one_rejected(self, river):
         win = ball(F2, 3)
@@ -252,6 +259,50 @@ class TestWitnessIndex:
                 assert seen[key] == idx
             seen[key] = idx
         assert len(set(seen.values())) == len(seen)
+
+    @pytest.mark.parametrize("spec", [F2, F3])
+    def test_code_builds_no_ball_of_words(self, spec, monkeypatch):
+        # the reference ball is ranked and unranked arithmetically: every
+        # witness set within the index budget round-trips, with no word
+        # list built
+        river = RiverLandscape(spec)
+        words = ball(spec, 3).vertices
+
+        def no_words(self, radius):
+            raise AssertionError("a ball of words was built")
+
+        offset_ball.cache_clear()
+        monkeypatch.setattr(FreeGroup, "ball_words", no_words)
+        decoded = 0
+        for g in words:
+            inv = spec.inverse(g)
+            for m in (1, 2, 3):
+                try:
+                    index = witness_subset_index(river, g, m)
+                except CodeBudgetError:
+                    continue
+                block = CodeBlock(m=m, n=river.height(g), index=index)
+                assert block_subset(river, block) == frozenset(
+                    spec.mul(inv, p) for p in kappa(river, g, m))
+                decoded += 1
+        assert decoded > len(words)
+
+    def test_indices_rank_the_reference_ball(self, river):
+        # the index of a witness set ranks its positions in the reference
+        # ball's word list, which the oracle spells
+        for g in ball(F2, 3).vertices:
+            for m in (1, 2, 3):
+                base = offset_ball(F2, reference_radius(
+                    river, m, river.height(g)))
+                positions = sorted(
+                    base.index(F2.mul(F2.inverse(g), p))
+                    for p in kappa(river, g, m))
+                want = subset_index(tuple(positions), len(base))
+                if want > witness.DEFAULT_INDEX_BUDGET:
+                    with pytest.raises(CodeBudgetError):
+                        witness_subset_index(river, g, m)
+                else:
+                    assert witness_subset_index(river, g, m) == want
 
     def test_budget_enforced(self, river, monkeypatch):
         monkeypatch.setattr(witness, "DEFAULT_INDEX_BUDGET", 10)
